@@ -35,7 +35,7 @@ from .perm import (
     remove_fixed_points,
     square,
 )
-from .rsk import lds, lis, schensted_shape
+from .rsk import leading_parts, lds, lis, schensted_shape
 from .samplers import (
     CycleType,
     RegimeSpec,

@@ -35,21 +35,23 @@ int64_t ps_lis(const int64_t *values, int64_t n, int64_t *tops)
     return k;
 }
 
-/* Row lengths of the insertion tableau of values[0..n), written to
- * row_lengths; returns the number of rows. Row r evolves by patience with
- * replacement, and the elements bumped out of row r, in bump order, are the
- * insertion stream for row r+1. cur, tops: n scratch slots each.
+/* Lengths of the first max_rows rows (all of them, when there are fewer) of
+ * the insertion tableau of values[0..n), written to row_lengths; returns how
+ * many were written. Row r evolves by patience with replacement, and the
+ * elements bumped out of row r, in bump order, are the insertion stream for
+ * row r+1, so the rows come out in order and the peeling can stop early.
+ * row_lengths: min(n, max_rows) slots; cur, tops: n scratch slots each.
  *
  * The bumped stream overwrites cur in place: after reading cur[idx] at least
  * one element (the first) has started a pile, so the write index nb <= idx. */
-int64_t ps_shape(const int64_t *values, int64_t n, int64_t *row_lengths,
-                 int64_t *cur, int64_t *tops)
+int64_t ps_shape(const int64_t *values, int64_t n, int64_t max_rows,
+                 int64_t *row_lengths, int64_t *cur, int64_t *tops)
 {
     int64_t nrows = 0;
     int64_t m = n;
     for (int64_t i = 0; i < n; i++)
         cur[i] = values[i];
-    while (m > 0) {
+    while (m > 0 && nrows < max_rows) {
         int64_t k = 0, nb = 0;
         for (int64_t idx = 0; idx < m; idx++) {
             int64_t x = cur[idx];

@@ -33,7 +33,7 @@ _i64 = np.ctypeslib.ndpointer(dtype=np.int64, ndim=1, flags="C_CONTIGUOUS")
 _u8 = np.ctypeslib.ndpointer(dtype=np.uint8, ndim=1, flags="C_CONTIGUOUS")
 _SIGNATURES = {
     "ps_lis": ([_i64, ctypes.c_int64, _i64], ctypes.c_int64),
-    "ps_shape": ([_i64, ctypes.c_int64, _i64, _i64, _i64], ctypes.c_int64),
+    "ps_shape": ([_i64, ctypes.c_int64, ctypes.c_int64, _i64, _i64, _i64], ctypes.c_int64),
     "ps_cycle_scan": ([_i64, ctypes.c_int64, _u8, _i64], None),
 }
 
@@ -106,12 +106,18 @@ def _lis_py(values):
     return len(tops)
 
 
-def _shape_py(values):
+def _check_max_rows(max_rows):
+    if max_rows is not None and max_rows < 1:
+        raise ValueError(f"max_rows must be at least 1, got {max_rows}")
+
+
+def _shape_py(values, max_rows=None):
     from bisect import bisect_left
 
+    _check_max_rows(max_rows)
     row_lengths = []
     cur = list(values)
-    while cur:
+    while cur and (max_rows is None or len(row_lengths) < max_rows):
         tops: list[int] = []
         bumped: list[int] = []
         for x in cur:
@@ -159,17 +165,25 @@ def lis_length(values: np.ndarray) -> int:
     return int(lib.ps_lis(v, n, np.empty(n, dtype=np.int64)))
 
 
-def insertion_shape(values: np.ndarray) -> np.ndarray:
-    """Row lengths of the Schensted insertion tableau of a distinct-int word."""
+def insertion_shape(values: np.ndarray, max_rows: int | None = None) -> np.ndarray:
+    """Row lengths of the Schensted insertion tableau of a distinct-int word.
+
+    With ``max_rows`` only the first ``min(max_rows, rows)`` of them: the
+    rows are peeled in order, so k rows cost k passes over the word, not the
+    Theta(n^1.5) bumps of the whole tableau.
+    """
+    _check_max_rows(max_rows)
     n = values.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.int64)
     lib = _library()
     if lib is None:
-        return _shape_py(values.tolist())
+        return _shape_py(values.tolist(), max_rows)
+    limit = n if max_rows is None else min(n, max_rows)
     v = np.ascontiguousarray(values, dtype=np.int64)
-    rows = np.empty(n, dtype=np.int64)
-    nrows = lib.ps_shape(v, n, rows, np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64))
+    rows = np.empty(limit, dtype=np.int64)
+    nrows = lib.ps_shape(v, n, limit, rows, np.empty(n, dtype=np.int64),
+                         np.empty(n, dtype=np.int64))
     return rows[:nrows].copy()
 
 

@@ -158,11 +158,16 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _, size_keyword = SUITES[args.suite]
     kwargs: dict = {}
-    if args.pairs is not None:
-        kwargs["pairs"] = args.pairs
-    if args.draws is not None:
-        kwargs["draws"] = args.draws
+    for keyword in ("pairs", "draws"):
+        value = getattr(args, keyword)
+        if value is None:
+            continue
+        if keyword != size_keyword:
+            takes = f"--{size_keyword}" if size_keyword else "no size flag"
+            raise UsageError(f"suite {args.suite} takes {takes}, not --{keyword}")
+        kwargs[keyword] = value
     seed = _ensure_seed(args)
     report = run_suite(args.suite, seed=seed, **kwargs)
     print(json.dumps(report, indent=2, sort_keys=True, default=float))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .perm import cycle_stats
-from .rsk import lds, lis, schensted_shape
+from .rsk import leading_parts, lds, lis, schensted_shape
 from .samplers import RegimeSpec, derive_rng, sample_regime
 from .shape_geom import scaled_sup_distance
 
@@ -32,6 +33,12 @@ CSV_HEADER = (
     "fixed_points_of_square,shape_distance,ell,lambda1,lambda2"
 )
 MEASUREMENTS = ("shape_distance", "ell", "lambda1", "lambda2", "cycle_stats")
+ALL_ROWS = sys.maxsize
+# Leading rows of the insertion shape each measurement reads. The profile
+# distance reads them all, and then ell, lambda1 and lambda2 come free;
+# lambda2 reads two, the first of which is lambda1. Otherwise lambda1 is
+# the LIS and ell the LDS, one patience pass each.
+ROWS_NEEDED = {"shape_distance": ALL_ROWS, "lambda2": 2, "lambda1": 0, "ell": 0, "cycle_stats": 0}
 RESCALE_MODES = ("tw2", "tw1", "tw4", "lln", "theta_log_l1")
 
 
@@ -155,24 +162,21 @@ def run_trial(regime: RegimeSpec, n: int, trial_index: int, seed: int,
     p = sample_regime(regime, n, rng)
     cs = cycle_stats(p)
     wants = set(measurements)
-    shape_distance = ell = lambda1 = lambda2 = None
-    if wants & {"shape_distance", "lambda2"}:
-        # lambda2 and the profile distance need the full shape; once we have
-        # it the other shape statistics are free
-        shape = schensted_shape(p)
-        if "shape_distance" in wants:
-            shape_distance = scaled_sup_distance(shape, n, cs.fixed_points)
-        if "lambda2" in wants:
-            lambda2 = shape.part(2)
-        if "ell" in wants:
-            ell = shape.num_rows
-        if "lambda1" in wants:
-            lambda1 = shape.part(1)
+    rows = max((ROWS_NEEDED[m] for m in wants), default=0)
+    shape = schensted_shape(p) if rows == ALL_ROWS else None
+    if shape is not None:
+        parts = shape.parts
     else:
-        if "ell" in wants:
-            ell = lds(p)
-        if "lambda1" in wants:
-            lambda1 = lis(p)
+        parts = leading_parts(p, rows) if rows else ()
+    shape_distance = ell = lambda1 = lambda2 = None
+    if "shape_distance" in wants:
+        shape_distance = scaled_sup_distance(shape, n, cs.fixed_points)
+    if "lambda2" in wants:
+        lambda2 = parts[1] if len(parts) > 1 else 0
+    if "lambda1" in wants:
+        lambda1 = parts[0] if parts else lis(p)
+    if "ell" in wants:
+        ell = shape.num_rows if shape is not None else lds(p)
     return TrialRecord(
         n=n,
         trial_index=trial_index,
@@ -198,9 +202,11 @@ def run_experiment(
 ) -> tuple[list[TrialRecord], SummaryStats]:
     """Run the full trial ladder; stream CSV rows as records are produced.
 
-    Returns all TrialRecords plus order-independent SummaryStats. With
-    workers > 1 the completion (and CSV row) order may vary, but record
-    contents and the summary depend only on (cfg.seed, n, trial_index).
+    Returns all TrialRecords plus order-independent SummaryStats. Records
+    come back, and CSV rows are written, in ladder order (n, then trial
+    index) for any worker count, since ``pool.map`` yields results in
+    submission order; each record depends only on (cfg.seed, n, trial_index),
+    so the outputs are byte-identical for any ``workers``.
     """
     tasks = [
         (cfg.regime, n, t, cfg.seed, cfg.measurements)

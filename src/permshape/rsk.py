@@ -3,7 +3,10 @@
 Only row lengths of the insertion tableau are kept (the limit statements
 need the shape, never the filling), which keeps memory linear and makes sizes of
 1e5..1e6 practical. ``lis``/``lds`` are the cheap paths when an experiment
-needs only the first row or the number of rows.
+needs only the first row or the number of rows, and ``leading_parts`` when it
+needs the first few rows: by Greene's theorem lambda_1 + ... + lambda_k is
+the largest union of k increasing subsequences, and the row peeling finds
+these parts exactly after k passes.
 """
 
 from __future__ import annotations
@@ -12,12 +15,20 @@ from ._kernels import insertion_shape, lis_length, warm_up
 from .diagram import YoungDiagram
 from .perm import Permutation
 
-__all__ = ["schensted_shape", "lis", "lds", "warm_up"]
+__all__ = ["schensted_shape", "leading_parts", "lis", "lds", "warm_up"]
 
 
 def schensted_shape(p: Permutation) -> YoungDiagram:
     """Shape of the insertion tableau of the word p(1), ..., p(n)."""
     return YoungDiagram.from_parts(insertion_shape(p.word))
+
+
+def leading_parts(p: Permutation, k: int) -> tuple[int, ...]:
+    """The first min(k, rows) parts of the Schensted shape of p.
+
+    A plain tuple, since a prefix of the shape is not the shape of p.
+    """
+    return tuple(insertion_shape(p.word, max_rows=k).tolist())
 
 
 def lis(p: Permutation) -> int:

@@ -12,7 +12,6 @@ import itertools
 from typing import Callable
 
 import numpy as np
-from scipy.stats import chi2
 
 from .diagram import YoungDiagram
 from .oracles import check_fixed_point_bounds, check_profile_distance_bound, greene_report
@@ -30,7 +29,16 @@ from .samplers import (
 )
 from .shape_geom import scaled_height, scaled_height_unit
 
-SUITES = ("greene", "fixpoint", "profile-bound", "convention", "samplers")
+# suite -> (name of its function here, the size keyword it takes or None).
+# The function is looked up by name when the suite runs, so a rebinding of
+# it in this module (a test double, the benchmark's tracer) takes effect.
+SUITES: dict[str, tuple[str, str | None]] = {
+    "greene": ("suite_greene", None),
+    "fixpoint": ("suite_fixpoint", "draws"),
+    "profile-bound": ("suite_profile_bound", "pairs"),
+    "convention": ("suite_convention", None),
+    "samplers": ("suite_samplers", "draws"),
+}
 
 
 def _partial_sums(parts: tuple[int, ...], upto: int) -> list[int]:
@@ -160,6 +168,10 @@ def suite_convention(n_diagrams: int = 100, n_svalues: int = 100, seed: int = 0,
 
 def _chi_square_homogeneity(counts_a: dict, counts_b: dict, alpha: float = 1e-3) -> tuple[bool, float, float]:
     """Two-sample chi-square over the union of observed cells."""
+    # imported here, not at the top: scipy.stats takes about a second to load,
+    # and every CLI call imports this module
+    from scipy.stats import chi2
+
     cells = sorted(set(counts_a) | set(counts_b))
     a = np.array([counts_a.get(c, 0) for c in cells], dtype=np.float64)
     b = np.array([counts_b.get(c, 0) for c in cells], dtype=np.float64)
@@ -210,14 +222,7 @@ def suite_samplers(draws: int = 100_000, seed: int = 0) -> dict:
 
 
 def run_suite(name: str, seed: int = 0, **kwargs) -> dict:
-    if name == "greene":
-        return suite_greene(seed=seed, **kwargs)
-    if name == "fixpoint":
-        return suite_fixpoint(seed=seed, **kwargs)
-    if name == "profile-bound":
-        return suite_profile_bound(seed=seed, **kwargs)
-    if name == "convention":
-        return suite_convention(seed=seed, **kwargs)
-    if name == "samplers":
-        return suite_samplers(seed=seed, **kwargs)
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
+    function, _ = SUITES[name]
+    return globals()[function](seed=seed, **kwargs)

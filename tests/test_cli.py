@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -136,10 +140,29 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "convention", "--seed", "2")
         assert code == 0 and json.loads(out)["ok"] is True
 
+    @pytest.mark.parametrize("suite, flag", [
+        ("greene", "--draws"), ("greene", "--pairs"), ("convention", "--draws"),
+        ("fixpoint", "--pairs"), ("profile-bound", "--draws"), ("samplers", "--pairs"),
+    ])
+    def test_size_flag_the_suite_does_not_take(self, capsys, suite, flag):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--seed", "0", flag, "5")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and flag in err
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_suite", lambda *a, **k: {"ok": False, "suite": "x"})
         code, out, _ = run_cli(capsys, "verify", "--suite", "greene", "--seed", "0")
         assert code == 2
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import; only the samplers suite needs it
+    code = "import sys, permshape.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 class TestKs:

@@ -18,7 +18,8 @@ from permshape.experiments import (
     summarize,
     write_outputs,
 )
-from permshape.samplers import RegimeSpec
+from permshape.rsk import schensted_shape
+from permshape.samplers import RegimeSpec, derive_rng, sample_regime
 
 
 def make_record(n=100, m=0, ell=None, lambda1=None, lambda2=None):
@@ -145,6 +146,15 @@ class TestConfig:
             ExperimentConfig(regime=reg, n_ladder=(10,), trials=1, seed=0, measurements=("nope",))
 
 
+SWEEP = {
+    "uniform": RegimeSpec(ensemble="uniform"),
+    "n_cycle": RegimeSpec(ensemble="n_cycle"),
+    "theta_log": RegimeSpec(ensemble="composite", core="n_cycle", fix_rule="theta_log", theta=1.0),
+    "fpf_involution": RegimeSpec(ensemble="fpf_involution"),
+    "uniform_involution": RegimeSpec(ensemble="uniform_involution"),
+}
+
+
 class TestRunTrial:
     def test_fast_path_matches_full_shape(self):
         reg = RegimeSpec(ensemble="uniform")
@@ -152,6 +162,22 @@ class TestRunTrial:
         full = run_trial(reg, 200, 0, seed=11, measurements=("ell", "lambda1", "lambda2"))
         assert fast.ell == full.ell and fast.lambda1 == full.lambda1
         assert fast.lambda2 is None and full.lambda2 is not None
+
+    @pytest.mark.parametrize("name, n", [
+        (name, n) for name in SWEEP for n in (1, 2, 3, 50, 2000)
+        if not (name == "fpf_involution" and n % 2)  # a matching needs even n
+    ])
+    def test_leading_rows_match_full_shape(self, name, n):
+        # ell, lambda1 and lambda2 come from two row passes and the LDS; they
+        # must equal what the whole shape of the same permutation says, with
+        # lambda2 = 0 on a one-row shape (always so at n = 1)
+        regime = SWEEP[name]
+        for trial in range(3):
+            rec = run_trial(regime, n, trial, 23, ("ell", "lambda1", "lambda2"))
+            shape = schensted_shape(sample_regime(regime, n, derive_rng(23, n, trial)))
+            assert (rec.ell, rec.lambda1, rec.lambda2) == (shape.num_rows, shape.part(1),
+                                                           shape.part(2))
+            assert isinstance(rec.lambda2, int)
 
     def test_involution_hypothesis_ratio(self):
         reg = RegimeSpec(ensemble="uniform_involution")
@@ -189,9 +215,8 @@ class TestRunExperiment:
         cfg = self.cfg()
         rec1, sum1 = run_experiment(cfg, workers=1)
         rec2, sum2 = run_experiment(cfg, workers=2)
-        rows1 = sorted(r.csv_row() for r in rec1)
-        rows2 = sorted(r.csv_row() for r in rec2)
-        assert rows1 == rows2
+        # pool.map yields in submission order, so even the row order agrees
+        assert [r.csv_row() for r in rec1] == [r.csv_row() for r in rec2]
         assert sum1.to_json() == sum2.to_json()
 
     def test_csv_stream_and_read_back(self, tmp_path):

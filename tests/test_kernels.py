@@ -63,9 +63,48 @@ class TestCompiledMatchesReference:
         assert lis_length(word) == _lis_py(xs)
         assert insertion_shape(word).tolist() == _shape_py(xs).tolist()
 
+    @settings(max_examples=25, deadline=None)
+    @given(words)
+    @example(("random", 0, 0))
+    @example(("random", 1, 0))
+    @example(("increasing", 10_000, 0))
+    @example(("decreasing", 10_000, 0))
+    @example(("decreasing", 100, 0))
+    def test_row_prefix(self, spec):
+        # the first k rows peeled are the first k parts of the whole shape:
+        # every k up to 64, and the last rows and two past them
+        word = _zero_based(*spec) + 1
+        full = insertion_shape(word).tolist()
+        rows = len(full)
+        for k in sorted({*range(1, min(rows, 64) + 1), rows, rows + 1, rows + 2} - {0}):
+            prefix = insertion_shape(word, max_rows=k)
+            assert prefix.dtype == np.int64
+            assert prefix.tolist() == full[:k]
+        # the reference's whole shape is checked above; its prefixes here
+        for k in (1, 2, 3):
+            assert _shape_py(word.tolist(), max_rows=k).tolist() == full[:k]
+
+    @given(st.lists(st.integers(-2**62, 2**62), max_size=60))
+    @example([2, 2, 1, 1, 3, 2, -5, 2])
+    def test_row_prefix_arbitrary_int_words(self, xs):
+        word = np.asarray(xs, dtype=np.int64)
+        full = _shape_py(xs).tolist()
+        for k in range(1, len(full) + 3):
+            assert insertion_shape(word, max_rows=k).tolist() == full[:k]
+            assert _shape_py(xs, max_rows=k).tolist() == full[:k]
+
     def test_cycle_scan_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             cycle_scan(np.array([0, 2], dtype=np.int64))
+
+
+@pytest.mark.parametrize("word", [[], [1], [3, 1, 2]])
+def test_row_limit_must_be_positive(word):
+    # on the backend that runs, and on the pure-Python reference
+    with pytest.raises(ValueError, match="max_rows"):
+        insertion_shape(np.asarray(word, dtype=np.int64), max_rows=0)
+    with pytest.raises(ValueError, match="max_rows"):
+        _shape_py(word, max_rows=0)
 
 
 @compiled
@@ -95,6 +134,9 @@ def test_fallback_without_compiler(tmp_path, monkeypatch):
         word = np.array([3, 1, 4, 2, 5], dtype=np.int64)
         assert lis_length(word) == 3
         assert insertion_shape(word).tolist() == [3, 2]
+        assert insertion_shape(word, max_rows=1).tolist() == [3]
+        with pytest.raises(ValueError, match="max_rows"):
+            insertion_shape(word, max_rows=0)
         assert cycle_scan(word - 1) == (2, 1, 0)
     finally:
         _kernels._library.cache_clear()

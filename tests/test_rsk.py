@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from permshape.diagram import YoungDiagram, conjugate_diagram
 from permshape.perm import Permutation
-from permshape.rsk import lds, lis, schensted_shape
+from permshape.rsk import leading_parts, lds, lis, schensted_shape
 
 partitions = st.lists(st.integers(1, 12), max_size=10).map(
     lambda xs: YoungDiagram(tuple(sorted(xs, reverse=True)))
@@ -64,7 +64,11 @@ class TestSchenstedShape:
         for _ in range(300):
             n = int(rng.integers(0, 40))
             p = Permutation.from_zero_based(rng.permutation(n))
-            assert schensted_shape(p).parts == _row_insertion_shape(p.word)
+            expected = _row_insertion_shape(p.word)
+            assert schensted_shape(p).parts == expected
+            for k in (1, 2, 3):
+                head = leading_parts(p, k)
+                assert head == expected[:k] and all(type(x) is int for x in head)
 
     def test_shape_of_inverse_is_same(self):
         rng = np.random.default_rng(6)
