@@ -18,10 +18,26 @@ from pathlib import Path
 import numpy as np
 
 from .diagram import YoungDiagram
-from .experiments import ExperimentConfig, ks_two_sample, run_experiment
+from .experiments import (
+    HARNESS_KEYS,
+    MEASUREMENTS,
+    ExperimentConfig,
+    ks_two_sample,
+    run_experiment,
+    write_outputs,
+)
 from .perm import Permutation
 from .rsk import schensted_shape
-from .samplers import CORES, ENSEMBLES, FIX_RULES, RegimeSpec, derive_rng, sample_regime
+from .samplers import (
+    CORES,
+    ENSEMBLES,
+    FIX_RULES,
+    REGIME_KEYS,
+    RegimeSpec,
+    derive_rng,
+    parse_key_values,
+    sample_regime,
+)
 from .shape_geom import (
     profile_distance_bound,
     profile_rows,
@@ -44,36 +60,27 @@ def _ensure_seed(args) -> int:
     return seed
 
 
-def _regime_from_args(args) -> RegimeSpec:
-    kwargs: dict = {"ensemble": args.ensemble}
-    if args.core:
-        kwargs["core"] = args.core
-    if args.fix_rule:
-        kwargs["fix_rule"] = args.fix_rule
-    for key in ("theta", "beta", "p", "c"):
-        v = getattr(args, key)
-        if v is not None:
-            kwargs[key] = v
-    if args.cycle_type:
-        kwargs["cycle_type"] = tuple(int(x) for x in args.cycle_type.split(","))
-    return RegimeSpec(**kwargs)
+def _flags(args, keys) -> dict[str, str]:
+    """The flags given on the command line, named as config keys."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
-def _add_regime_flags(sub, default_ensemble="uniform"):
-    sub.add_argument("--ensemble", choices=ENSEMBLES, default=default_ensemble)
+def _add_regime_flags(sub):
+    # values stay text: RegimeSpec.from_mapping reads them as it reads a config file
+    sub.add_argument("--ensemble", choices=ENSEMBLES, default=None, help="default uniform")
     sub.add_argument("--core", choices=CORES, default=None)
     sub.add_argument("--fix-rule", dest="fix_rule", choices=FIX_RULES, default=None)
-    sub.add_argument("--theta", type=float, default=None)
-    sub.add_argument("--beta", type=float, default=None)
-    sub.add_argument("--p", type=float, default=None)
-    sub.add_argument("--c", type=float, default=None)
+    sub.add_argument("--theta", default=None)
+    sub.add_argument("--beta", default=None)
+    sub.add_argument("--p", default=None)
+    sub.add_argument("--c", default=None)
     sub.add_argument("--cycle-type", dest="cycle_type", default=None,
                      help="comma-separated cycle lengths, e.g. 2,2")
 
 
 def cmd_sample(args) -> int:
+    regime = RegimeSpec.from_mapping(_flags(args, REGIME_KEYS))
     seed = _ensure_seed(args)
-    regime = _regime_from_args(args)
     for trial in range(args.count):
         rng = derive_rng(seed, args.n, trial)
         p = sample_regime(regime, args.n, rng)
@@ -121,38 +128,17 @@ def cmd_distance(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    overrides = {
-        "n_ladder": tuple(int(x) for x in args.n.split(",")) if args.n else None,
-        "trials": args.trials,
-        "seed": args.seed,
-        "out": args.out,
-    }
-    if args.measurements:
-        overrides["measurements"] = tuple(x.strip() for x in args.measurements.split(","))
-    if args.config:
-        text = Path(args.config).read_text()
-        cfg = ExperimentConfig.from_text(text, **overrides)
-    else:
-        regime = _regime_from_args(args)
-        clean = {k: v for k, v in overrides.items() if v is not None}
-        if "seed" not in clean:
-            clean["seed"] = _ensure_seed(args)
-        if "n_ladder" not in clean:
-            raise UsageError("experiment needs --n or a config file")
-        if "trials" not in clean:
-            clean["trials"] = 1
-        cfg = ExperimentConfig(regime=regime, **clean)
-    out_dir = Path(cfg.out or "experiment_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "records.csv"
-    with csv_path.open("w") as sink:
-        records, summary = run_experiment(cfg, workers=args.workers, csv_sink=sink)
-    json_path = out_dir / "summary.json"
-    json_path.write_text(summary.to_json() + "\n")
+    kv = parse_key_values(Path(args.config).read_text()) if args.config else {}
+    kv.update(_flags(args, [*HARNESS_KEYS, *REGIME_KEYS]))
+    if "seed" not in kv:
+        kv["seed"] = str(_ensure_seed(args))
+    cfg = ExperimentConfig.from_mapping(kv)
+    records, summary = run_experiment(cfg, workers=args.workers)
+    csv_path, json_path = write_outputs(records, summary, cfg.out or "experiment_out")
     print(f"records: {csv_path}")
     print(f"summary: {json_path}")
     for e in summary.entries:
-        if e.statistic in ("shape_distance", "ell", "lambda1", "lambda2"):
+        if e.statistic in MEASUREMENTS:
             print(f"n={e.n} {e.statistic}: mean={e.mean:.6g} sd={e.sd:.3g} count={e.count}")
     return 0
 
@@ -213,14 +199,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.set_defaults(func=cmd_distance)
 
     p_exp = sub.add_parser("experiment", help="run a Monte Carlo trial ladder")
-    p_exp.add_argument("--config", default=None, help="plain-text key=value config file")
-    p_exp.add_argument("--n", default=None, help="comma-separated n ladder")
-    p_exp.add_argument("--trials", type=int, default=None)
-    p_exp.add_argument("--seed", type=int, default=None)
-    p_exp.add_argument("--out", default=None)
+    p_exp.add_argument("--config", default=None,
+                       help="plain-text key = value config file; flags override its keys")
+    p_exp.add_argument("--n", dest="n_ladder", default=None, help="comma-separated n ladder")
+    p_exp.add_argument("--trials", default=None, help="default 1")
+    p_exp.add_argument("--seed", default=None)
+    p_exp.add_argument("--out", default=None, help="default experiment_out")
     p_exp.add_argument("--workers", type=int, default=1)
     p_exp.add_argument("--measurements", default=None,
-                       help="comma-separated subset of shape_distance,ell,lambda1,lambda2,cycle_stats")
+                       help=f"comma-separated subset of {','.join(MEASUREMENTS)} (default all); "
+                            "cycle statistics are always recorded")
     _add_regime_flags(p_exp)
     p_exp.set_defaults(func=cmd_experiment)
 
@@ -244,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

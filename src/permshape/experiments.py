@@ -10,35 +10,37 @@ the in-memory record).
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .perm import cycle_stats
 from .rsk import leading_parts, lds, lis, schensted_shape
-from .samplers import RegimeSpec, derive_rng, sample_regime
+from .samplers import (
+    RegimeSpec,
+    derive_rng,
+    int_list,
+    parse_key_values,
+    parse_values,
+    sample_regime,
+)
 from .shape_geom import scaled_sup_distance
 
 CSV_SCHEMA_VERSION = 1
-CSV_HEADER = (
-    "schema_version,n,trial_index,fix_count,num_cycles,"
-    "fixed_points_of_square,shape_distance,ell,lambda1,lambda2"
-)
-MEASUREMENTS = ("shape_distance", "ell", "lambda1", "lambda2", "cycle_stats")
 ALL_ROWS = sys.maxsize
 # Leading rows of the insertion shape each measurement reads. The profile
 # distance reads them all, and then ell, lambda1 and lambda2 come free;
 # lambda2 reads two, the first of which is lambda1. Otherwise lambda1 is
 # the LIS and ell the LDS, one patience pass each.
-ROWS_NEEDED = {"shape_distance": ALL_ROWS, "lambda2": 2, "lambda1": 0, "ell": 0, "cycle_stats": 0}
+ROWS_NEEDED = {"shape_distance": ALL_ROWS, "ell": 0, "lambda1": 0, "lambda2": 2}
+MEASUREMENTS = tuple(ROWS_NEEDED)
 RESCALE_MODES = ("tw2", "tw1", "tw4", "lln", "theta_log_l1")
 
 
@@ -59,20 +61,17 @@ class TrialRecord:
         def cell(v):
             return "" if v is None else (repr(v) if isinstance(v, float) else str(v))
 
-        return ",".join(
-            [
-                str(CSV_SCHEMA_VERSION),
-                str(self.n),
-                str(self.trial_index),
-                str(self.fix_count),
-                str(self.num_cycles),
-                str(self.fixed_points_of_square),
-                cell(self.shape_distance),
-                cell(self.ell),
-                cell(self.lambda1),
-                cell(self.lambda2),
-            ]
-        )
+        cells = [cell(getattr(self, name)) for name in RECORD_FIELDS]
+        return ",".join([str(CSV_SCHEMA_VERSION)] + cells)
+
+
+# the columns of records.csv after schema_version; wall_time stays in memory
+RECORD_FIELDS = tuple(f.name for f in fields(TrialRecord) if f.name != "wall_time")
+CSV_HEADER = ",".join(("schema_version",) + RECORD_FIELDS)
+# config key -> how its value is read; the other keys name the regime
+HARNESS_KEYS = {"n_ladder": int_list, "trials": int, "seed": int,
+                "measurements": lambda text: tuple(v.strip() for v in text.split(",")),
+                "out": str}
 
 
 @dataclass(frozen=True)
@@ -87,6 +86,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not self.n_ladder:
             raise ValueError("n_ladder must be nonempty")
         if self.n_ladder[0] < 1:
@@ -98,28 +99,20 @@ class ExperimentConfig:
             raise ValueError(f"unknown measurements: {sorted(unknown)}")
 
     @classmethod
-    def from_text(cls, text: str, **overrides) -> "ExperimentConfig":
-        """Parse the plain-text config format (key = value lines, # comments)."""
-        kv: dict[str, str] = {}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
-        regime = RegimeSpec.from_mapping(kv)
-        kwargs: dict = {
-            "regime": regime,
-            "n_ladder": tuple(int(v) for v in kv.get("n_ladder", "1000").split(",")),
-            "trials": int(kv.get("trials", "1")),
-            "seed": int(kv.get("seed", "0")),
-        }
-        if "measurements" in kv:
-            kwargs["measurements"] = tuple(v.strip() for v in kv["measurements"].split(",") if v.strip())
-        if "out" in kv:
-            kwargs["out"] = kv["out"]
-        kwargs.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**kwargs)
+    def from_mapping(cls, kv: Mapping[str, str]) -> "ExperimentConfig":
+        """The experiment the ``key = value`` settings name. n_ladder and seed
+        are required and trials defaults to 1; the keys that are not harness
+        keys go to ``RegimeSpec.from_mapping``."""
+        missing = [key for key in ("n_ladder", "seed") if key not in kv]
+        if missing:
+            raise ValueError(f"missing config key {', '.join(missing)}")
+        harness = parse_values({k: v for k, v in kv.items() if k in HARNESS_KEYS}, HARNESS_KEYS)
+        regime = RegimeSpec.from_mapping({k: v for k, v in kv.items() if k not in HARNESS_KEYS})
+        return cls(regime=regime, **{"trials": 1, **harness})
+
+    @classmethod
+    def from_text(cls, text: str) -> "ExperimentConfig":
+        return cls.from_mapping(parse_key_values(text))
 
 
 @dataclass(frozen=True)
@@ -195,40 +188,26 @@ def _run_trial_star(args) -> TrialRecord:
     return run_trial(*args)
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    workers: int = 1,
-    csv_sink: TextIO | None = None,
-) -> tuple[list[TrialRecord], SummaryStats]:
-    """Run the full trial ladder; stream CSV rows as records are produced.
+def run_experiment(cfg: ExperimentConfig,
+                   workers: int = 1) -> tuple[list[TrialRecord], SummaryStats]:
+    """Run the full trial ladder.
 
     Returns all TrialRecords plus order-independent SummaryStats. Records
-    come back, and CSV rows are written, in ladder order (n, then trial
-    index) for any worker count, since ``pool.map`` yields results in
-    submission order; each record depends only on (cfg.seed, n, trial_index),
-    so the outputs are byte-identical for any ``workers``.
+    come back in ladder order (n, then trial index) for any worker count,
+    since ``pool.map`` yields results in submission order; each record
+    depends only on (cfg.seed, n, trial_index), so the outputs are
+    byte-identical for any ``workers``.
     """
     tasks = [
         (cfg.regime, n, t, cfg.seed, cfg.measurements)
         for n in cfg.n_ladder
         for t in range(cfg.trials)
     ]
-    records: list[TrialRecord] = []
-    if csv_sink is not None:
-        csv_sink.write(CSV_HEADER + "\n")
-
-    def emit(rec: TrialRecord):
-        records.append(rec)
-        if csv_sink is not None:
-            csv_sink.write(rec.csv_row() + "\n")
-
     if workers <= 1:
-        for task in tasks:
-            emit(run_trial(*task))
+        records = [run_trial(*task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for rec in pool.map(_run_trial_star, tasks, chunksize=8):
-                emit(rec)
+            records = list(pool.map(_run_trial_star, tasks, chunksize=8))
     return records, summarize(records)
 
 
@@ -236,10 +215,9 @@ def summarize(records: Iterable[TrialRecord]) -> SummaryStats:
     """Aggregate records into per-(n, statistic) summaries via sorted reductions."""
     by_key: dict[tuple[int, str], list[float]] = {}
     for rec in records:
-        for stat in ("shape_distance", "ell", "lambda1", "lambda2",
-                     "fix_count", "num_cycles", "fixed_points_of_square"):
+        for stat in RECORD_FIELDS:
             v = getattr(rec, stat)
-            if v is None:
+            if stat in ("n", "trial_index") or v is None:
                 continue
             by_key.setdefault((rec.n, stat), []).append(float(v))
     entries = []
@@ -263,12 +241,13 @@ def summarize(records: Iterable[TrialRecord]) -> SummaryStats:
     return SummaryStats(tuple(entries))
 
 
-def write_outputs(cfg: ExperimentConfig, records: Sequence[TrialRecord],
-                  summary: SummaryStats, out_dir: str | Path) -> tuple[Path, Path]:
+def write_outputs(records: Sequence[TrialRecord], summary: SummaryStats,
+                  out_dir: str | Path) -> tuple[Path, Path]:
+    """Write records.csv and summary.json into out_dir; return their paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "records.csv"
-    with io.open(csv_path, "w") as fh:
+    with csv_path.open("w") as fh:
         fh.write(CSV_HEADER + "\n")
         for rec in records:
             fh.write(rec.csv_row() + "\n")
@@ -283,20 +262,14 @@ def read_records_csv(path: str | Path) -> list[TrialRecord]:
         raise ValueError(f"unrecognized records CSV header in {path}")
     out = []
     for line in lines[1:]:
-        cells = line.split(",")
-        out.append(
-            TrialRecord(
-                n=int(cells[1]),
-                trial_index=int(cells[2]),
-                fix_count=int(cells[3]),
-                num_cycles=int(cells[4]),
-                fixed_points_of_square=int(cells[5]),
-                shape_distance=float(cells[6]) if cells[6] else None,
-                ell=int(cells[7]) if cells[7] else None,
-                lambda1=int(cells[8]) if cells[8] else None,
-                lambda2=int(cells[9]) if cells[9] else None,
-            )
-        )
+        cells = line.split(",")[1:]
+        if len(cells) != len(RECORD_FIELDS):
+            raise ValueError(f"records CSV row of {len(cells) + 1} cells in {path}: {line!r}")
+        # shape_distance is the one float column; an empty cell was not measured
+        out.append(TrialRecord(**{
+            name: None if cell == "" else (float if name == "shape_distance" else int)(cell)
+            for name, cell in zip(RECORD_FIELDS, cells)
+        }))
     return out
 
 

@@ -22,9 +22,12 @@ class Permutation:
     __slots__ = ("_zero",)
 
     def __init__(self, word: Sequence[int] | np.ndarray):
-        arr = np.asarray(word, dtype=np.int64)
+        arr = np.asarray(word)
         if arr.ndim != 1:
             raise ValueError("one-line notation must be a flat sequence")
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError(f"one-line notation must be integers, not {arr.dtype}")
+        arr = arr.astype(np.int64, copy=False)
         n = arr.shape[0]
         if n > 0:
             counts = np.bincount(arr, minlength=n + 1)
@@ -38,7 +41,7 @@ class Permutation:
     def from_zero_based(cls, arr: np.ndarray, validate: bool = False) -> "Permutation":
         """Wrap a 0-based image array. Skips validation unless asked."""
         if validate:
-            return cls(np.asarray(arr, dtype=np.int64) + 1)
+            return cls(np.asarray(arr) + 1)
         p = cls.__new__(cls)
         zero = np.ascontiguousarray(arr, dtype=np.int64).copy()
         zero.flags.writeable = False

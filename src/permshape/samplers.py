@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 from scipy.special import gammaln
@@ -28,6 +28,9 @@ ENSEMBLES = (
 )
 CORES = ("n_cycle", "fpf_involution", "uniform_derangement")
 FIX_RULES = ("constant", "theta_log", "power", "linear")
+# the keys besides ensemble that each ensemble reads
+ENSEMBLE_READS = {"composite": ("core", "fix_rule", "theta", "beta", "p", "c"),
+                  "uniform_in_cycle_type": ("cycle_type",)}
 
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
@@ -61,6 +64,50 @@ class CycleType:
     @property
     def n(self) -> int:
         return sum(self.parts)
+
+
+# -- config text ------------------------------------------------------------
+
+
+def int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
+# config key -> how its value is read
+REGIME_KEYS = {"ensemble": str, "core": str, "fix_rule": str, "theta": float,
+               "beta": float, "p": float, "c": float, "cycle_type": int_list}
+
+
+def parse_key_values(text: str) -> dict[str, str]:
+    """The ``key = value`` lines of a config text; ``#`` starts a comment.
+
+    A line without ``=``, an empty key or a key given twice is an error.
+    """
+    kv: dict[str, str] = {}
+    for number, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq or not key:
+            raise ValueError(f"config line {number} is not key = value: {line!r}")
+        if key in kv:
+            raise ValueError(f"config line {number} sets {key} a second time")
+        kv[key] = value
+    return kv
+
+
+def parse_values(kv: Mapping[str, str], parsers: Mapping[str, Callable[[str], Any]]) -> dict:
+    """Each value read by the parser of its key; a key with none is unknown."""
+    out = {}
+    for key, value in kv.items():
+        if key not in parsers:
+            raise ValueError(f"unknown config key {key!r}")
+        try:
+            out[key] = parsers[key](value)
+        except ValueError as exc:
+            raise ValueError(f"bad value for {key}: {exc}") from None
+    return out
 
 
 @dataclass(frozen=True)
@@ -98,14 +145,14 @@ class RegimeSpec:
                 raise ValueError(f"composite regime needs a fix_rule in {FIX_RULES}")
         if self.ensemble == "uniform_in_cycle_type" and not self.cycle_type:
             raise ValueError("uniform_in_cycle_type regime needs a cycle_type")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        if not 0.0 < self.theta < math.inf:
+            raise ValueError("theta must be positive and finite")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-        if self.c < 0:
-            raise ValueError("c must be non-negative")
+        if not 0.0 <= self.c < math.inf:
+            raise ValueError("c must be non-negative and finite")
 
     def fix_count(self, n: int) -> int:
         """Target fixed-point count before parity adjustment, clamped to [0, n]."""
@@ -122,44 +169,29 @@ class RegimeSpec:
         return max(0, min(n, m))
 
     def to_text(self) -> str:
-        """Key-value block, embeddable in an experiment config file."""
-        lines = [f"ensemble = {self.ensemble}"]
-        if self.core is not None:
-            lines.append(f"core = {self.core}")
-        if self.fix_rule is not None:
-            lines.append(f"fix_rule = {self.fix_rule}")
-        lines.append(f"theta = {self.theta!r}")
-        lines.append(f"beta = {self.beta!r}")
-        lines.append(f"p = {self.p!r}")
-        lines.append(f"c = {self.c!r}")
-        if self.cycle_type is not None:
-            lines.append(f"cycle_type = {','.join(str(v) for v in self.cycle_type)}")
+        """Key-value block, embeddable in an experiment config file: the
+        ensemble and the keys it reads."""
+        lines = []
+        for key in ("ensemble",) + ENSEMBLE_READS.get(self.ensemble, ()):
+            value = getattr(self, key)
+            if isinstance(value, tuple):
+                value = ",".join(map(str, value))
+            lines.append(f"{key} = {value}")
         return "\n".join(lines)
 
     @classmethod
     def from_mapping(cls, kv: Mapping[str, str]) -> "RegimeSpec":
-        kwargs: dict = {"ensemble": kv.get("ensemble", "uniform")}
-        if "core" in kv:
-            kwargs["core"] = kv["core"]
-        if "fix_rule" in kv:
-            kwargs["fix_rule"] = kv["fix_rule"]
-        for key in ("theta", "beta", "p", "c"):
-            if key in kv:
-                kwargs[key] = float(kv[key])
-        if "cycle_type" in kv and kv["cycle_type"]:
-            kwargs["cycle_type"] = tuple(int(v) for v in kv["cycle_type"].split(","))
-        return cls(**kwargs)
+        """The regime the ``key = value`` settings name; the ensemble
+        defaults to uniform, and a key it does not read is an error."""
+        spec = cls(**parse_values({"ensemble": "uniform", **kv}, REGIME_KEYS))
+        unread = sorted(set(kv) - {"ensemble", *ENSEMBLE_READS.get(spec.ensemble, ())})
+        if unread:
+            raise ValueError(f"ensemble {spec.ensemble} does not read {', '.join(unread)}")
+        return spec
 
     @classmethod
     def from_text(cls, text: str) -> "RegimeSpec":
-        kv: dict[str, str] = {}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
-        return cls.from_mapping(kv)
+        return cls.from_mapping(parse_key_values(text))
 
 
 # -- basic ensembles --------------------------------------------------------
@@ -179,12 +211,12 @@ def sample_in_cycle_type(t: CycleType, rng: np.random.Generator) -> Permutation:
     """
     n = t.n
     arrangement = rng.permutation(n)
+    lengths = np.asarray(t.parts, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    # each element maps to the next in the arrangement, a cycle's last to its first
     word = np.empty(n, dtype=np.int64)
-    offset = 0
-    for length in t.parts:
-        block = arrangement[offset : offset + length]
-        word[block] = np.roll(block, -1)
-        offset += length
+    word[arrangement[:-1]] = arrangement[1:]
+    word[arrangement[ends - 1]] = arrangement[ends - lengths]
     return Permutation.from_zero_based(word)
 
 

@@ -84,6 +84,16 @@ class TestSample:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("flags", [
+        ["--core", "n_cycle", "--fix-rule", "linear"],
+        ["--ensemble", "n_cycle", "--theta", "2"],
+        ["--ensemble", "fpf_involution", "--cycle-type", "2,2"],
+    ])
+    def test_flags_the_ensemble_does_not_read(self, capsys, flags):
+        code, out, err = run_cli(capsys, "sample", "--n", "4", "--seed", "0", *flags)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "does not read" in err
+
     def test_pipe_matches_single_trial_measurement(self, capsys):
         # sample | shape must equal the experiment's own per-trial measurement
         code, out, _ = run_cli(capsys, "sample", "--n", "40", "--seed", "77", "--count", "2")
@@ -125,6 +135,68 @@ class TestExperiment:
     def test_missing_n(self, capsys):
         code, _, err = run_cli(capsys, "experiment", "--seed", "1")
         assert code == 1 and "error" in err
+
+    @pytest.mark.parametrize("config, flags", [
+        pytest.param("ensemble = uniform\nn_ladder = 10\ntrails = 50\n", [], id="unknown-key"),
+        pytest.param("ensemble = uniform\ntrials = 2\n", [], id="no-n_ladder"),
+        pytest.param("ensemble = n_cycle\ncore = n_cycle\nn_ladder = 10\n", [], id="core"),
+        pytest.param("ensemble = n_cycle\nn_ladder = 10\n", ["--fix-rule", "linear"],
+                     id="fix_rule"),
+        pytest.param("ensemble = fpf_involution\ntheta = 2\nn_ladder = 10\n", [], id="theta"),
+        pytest.param("ensemble = uniform\ncycle_type = 2,2\nn_ladder = 4\n", [],
+                     id="cycle_type"),
+        pytest.param(None, ["--n", "4", "--ensemble", "composite", "--core", "n_cycle",
+                            "--fix-rule", "constant", "--cycle-type", "2,2"],
+                     id="cycle_type-composite"),
+        pytest.param(None, ["--n", "10", "--measurements", "cycle_stats"], id="cycle_stats"),
+        pytest.param(None, ["--n", "10", "--trials", "many"], id="bad-value"),
+        pytest.param("n_ladder 10\n", [], id="no-equals"),
+    ])
+    def test_rejected_input(self, capsys, tmp_path, config, flags):
+        argv = ["experiment", "--seed", "1", "--out", str(tmp_path / "o"), *flags]
+        if config is not None:
+            (tmp_path / "c.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "c.cfg")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_config_file(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "experiment", "--config", str(tmp_path / "none.cfg"))
+        assert code == 1 and err.startswith("error: ")
+
+    def test_config_and_flags_write_the_same_files(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("ensemble = composite\ncore = n_cycle\nfix_rule = theta_log\n"
+                       "theta = 1.5\nn_ladder = 30,60\ntrials = 3\nseed = 8\n"
+                       f"measurements = shape_distance,lambda2\nout = {tmp_path / 'a'}\n")
+        code_a, out_a, _ = run_cli(capsys, "experiment", "--config", str(cfg))
+        code_b, out_b, _ = run_cli(
+            capsys, "experiment", "--ensemble", "composite", "--core", "n_cycle",
+            "--fix-rule", "theta_log", "--theta", "1.5", "--n", "30,60", "--trials", "3",
+            "--seed", "8", "--measurements", "shape_distance,lambda2",
+            "--out", str(tmp_path / "b"),
+        )
+        assert code_a == code_b == 0
+        assert out_a.replace(str(tmp_path / "a"), "") == out_b.replace(str(tmp_path / "b"), "")
+        for name in ("records.csv", "summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_flag_overrides_config_ensemble(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"ensemble = uniform\nn_ladder = 12\ntrials = 5\nseed = 2\n"
+                       f"measurements = ell\nout = {tmp_path / 'o'}\n")
+        code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg), "--ensemble", "n_cycle")
+        assert code == 0
+        records = read_records_csv(tmp_path / "o" / "records.csv")
+        assert len(records) == 5 and all(r.num_cycles == 1 for r in records)
+
+    def test_seed_printed_when_missing(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"n_ladder = 5\nout = {tmp_path / 'o'}\n")
+        code, _, err = run_cli(capsys, "experiment", "--config", str(cfg))
+        assert code == 0 and err.startswith("# seed ")
 
 
 class TestVerify:

@@ -7,6 +7,7 @@ import pytest
 
 from permshape.experiments import (
     CSV_HEADER,
+    MEASUREMENTS,
     ExperimentConfig,
     TrialRecord,
     ks_two_sample,
@@ -19,7 +20,7 @@ from permshape.experiments import (
     write_outputs,
 )
 from permshape.rsk import schensted_shape
-from permshape.samplers import RegimeSpec, derive_rng, sample_regime
+from permshape.samplers import RegimeSpec, derive_rng, parse_key_values, sample_regime
 
 
 def make_record(n=100, m=0, ell=None, lambda1=None, lambda2=None):
@@ -131,8 +132,28 @@ class TestConfig:
         assert cfg.measurements == ("ell", "lambda1")
 
     def test_overrides(self):
-        cfg = ExperimentConfig.from_text("ensemble = uniform\nn_ladder = 10", seed=99, trials=2)
+        kv = parse_key_values("ensemble = uniform\nn_ladder = 10\nseed = 1")
+        cfg = ExperimentConfig.from_mapping({**kv, "seed": "99", "trials": "2"})
         assert cfg.seed == 99 and cfg.trials == 2
+
+    def test_defaults(self):
+        cfg = ExperimentConfig.from_text("n_ladder = 10\nseed = 3")
+        assert cfg.regime == RegimeSpec(ensemble="uniform")
+        assert cfg.trials == 1 and cfg.measurements == MEASUREMENTS and cfg.out is None
+
+    @pytest.mark.parametrize("text", [
+        "n_ladder = 10\nseed = 1\ntrails = 50",
+        "seed = 1",
+        "n_ladder = 10",
+        "n_ladder = 10\nseed = 1\nmeasurements = ell,cycle_stats",
+        "n_ladder = 10\nseed = 1\nmeasurements = ell,",
+        "n_ladder = 10\nseed = 1\ntrials = 2.5",
+        "n_ladder = 10\nseed = -1",
+        "n_ladder = 10\nseed = 1\nensemble = n_cycle\ncore = n_cycle",
+    ])
+    def test_rejects(self, text):
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_text(text)
 
     def test_validation(self):
         reg = RegimeSpec(ensemble="uniform")
@@ -219,20 +240,22 @@ class TestRunExperiment:
         assert [r.csv_row() for r in rec1] == [r.csv_row() for r in rec2]
         assert sum1.to_json() == sum2.to_json()
 
-    def test_csv_stream_and_read_back(self, tmp_path):
-        import io
-
-        cfg = self.cfg()
-        sink = io.StringIO()
-        records, summary = run_experiment(cfg, csv_sink=sink)
-        lines = sink.getvalue().splitlines()
-        assert lines[0] == CSV_HEADER
+    def test_csv_write_and_read_back(self, tmp_path):
+        records, summary = run_experiment(self.cfg())
+        csv_path, json_path = write_outputs(records, summary, tmp_path)
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == CSV_HEADER == (
+            "schema_version,n,trial_index,fix_count,num_cycles,"
+            "fixed_points_of_square,shape_distance,ell,lambda1,lambda2"
+        )
         assert len(lines) == 1 + len(records)
-        csv_path, json_path = write_outputs(cfg, records, summary, tmp_path)
         back = read_records_csv(csv_path)
         assert [r.csv_row() for r in back] == [r.csv_row() for r in records]
         doc = json.loads(json_path.read_text())
         assert doc["schema_version"] == 1
+        csv_path.write_text(lines[0] + "\n1,30,0,0\n")
+        with pytest.raises(ValueError):
+            read_records_csv(csv_path)
 
     def test_summary_order_independent(self):
         cfg = self.cfg()

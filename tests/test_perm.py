@@ -25,6 +25,14 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation([2, 3])
 
+    def test_rejects_non_integer_words(self):
+        for word in ([1.7, 2.2], [1.0, 2.0], np.array([2.0, 1.0]), [True], ["1", "2"]):
+            with pytest.raises(ValueError):
+                Permutation(word)
+        assert Permutation(np.array([2, 1], dtype=np.uint8)) == Permutation([2, 1])
+        with pytest.raises(ValueError):
+            Permutation.from_zero_based(np.array([1.0, 0.0]), validate=True)
+
     def test_empty_and_identity(self):
         assert Permutation([]).n == 0
         assert Permutation.identity(4) == Permutation([1, 2, 3, 4])

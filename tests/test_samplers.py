@@ -9,6 +9,7 @@ from permshape.samplers import (
     CycleType,
     RegimeSpec,
     derive_rng,
+    parse_key_values,
     sample_fpf_involution,
     sample_in_cycle_type,
     sample_regime,
@@ -83,6 +84,23 @@ class TestSampleInCycleType:
             sample_in_cycle_type(CycleType((2, 2)), rng).word.tobytes() for _ in range(total)
         )
         assert_uniform_over_cells(counts, 3, total)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_cycle_loop(self, seed):
+        # the reference fills each cycle of the arrangement with one roll
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            parts = sorted(rng.integers(1, 9, size=rng.integers(0, 12)).tolist(), reverse=True)
+            t = CycleType(tuple(parts))
+            got = sample_in_cycle_type(t, derive_rng(seed, len(parts)))
+            arrangement = derive_rng(seed, len(parts)).permutation(t.n)
+            word = np.empty(t.n, dtype=np.int64)
+            offset = 0
+            for length in parts:
+                block = arrangement[offset : offset + length]
+                word[block] = np.roll(block, -1)
+                offset += length
+            assert got == Permutation.from_zero_based(word)
 
     def test_cycle_type_is_respected(self):
         rng = derive_rng(5)
@@ -225,11 +243,46 @@ class TestRegimeSpec:
             RegimeSpec(ensemble="uniform_in_cycle_type")
 
     def test_text_round_trip(self):
-        spec = RegimeSpec(
-            ensemble="composite", core="fpf_involution", fix_rule="theta_log", theta=2.5
-        )
-        again = RegimeSpec.from_text(spec.to_text())
-        assert again == spec
+        for spec in (
+            RegimeSpec(ensemble="composite", core="fpf_involution", fix_rule="theta_log",
+                       theta=2.5),
+            RegimeSpec(ensemble="composite", core="uniform_derangement", fix_rule="power",
+                       beta=0.25, p=0.125, c=3.0),
+            RegimeSpec(ensemble="uniform_in_cycle_type", cycle_type=(3, 2, 2)),
+            RegimeSpec(ensemble="uniform"),
+            RegimeSpec(ensemble="uniform_involution"),
+            RegimeSpec(ensemble="fpf_involution"),
+            RegimeSpec(ensemble="n_cycle"),
+        ):
+            assert RegimeSpec.from_text(spec.to_text()) == spec
+
+    def test_to_text_writes_only_keys_the_ensemble_reads(self):
+        assert RegimeSpec(ensemble="n_cycle").to_text() == "ensemble = n_cycle"
+        assert RegimeSpec(ensemble="uniform_in_cycle_type", cycle_type=(2, 2)).to_text() == (
+            "ensemble = uniform_in_cycle_type\ncycle_type = 2,2")
+
+    @pytest.mark.parametrize("text", [
+        "ensemble = n_cycle\ncore = n_cycle",
+        "fix_rule = linear",  # the ensemble defaults to uniform
+        "ensemble = fpf_involution\ntheta = 2",
+        "ensemble = composite\ncore = n_cycle\nfix_rule = constant\ncycle_type = 2,2",
+        "ensemble = uniform\ncycle_type = 2,2",
+        "ensemble = uniform\ntrails = 50",
+        "ensemble = composite\ncore = n_cycle\nfix_rule = theta_log\ntheta = two",
+        "ensemble = composite\ncore = n_cycle\nfix_rule = theta_log\ntheta = nan",
+        "ensemble = composite\ncore = n_cycle\nfix_rule = constant\nc = inf",
+        "ensemble = uniform_in_cycle_type\ncycle_type = 2,,2",
+    ])
+    def test_from_text_rejects(self, text):
+        with pytest.raises(ValueError):
+            RegimeSpec.from_text(text)
+
+    def test_key_value_parser(self):
+        assert parse_key_values("# head\n a = 1 # one\n\nb=x, y\nc =\n") == {
+            "a": "1", "b": "x, y", "c": ""}
+        for text in ("ensemble uniform", " = 3", "a = 1\na = 2"):
+            with pytest.raises(ValueError):
+                parse_key_values(text)
 
     def test_fix_rules(self):
         assert RegimeSpec(ensemble="composite", core="n_cycle", fix_rule="constant", c=7).fix_count(100) == 7
