@@ -1,8 +1,19 @@
-/* Compiled kernels for permshape._kernels: patience-sorting LIS, row-peeling
- * Schensted shape, and the cycle scan. Each is a direct port of the
- * pure-Python reference next to it and keeps its integer semantics (strict
- * increase, i.e. bisect_left). The caller allocates every buffer, so no
- * function here can fail.
+/* Compiled kernels for permshape._kernels: patience-sorting LIS, banded
+ * row-peeling Schensted shape, and the cycle scan. Each keeps the integer
+ * semantics of the pure-Python reference next to it (strict increase, i.e.
+ * bisect_left). The caller allocates every buffer, so no function here can
+ * fail.
+ *
+ * Why the shape is peeled in bands: one row of patience sorting is one
+ * chain of dependent binary searches, and a search is a run of dependent
+ * loads, so a single row runs at the latency of that chain (about 22 ns a
+ * placement at n = 16000 on a 2-vCPU Xeon), with the core mostly idle. Row
+ * r+1 reads only the letters row r bumps, so SHAPE_BAND rows can run in one
+ * pass: in each step every row of the band takes one letter that is already
+ * queued for it, and their searches are independent chains the core runs
+ * side by side. Four rows a band take a full shape at n = 16000 from about
+ * 23 ms to about 13 ms there; widths from 3 to 8 measured within noise of
+ * each other, and 4 keeps the tops scratch near 2n.
  */
 #include <stdint.h>
 
@@ -35,15 +46,47 @@ int64_t ps_lis(const int64_t *values, int64_t n, int64_t *tops)
     return k;
 }
 
+/* Rows peeled in one pass over the word. */
+#define SHAPE_BAND 4
+
+const int64_t ps_band_width = SHAPE_BAND;
+
+/* One row of a band: its piles, read head and write head in cur. */
+struct row {
+    int64_t *tops;
+    int64_t len, rd, wr;
+};
+
+/* The row takes the next letter of its queue, cur[rd]; the letter it bumps,
+ * if any, is queued for the row below at cur[wr]. */
+static inline void place(int64_t *cur, struct row *row)
+{
+    int64_t x = cur[row->rd++];
+    int64_t j = lower_bound(row->tops, row->len, x);
+    if (j == row->len)
+        row->len++;
+    else
+        cur[row->wr++] = row->tops[j];
+    row->tops[j] = x;
+}
+
 /* Lengths of the first max_rows rows (all of them, when there are fewer) of
  * the insertion tableau of values[0..n), written to row_lengths; returns how
  * many were written. Row r evolves by patience with replacement, and the
- * elements bumped out of row r, in bump order, are the insertion stream for
+ * letters bumped out of row r, in bump order, are the insertion stream for
  * row r+1, so the rows come out in order and the peeling can stop early.
- * row_lengths: min(n, max_rows) slots; cur, tops: n scratch slots each.
+ * row_lengths: min(n, max_rows) slots; cur: n scratch slots; tops: the sum
+ * of n / r over r = 1..min(max_rows, SHAPE_BAND) scratch slots.
  *
- * The bumped stream overwrites cur in place: after reading cur[idx] at least
- * one element (the first) has started a pile, so the write index nb <= idx. */
+ * Each pass peels a band of min(SHAPE_BAND, rows still wanted) rows from
+ * the m letters in cur. All their queues share cur in place: a row writes
+ * its bumps at or below its own read head (its first letter starts a pile),
+ * and reads only below the write head of the row above, so cur holds, from
+ * the left, the last row's bumps (the next band's input), then each row's
+ * unread queue, lower rows first, then the unread input. The rows step from
+ * the bottom up, so a row never reads a letter queued in the same step.
+ * Row r of a band is the (r+1)-th row of the tableau of the band's input,
+ * so it has at most m / (r+1) piles: that is its segment of tops. */
 int64_t ps_shape(const int64_t *values, int64_t n, int64_t max_rows,
                  int64_t *row_lengths, int64_t *cur, int64_t *tops)
 {
@@ -52,19 +95,27 @@ int64_t ps_shape(const int64_t *values, int64_t n, int64_t max_rows,
     for (int64_t i = 0; i < n; i++)
         cur[i] = values[i];
     while (m > 0 && nrows < max_rows) {
-        int64_t k = 0, nb = 0;
-        for (int64_t idx = 0; idx < m; idx++) {
-            int64_t x = cur[idx];
-            int64_t j = lower_bound(tops, k, x);
-            if (j == k) {
-                k++;
-            } else {
-                cur[nb++] = tops[j];
-            }
-            tops[j] = x;
+        int64_t band = max_rows - nrows < SHAPE_BAND ? max_rows - nrows : SHAPE_BAND;
+        struct row rows[SHAPE_BAND];
+        int64_t *seg = tops;
+        for (int64_t r = 0; r < band; r++) {
+            rows[r] = (struct row){seg, 0, 0, 0};
+            seg += m / (r + 1);
         }
-        row_lengths[nrows++] = k;
-        m = nb;
+        /* rows above lead have read all their input; lead reads the rest of
+         * its queue, and the rows below it take what is queued for them */
+        for (int64_t lead = 0; lead < band; lead++) {
+            int64_t end = lead ? rows[lead - 1].wr : m;
+            while (rows[lead].rd < end) {
+                for (int64_t r = band - 1; r > lead; r--)
+                    if (rows[r].rd < rows[r - 1].wr)
+                        place(cur, &rows[r]);
+                place(cur, &rows[lead]);
+            }
+        }
+        for (int64_t r = 0; r < band && rows[r].len > 0; r++)
+            row_lengths[nrows++] = rows[r].len;
+        m = rows[band - 1].wr;
     }
     return nrows;
 }

@@ -3,10 +3,12 @@
 The fast path is the C source ``_kernels.c`` next to this module. On first
 use the system C compiler ``cc`` builds it into a per-user cache
 (``$XDG_CACHE_HOME/permshape`` or ``~/.cache/permshape``), keyed by a hash
-of the source and flags, and ``ctypes`` loads it. When no compiler is found,
-the build fails, or the source is missing, the pure-Python kernels run
-instead, with a warning; they are also the reference the compiled ones are
-tested against. ``BACKEND`` names the one in use: ``"c"`` or ``"python"``.
+of the source and flags, and ``ctypes`` loads it; a build removes the
+libraries of other sources from the cache. When no compiler is found, the
+build fails, or the source is missing, the pure-Python kernels run instead,
+with a warning; they are also the reference the compiled ones are tested
+against. ``BACKEND`` names the one in use: ``"c"`` or ``"python"``, and
+``info()`` also gives the library file and the shape kernel's band width.
 
 All kernels take plain int64 numpy arrays so they stay picklable across
 worker processes.
@@ -39,10 +41,12 @@ _SIGNATURES = {
 
 
 def _build(source: bytes, target: Path) -> None:
-    """Compile ``source`` to ``target``, publishing it with one atomic rename.
+    """Compile ``source`` to ``target``, publishing it with one atomic rename,
+    and remove the other ``kernels-*.so`` files next to it.
 
     Concurrent builders each write their own temporary file, so a process
-    never loads a half-written library.
+    never loads a half-written library. A process that has already loaded a
+    removed library keeps its mapping.
     """
     cc = shutil.which("cc")
     if cc is None:
@@ -59,6 +63,9 @@ def _build(source: bytes, target: Path) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for stale in target.parent.glob("kernels-*.so"):
+        if stale != target:
+            stale.unlink(missing_ok=True)
 
 
 @functools.cache
@@ -69,9 +76,12 @@ def _library() -> ctypes.CDLL | None:
         key = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
         cache = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
         target = Path(cache) / "permshape" / f"kernels-{key}.so"
-        if not target.exists():
+        try:
+            lib = ctypes.CDLL(str(target))
+        except OSError:
+            # not built yet, or removed by a build of another source
             _build(source, target)
-        lib = ctypes.CDLL(str(target))
+            lib = ctypes.CDLL(str(target))
     except (OSError, subprocess.CalledProcessError) as exc:
         detail = getattr(exc, "stderr", b"") or b""
         warnings.warn(
@@ -91,6 +101,20 @@ def __getattr__(name: str):
     if name == "BACKEND":
         return "python" if _library() is None else "c"
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+@functools.cache
+def _band_width(lib: ctypes.CDLL) -> int:
+    return ctypes.c_int64.in_dll(lib, "ps_band_width").value
+
+
+def info() -> dict[str, str | int | None]:
+    """The backend in use, its library file (None for pure Python), and the
+    rows the shape kernel peels in one pass (1 for the pure-Python one)."""
+    lib = _library()
+    if lib is None:
+        return {"backend": "python", "library": None, "band_width": 1}
+    return {"backend": "c", "library": lib._name, "band_width": _band_width(lib)}
 
 
 def _lis_py(values):
@@ -169,8 +193,12 @@ def insertion_shape(values: np.ndarray, max_rows: int | None = None) -> np.ndarr
     """Row lengths of the Schensted insertion tableau of a distinct-int word.
 
     With ``max_rows`` only the first ``min(max_rows, rows)`` of them: the
-    rows are peeled in order, so k rows cost k passes over the word, not the
-    Theta(n^1.5) bumps of the whole tableau.
+    rows are peeled in order, so k rows cost only the passes that place
+    them, not the Theta(n^1.5) bumps of the whole tableau.
+    The compiled kernel peels a band of up to ``info()["band_width"]`` rows
+    in one pass, each row a step behind the one above it, so the binary
+    searches of the band's rows overlap on the core instead of running one
+    after another; the shape is the same as the one-row-a-pass reference.
     """
     _check_max_rows(max_rows)
     n = values.shape[0]
@@ -182,8 +210,10 @@ def insertion_shape(values: np.ndarray, max_rows: int | None = None) -> np.ndarr
     limit = n if max_rows is None else min(n, max_rows)
     v = np.ascontiguousarray(values, dtype=np.int64)
     rows = np.empty(limit, dtype=np.int64)
-    nrows = lib.ps_shape(v, n, limit, rows, np.empty(n, dtype=np.int64),
-                         np.empty(n, dtype=np.int64))
+    # the r-th row of a band (r = 1..band) has at most n / r piles
+    band = min(limit, _band_width(lib))
+    tops = np.empty(sum(n // r for r in range(1, band + 1)), dtype=np.int64)
+    nrows = lib.ps_shape(v, n, limit, rows, np.empty(n, dtype=np.int64), tops)
     return rows[:nrows].copy()
 
 

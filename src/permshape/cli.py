@@ -1,10 +1,11 @@
 """Command-line surface: sampling, shapes, profiles, distances, experiments,
-verification suites, and two-sample KS comparisons.
+verification suites, two-sample KS comparisons, and the kernel backend.
 
-Exit codes: 0 success, 1 validation/usage error, 2 verification failure
-(a falsified check - should never happen). Every randomized subcommand
-either takes --seed or generates one and prints it to stderr, so any run can
-be reproduced bit for bit.
+Exit codes: 0 success, 1 validation/usage error (a bad flag value, an
+unknown choice and a missing required flag included), 2 verification
+failure (a falsified check - should never happen). Every randomized
+subcommand either takes --seed or generates one and prints it to stderr, so
+any run can be reproduced bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from .diagram import YoungDiagram
 from .experiments import (
     HARNESS_KEYS,
@@ -50,6 +52,14 @@ from .verify import SUITES, run_suite
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports what argparse rejects as any other bad input is reported:
+    one ``error:`` line and exit code 1, not argparse's usage text and 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _ensure_seed(args) -> int:
@@ -167,8 +177,14 @@ def cmd_ks(args) -> int:
     return 0
 
 
+def cmd_info(args) -> int:
+    for key, value in _kernels.info().items():
+        print(f"{key}: {value}")
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permshape",
         description="Robinson-Schensted shapes of conjugacy-invariant random permutations",
     )
@@ -224,13 +240,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_ks.add_argument("--b", required=True)
     p_ks.set_defaults(func=cmd_ks)
 
+    p_info = sub.add_parser("info", help="the kernel backend, its library file and band width")
+    p_info.set_defaults(func=cmd_info)
+
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

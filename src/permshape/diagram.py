@@ -62,12 +62,15 @@ class YoungDiagram:
         return f"YoungDiagram(({', '.join(str(p) for p in self.parts)}))"
 
 
-def conjugate_diagram(d: YoungDiagram) -> YoungDiagram:
-    """Transpose: column lengths become row lengths."""
-    if not d.parts:
-        return YoungDiagram(())
-    parts = d.parts_array()
+def column_lengths(parts: np.ndarray) -> np.ndarray:
+    """Column lengths of the diagram with these weakly decreasing parts."""
+    if parts.size == 0:
+        return np.empty(0, dtype=np.int64)
     j = np.arange(1, parts[0] + 1, dtype=np.int64)
     # number of rows with length >= j, vectorized over j
-    conj = np.searchsorted(-parts, -j, side="right")
-    return YoungDiagram.from_parts(conj)
+    return np.searchsorted(-parts, -j, side="right").astype(np.int64)
+
+
+def conjugate_diagram(d: YoungDiagram) -> YoungDiagram:
+    """Transpose: column lengths become row lengths."""
+    return YoungDiagram.from_parts(column_lengths(d.parts_array()))

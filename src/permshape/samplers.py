@@ -29,8 +29,10 @@ ENSEMBLES = (
 CORES = ("n_cycle", "fpf_involution", "uniform_derangement")
 FIX_RULES = ("constant", "theta_log", "power", "linear")
 # the keys besides ensemble that each ensemble reads
-ENSEMBLE_READS = {"composite": ("core", "fix_rule", "theta", "beta", "p", "c"),
-                  "uniform_in_cycle_type": ("cycle_type",)}
+ENSEMBLE_READS = {"composite": ("core", "fix_rule"), "uniform_in_cycle_type": ("cycle_type",)}
+# and the parameters that a composite regime's fix_rule reads
+FIX_RULE_READS = {"constant": ("c",), "theta_log": ("theta",), "power": ("beta", "c"),
+                  "linear": ("p",)}
 
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
@@ -168,11 +170,19 @@ class RegimeSpec:
             raise ValueError("regime has no fix_rule")
         return max(0, min(n, m))
 
+    def keys(self) -> tuple[str, ...]:
+        """The config keys this regime reads: the ensemble, the keys the
+        ensemble reads and, for a composite regime, its fix_rule's."""
+        keys = ("ensemble",) + ENSEMBLE_READS.get(self.ensemble, ())
+        if self.ensemble == "composite":
+            keys += FIX_RULE_READS[self.fix_rule]
+        return keys
+
     def to_text(self) -> str:
         """Key-value block, embeddable in an experiment config file: the
-        ensemble and the keys it reads."""
+        keys the regime reads."""
         lines = []
-        for key in ("ensemble",) + ENSEMBLE_READS.get(self.ensemble, ()):
+        for key in self.keys():
             value = getattr(self, key)
             if isinstance(value, tuple):
                 value = ",".join(map(str, value))
@@ -182,11 +192,15 @@ class RegimeSpec:
     @classmethod
     def from_mapping(cls, kv: Mapping[str, str]) -> "RegimeSpec":
         """The regime the ``key = value`` settings name; the ensemble
-        defaults to uniform, and a key it does not read is an error."""
+        defaults to uniform, and a key the regime does not read is an
+        error."""
         spec = cls(**parse_values({"ensemble": "uniform", **kv}, REGIME_KEYS))
-        unread = sorted(set(kv) - {"ensemble", *ENSEMBLE_READS.get(spec.ensemble, ())})
+        unread = sorted(set(kv) - set(spec.keys()))
         if unread:
-            raise ValueError(f"ensemble {spec.ensemble} does not read {', '.join(unread)}")
+            reader = f"ensemble {spec.ensemble}"
+            if spec.ensemble == "composite":
+                reader += f" with fix_rule {spec.fix_rule}"
+            raise ValueError(f"{reader} does not read {', '.join(unread)}")
         return spec
 
     @classmethod

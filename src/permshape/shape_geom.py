@@ -22,7 +22,8 @@ evaluations used by the limit statements,
 
 are the same function of s under that map; ``scaled_height`` and
 ``scaled_height_unit`` implement the two routes independently so the
-reconciliation can be tested numerically rather than assumed.
+reconciliation can be tested numerically rather than assumed. Both take a
+float s, giving a float, or an array of s, giving an array.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .diagram import YoungDiagram, conjugate_diagram
+from .diagram import YoungDiagram, column_lengths
 
 SQRT2 = math.sqrt(2.0)
 
@@ -55,7 +56,7 @@ def height_profile(d: YoungDiagram, ts: np.ndarray) -> np.ndarray:
         out[pos] += 2 * np.searchsorted(-diag, -ts[pos], side="right")
     neg = ~pos
     if neg.any():
-        conj = conjugate_diagram(d).parts_array()
+        conj = column_lengths(parts)
         j = np.arange(1, conj.size + 1, dtype=np.int64)
         cdiag = conj - j
         out[neg] += 2 * np.searchsorted(-cdiag, ts[neg], side="right")
@@ -67,29 +68,34 @@ def height_at(d: YoungDiagram, t: int) -> int:
     return int(height_profile(d, np.asarray([t]))[0])
 
 
-def height_interp(d: YoungDiagram, x: float) -> float:
-    """L at real x by linear interpolation between the integer kinks."""
-    t0 = math.floor(x)
-    frac = x - t0
-    lo, hi = height_profile(d, np.asarray([t0, t0 + 1]))
-    return float(lo) * (1.0 - frac) + float(hi) * frac
+def height_interp(d: YoungDiagram, x: float | np.ndarray) -> float | np.ndarray:
+    """L at real x by linear interpolation between the integer kinks; x is
+    a float, giving a float, or an array, giving an array."""
+    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    t0 = np.floor(xs)
+    frac = xs - t0
+    t = t0.astype(np.int64)
+    L = height_profile(d, np.concatenate([t, t + 1])).astype(np.float64)
+    out = L[: t.size] * (1.0 - frac) + L[t.size :] * frac
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def height_unit_cells(d: YoungDiagram, x: float) -> float:
+def height_unit_cells(d: YoungDiagram, x: float | np.ndarray) -> float | np.ndarray:
     """Profile in unit-cell coordinates (kinks at multiples of sqrt(2)/2)."""
-    return height_interp(d, x * SQRT2) / SQRT2
+    return height_interp(d, np.multiply(x, SQRT2)) / SQRT2
 
 
-def scaled_height(d: YoungDiagram, n: int, s: float) -> float:
+def scaled_height(d: YoungDiagram, n: int, s: float | np.ndarray) -> float | np.ndarray:
     """F_n(s) = L(2 s sqrt(n)) / (2 sqrt(n)) in integer coordinates."""
     c = 2.0 * math.sqrt(n)
-    return height_interp(d, s * c) / c
+    return height_interp(d, np.multiply(s, c)) / c
 
 
-def scaled_height_unit(d: YoungDiagram, n: int, s: float) -> float:
+def scaled_height_unit(d: YoungDiagram, n: int,
+                       s: float | np.ndarray) -> float | np.ndarray:
     """Same rescaled profile evaluated through unit-cell coordinates."""
     c = math.sqrt(2.0 * n)
-    return height_unit_cells(d, s * c) / c
+    return height_unit_cells(d, np.multiply(s, c)) / c
 
 
 # -- limit curve -----------------------------------------------------------

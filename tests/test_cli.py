@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from permshape import cli
+from permshape import _kernels, cli
 from permshape.experiments import read_records_csv, run_trial
 from permshape.samplers import RegimeSpec
 
@@ -93,6 +93,29 @@ class TestSample:
         code, out, err = run_cli(capsys, "sample", "--n", "4", "--seed", "0", *flags)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "does not read" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--fix-rule", "constant", "--c", "2", "--theta", "7"],
+        ["--fix-rule", "theta_log", "--theta", "2", "--p", "0.5"],
+        ["--fix-rule", "power", "--beta", "0.5", "--c", "2", "--p", "0.1"],
+        ["--fix-rule", "linear", "--p", "0.5", "--c", "1"],
+    ])
+    def test_parameters_the_fix_rule_does_not_read(self, capsys, flags):
+        code, out, err = run_cli(capsys, "sample", "--n", "4", "--seed", "1",
+                                 "--ensemble", "composite", "--core", "n_cycle", *flags)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "does not read" in err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["sample", "--n", "4", "--ensemble", "nope"], id="unknown-choice"),
+        pytest.param(["sample", "--n", "four"], id="non-integer"),
+        pytest.param(["sample", "--seed", "1"], id="missing-required"),
+    ])
+    def test_usage_errors_exit_1(self, capsys, argv):
+        # exit code 2 is kept for a failed verification suite
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_pipe_matches_single_trial_measurement(self, capsys):
         # sample | shape must equal the experiment's own per-trial measurement
@@ -235,6 +258,15 @@ def test_cli_import_leaves_scipy_stats_unloaded():
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_info(capsys):
+    code, out, _ = run_cli(capsys, "info")
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    assert code == 0 and lines.keys() == {"backend", "library", "band_width"}
+    assert lines["backend"] == _kernels.BACKEND
+    if _kernels.BACKEND == "c":
+        assert Path(lines["library"]).is_file() and int(lines["band_width"]) > 1
 
 
 class TestKs:

@@ -19,8 +19,12 @@ from permshape._kernels import (
     insertion_shape,
     lis_length,
 )
+from permshape.oracles import greene_report
+from permshape.perm import Permutation
 
 compiled = pytest.mark.skipif(BACKEND != "c", reason="compiled kernels unavailable")
+# rows the compiled shape kernel peels in one pass
+K = _kernels.info()["band_width"]
 
 # (kind, n, seed): a random permutation of size n, or a monotone word
 words = st.tuples(
@@ -93,6 +97,52 @@ class TestCompiledMatchesReference:
             assert insertion_shape(word, max_rows=k).tolist() == full[:k]
             assert _shape_py(xs, max_rows=k).tolist() == full[:k]
 
+    @pytest.mark.parametrize("rows", [K - 1, K, K + 1, 2 * K + 1])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_band_edges(self, rows, seed):
+        # increasing run of decreasing blocks, the longest `rows` long: the
+        # shape has exactly that many rows; then prefixes at the band's edges
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, rows + 1, size=40)
+        sizes[rng.integers(0, sizes.size)] = rows
+        word = np.concatenate([np.arange(start + size, start, -1)
+                               for start, size in zip(np.cumsum(sizes) - sizes, sizes)])
+        full = _shape_py(word.tolist()).tolist()
+        assert len(full) == rows
+        assert insertion_shape(word).tolist() == full
+        for k in (K - 1, K, K + 1, 2 * K):
+            assert insertion_shape(word, max_rows=k).tolist() == full[:k]
+
+    @pytest.mark.parametrize("n", [K - 1, K, K + 1, 2 * K, 2 * K + 1, 100, 3000])
+    def test_band_edge_row_limits(self, n):
+        word = np.random.default_rng(n).permutation(n).astype(np.int64)
+        full = _shape_py(word.tolist()).tolist()
+        for k in (1, K - 1, K, K + 1, 2 * K, 2 * K + 1):
+            assert insertion_shape(word, max_rows=k).tolist() == full[:k]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 500).flatmap(lambda n: st.lists(
+        st.integers(-n // 4, n // 4) | st.integers(-2**62, 2**62), max_size=500)))
+    def test_long_words_with_repeats(self, xs):
+        word = np.asarray(xs, dtype=np.int64)
+        full = _shape_py(xs).tolist()
+        assert insertion_shape(word).tolist() == full
+        for k in (K - 1, K, K + 1, 2 * K):
+            assert insertion_shape(word, max_rows=k).tolist() == full[:k]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.permutations(range(1, n + 1))))
+    def test_partial_sums_against_greene(self, word):
+        # Greene: lambda_1 + ... + lambda_k is the largest union of k
+        # increasing subsequences, and likewise for the conjugate and
+        # decreasing ones; the oracle finds both by scanning subsets
+        shape = insertion_shape(np.asarray(word, dtype=np.int64)).tolist()
+        conj = [sum(part > j for part in shape) for j in range(len(word))]
+        report = greene_report(Permutation(word))
+        n = len(word)
+        assert tuple(np.cumsum(shape + [0] * (n - len(shape)))) == report.increasing_invariants
+        assert tuple(np.cumsum(conj)) == report.decreasing_invariants
+
     def test_cycle_scan_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             cycle_scan(np.array([0, 2], dtype=np.int64))
@@ -124,6 +174,34 @@ def test_concurrent_builds_into_empty_cache(tmp_path):
     assert [p.suffix for p in built] == [".so"]
 
 
+@compiled
+def test_build_removes_the_libraries_of_other_sources(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cache = tmp_path / "permshape"
+    source = _kernels._SOURCE.read_text()
+    try:
+        for variant in ("first", "second"):
+            path = tmp_path / f"{variant}.c"
+            path.write_text(f"{source}\n/* {variant} */\n")
+            monkeypatch.setattr(_kernels, "_SOURCE", path)
+            _kernels._library.cache_clear()
+            assert _kernels.BACKEND == "c"
+            built = sorted(cache.iterdir())
+            assert len(built) == 1 and _kernels.info()["library"] == str(built[0])
+    finally:
+        _kernels._library.cache_clear()
+    # a process whose library was removed by another source's build builds
+    # it again, and removes that one in turn
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
+               PYTHONPATH=str(Path(permshape.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", "from permshape import _kernels; "
+                           "print(_kernels.BACKEND, _kernels.info()['library'])"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    backend, library = done.stdout.split()
+    assert (backend, done.stderr) == ("c", "")
+    assert [str(p) for p in cache.iterdir()] == [library] != [str(built[0])]
+
+
 def test_fallback_without_compiler(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setenv("PATH", str(tmp_path))
@@ -131,6 +209,7 @@ def test_fallback_without_compiler(tmp_path, monkeypatch):
     try:
         with pytest.warns(RuntimeWarning, match="pure Python"):
             assert _kernels.BACKEND == "python"
+        assert _kernels.info() == {"backend": "python", "library": None, "band_width": 1}
         word = np.array([3, 1, 4, 2, 5], dtype=np.int64)
         assert lis_length(word) == 3
         assert insertion_shape(word).tolist() == [3, 2]

@@ -247,7 +247,9 @@ class TestRegimeSpec:
             RegimeSpec(ensemble="composite", core="fpf_involution", fix_rule="theta_log",
                        theta=2.5),
             RegimeSpec(ensemble="composite", core="uniform_derangement", fix_rule="power",
-                       beta=0.25, p=0.125, c=3.0),
+                       beta=0.25, c=3.0),
+            RegimeSpec(ensemble="composite", core="n_cycle", fix_rule="linear", p=0.125),
+            RegimeSpec(ensemble="composite", core="n_cycle", fix_rule="constant", c=2.0),
             RegimeSpec(ensemble="uniform_in_cycle_type", cycle_type=(3, 2, 2)),
             RegimeSpec(ensemble="uniform"),
             RegimeSpec(ensemble="uniform_involution"),
@@ -260,6 +262,9 @@ class TestRegimeSpec:
         assert RegimeSpec(ensemble="n_cycle").to_text() == "ensemble = n_cycle"
         assert RegimeSpec(ensemble="uniform_in_cycle_type", cycle_type=(2, 2)).to_text() == (
             "ensemble = uniform_in_cycle_type\ncycle_type = 2,2")
+        assert RegimeSpec(ensemble="composite", core="n_cycle", fix_rule="power",
+                          beta=0.25, c=3.0).to_text() == (
+            "ensemble = composite\ncore = n_cycle\nfix_rule = power\nbeta = 0.25\nc = 3.0")
 
     @pytest.mark.parametrize("text", [
         "ensemble = n_cycle\ncore = n_cycle",
@@ -271,6 +276,11 @@ class TestRegimeSpec:
         "ensemble = composite\ncore = n_cycle\nfix_rule = theta_log\ntheta = two",
         "ensemble = composite\ncore = n_cycle\nfix_rule = theta_log\ntheta = nan",
         "ensemble = composite\ncore = n_cycle\nfix_rule = constant\nc = inf",
+        # fix-rule parameters the rule does not read
+        "ensemble = composite\ncore = n_cycle\nfix_rule = constant\nc = 2\ntheta = 7",
+        "ensemble = composite\ncore = n_cycle\nfix_rule = theta_log\nbeta = 0.5",
+        "ensemble = composite\ncore = n_cycle\nfix_rule = power\np = 0.5",
+        "ensemble = composite\ncore = n_cycle\nfix_rule = linear\np = 0.5\nc = 1",
         "ensemble = uniform_in_cycle_type\ncycle_type = 2,,2",
     ])
     def test_from_text_rejects(self, text):

@@ -253,6 +253,20 @@ class TestConventionReconciliation:
                 worst = max(worst, abs(scaled_height(d, n, s) - scaled_height_unit(d, n, s)))
         assert worst <= 1e-12
 
+    def test_array_of_s_matches_scalar_calls(self):
+        # bit for bit, and a scalar s still gives a float
+        rng = derive_rng(24)
+        for n in (1, 7, 300):
+            d = schensted_shape(sample_uniform(n, rng))
+            ss = rng.uniform(-3.0, 3.0, size=50)
+            for route in (scaled_height, scaled_height_unit):
+                scalar = [route(d, n, float(s)) for s in ss]
+                assert all(type(v) is float for v in scalar)
+                assert route(d, n, ss).tolist() == scalar
+            xs = ss * n
+            for route in (height_interp, height_unit_cells):
+                assert route(d, xs).tolist() == [route(d, float(x)) for x in xs]
+
     def test_unit_cell_evaluator_is_scaled_integer_profile(self):
         d = YoungDiagram((7, 5, 2, 1, 1))
         for x in np.linspace(-8, 8, 97):
