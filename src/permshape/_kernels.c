@@ -1,8 +1,19 @@
-/* Compiled kernels for permshape._kernels: patience-sorting LIS, banded
- * row-peeling Schensted shape, and the cycle scan. Each keeps the integer
- * semantics of the pure-Python reference next to it (strict increase, i.e.
- * bisect_left). The caller allocates every buffer, so no function here can
- * fail.
+/* Compiled kernels for permshape._kernels: patience-sorting LIS, the fused
+ * LIS and LDS pass, banded row-peeling Schensted shape, and the cycle scan.
+ * Each keeps the integer semantics of the pure-Python reference next to it
+ * (strict increase, i.e. bisect_left). The caller allocates every buffer,
+ * so no function here can fail.
+ *
+ * Why a patience step grows the pile count in a branch: the next search
+ * starts from the pile count, so with k += (j == k) every search waits for
+ * the end of the one before it. A new pile is rare (about 2 sqrt(n) of n
+ * steps on a random word), so a predicted branch lets the core start the
+ * next search before this one ends. gcc -O2 turns a bare if (j == k) k++
+ * back into sete/add; with a store in each arm it keeps the branch. On a
+ * 2-vCPU Xeon the LIS of an n-cycle word at n = 1e5 takes about 4.3 ms
+ * with the add and 2.5 ms with the branch, and ps_lis_lds, which runs the
+ * LIS and the LDS of one word as two independent chains in one pass, takes
+ * about 3.4 ms.
  *
  * Why the shape is peeled in bands: one row of patience sorting is one
  * chain of dependent binary searches, and a search is a run of dependent
@@ -32,18 +43,42 @@ static inline int64_t lower_bound(const int64_t *tops, int64_t k, int64_t x)
     return (base - tops) + (*base < x);
 }
 
+/* One patience step: x goes on the first pile of tops[0..k) whose top is
+ * >= x, or starts pile k; returns the new pile count. */
+static inline int64_t patience_step(int64_t *tops, int64_t k, int64_t x)
+{
+    int64_t j = lower_bound(tops, k, x);
+    if (j == k)
+        tops[k++] = x;
+    else
+        tops[j] = x;
+    return k;
+}
+
 /* Length of the longest strictly increasing subsequence of values[0..n).
  * tops: n scratch slots. */
 int64_t ps_lis(const int64_t *values, int64_t n, int64_t *tops)
 {
     int64_t k = 0;
+    for (int64_t idx = 0; idx < n; idx++)
+        k = patience_step(tops, k, values[idx]);
+    return k;
+}
+
+/* Lengths of the longest strictly increasing (out[0]) and strictly
+ * decreasing (out[1]) subsequences of values[0..n), in one pass: the LDS is
+ * the LIS of ~x, which reverses the order of every int64 (-x overflows on
+ * INT64_MIN). inc, dec: n scratch slots each. */
+void ps_lis_lds(const int64_t *values, int64_t n, int64_t *inc, int64_t *dec, int64_t *out)
+{
+    int64_t ki = 0, kd = 0;
     for (int64_t idx = 0; idx < n; idx++) {
         int64_t x = values[idx];
-        int64_t j = lower_bound(tops, k, x);
-        tops[j] = x;
-        k += (j == k);
+        ki = patience_step(inc, ki, x);
+        kd = patience_step(dec, kd, ~x);
     }
-    return k;
+    out[0] = ki;
+    out[1] = kd;
 }
 
 /* Rows peeled in one pass over the word. */

@@ -11,7 +11,9 @@ against. ``BACKEND`` names the one in use: ``"c"`` or ``"python"``, and
 ``info()`` also gives the library file and the shape kernel's band width.
 
 All kernels take plain int64 numpy arrays so they stay picklable across
-worker processes.
+worker processes. The wrappers make each buffer a contiguous int64 (or
+uint8) array and pass its raw address: ctypes' own array checks would cost
+more than the kernel on the short words of the exact suites.
 """
 
 from __future__ import annotations
@@ -31,12 +33,16 @@ import numpy as np
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 
-_i64 = np.ctypeslib.ndpointer(dtype=np.int64, ndim=1, flags="C_CONTIGUOUS")
-_u8 = np.ctypeslib.ndpointer(dtype=np.uint8, ndim=1, flags="C_CONTIGUOUS")
+# Every buffer is passed as the address of a contiguous array of the dtype
+# the kernel reads (arr.ctypes.data). The caller keeps the array bound to a
+# name until the call returns: an address does not keep its array alive.
+_ptr = ctypes.c_void_p
+_i64 = ctypes.c_int64
 _SIGNATURES = {
-    "ps_lis": ([_i64, ctypes.c_int64, _i64], ctypes.c_int64),
-    "ps_shape": ([_i64, ctypes.c_int64, ctypes.c_int64, _i64, _i64, _i64], ctypes.c_int64),
-    "ps_cycle_scan": ([_i64, ctypes.c_int64, _u8, _i64], None),
+    "ps_lis": ([_ptr, _i64, _ptr], _i64),
+    "ps_lis_lds": ([_ptr, _i64, _ptr, _ptr, _ptr], None),
+    "ps_shape": ([_ptr, _i64, _i64, _ptr, _ptr, _ptr], _i64),
+    "ps_cycle_scan": ([_ptr, _i64, _ptr, _ptr], None),
 }
 
 
@@ -186,7 +192,27 @@ def lis_length(values: np.ndarray) -> int:
     if lib is None:
         return _lis_py(values.tolist())
     v = np.ascontiguousarray(values, dtype=np.int64)
-    return int(lib.ps_lis(v, n, np.empty(n, dtype=np.int64)))
+    tops = np.empty(n, dtype=np.int64)
+    return int(lib.ps_lis(v.ctypes.data, n, tops.ctypes.data))
+
+
+def lis_lds_lengths(values: np.ndarray) -> tuple[int, int]:
+    """(longest strictly increasing, longest strictly decreasing) subsequence
+    lengths of an int word. The compiled kernel runs both patience chains in
+    one pass over the word, the decreasing one on ~x."""
+    n = values.shape[0]
+    if n == 0:
+        return 0, 0
+    lib = _library()
+    if lib is None:
+        xs = values.tolist()
+        return _lis_py(xs), _lis_py(xs[::-1])
+    v = np.ascontiguousarray(values, dtype=np.int64)
+    inc = np.empty(n, dtype=np.int64)
+    dec = np.empty(n, dtype=np.int64)
+    out = np.empty(2, dtype=np.int64)
+    lib.ps_lis_lds(v.ctypes.data, n, inc.ctypes.data, dec.ctypes.data, out.ctypes.data)
+    return int(out[0]), int(out[1])
 
 
 def insertion_shape(values: np.ndarray, max_rows: int | None = None) -> np.ndarray:
@@ -213,7 +239,9 @@ def insertion_shape(values: np.ndarray, max_rows: int | None = None) -> np.ndarr
     # the r-th row of a band (r = 1..band) has at most n / r piles
     band = min(limit, _band_width(lib))
     tops = np.empty(sum(n // r for r in range(1, band + 1)), dtype=np.int64)
-    nrows = lib.ps_shape(v, n, limit, rows, np.empty(n, dtype=np.int64), tops)
+    cur = np.empty(n, dtype=np.int64)
+    nrows = lib.ps_shape(v.ctypes.data, n, limit, rows.ctypes.data, cur.ctypes.data,
+                         tops.ctypes.data)
     return rows[:nrows].copy()
 
 
@@ -228,8 +256,9 @@ def cycle_scan(zero_based: np.ndarray) -> tuple[int, int, int]:
     if lib is None:
         return _cycle_scan_py(zero_based)
     v = np.ascontiguousarray(zero_based, dtype=np.int64)
+    seen = np.zeros(n, dtype=np.uint8)
     out = np.empty(3, dtype=np.int64)
-    lib.ps_cycle_scan(v, n, np.zeros(n, dtype=np.uint8), out)
+    lib.ps_cycle_scan(v.ctypes.data, n, seen.ctypes.data, out.ctypes.data)
     return int(out[0]), int(out[1]), int(out[2])
 
 
@@ -237,5 +266,6 @@ def warm_up() -> None:
     """Build or load the compiled kernels now, so later timings exclude it."""
     w = np.array([2, 0, 1], dtype=np.int64)
     lis_length(w)
+    lis_lds_lengths(w)
     insertion_shape(w)
     cycle_scan(w)

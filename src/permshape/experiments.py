@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .perm import cycle_stats
-from .rsk import leading_parts, lds, lis, schensted_shape
+from .rsk import leading_parts, lis_lds, schensted_shape
 from .samplers import (
     RegimeSpec,
     derive_rng,
@@ -37,8 +37,8 @@ CSV_SCHEMA_VERSION = 1
 ALL_ROWS = sys.maxsize
 # Leading rows of the insertion shape each measurement reads. The profile
 # distance reads them all, and then ell, lambda1 and lambda2 come free;
-# lambda2 reads two, the first of which is lambda1. Otherwise lambda1 is
-# the LIS and ell the LDS, one patience pass each.
+# lambda2 reads two. Otherwise lambda1 (the LIS) and ell (the LDS) come
+# from one fused patience pass over the word.
 ROWS_NEEDED = {"shape_distance": ALL_ROWS, "ell": 0, "lambda1": 0, "lambda2": 2}
 MEASUREMENTS = tuple(ROWS_NEEDED)
 RESCALE_MODES = ("tw2", "tw1", "tw4", "lln", "theta_log_l1")
@@ -166,10 +166,12 @@ def run_trial(regime: RegimeSpec, n: int, trial_index: int, seed: int,
         shape_distance = scaled_sup_distance(shape, n, cs.fixed_points)
     if "lambda2" in wants:
         lambda2 = parts[1] if len(parts) > 1 else 0
-    if "lambda1" in wants:
-        lambda1 = parts[0] if parts else lis(p)
-    if "ell" in wants:
-        ell = shape.num_rows if shape is not None else lds(p)
+    if wants & {"ell", "lambda1"}:
+        lis_len, lds_len = (shape.part(1), shape.num_rows) if shape is not None else lis_lds(p)
+        if "lambda1" in wants:
+            lambda1 = lis_len
+        if "ell" in wants:
+            ell = lds_len
     return TrialRecord(
         n=n,
         trial_index=trial_index,

@@ -31,19 +31,14 @@ class GreeneReport:
     decreasing_invariants: tuple[int, ...]
 
 
-def _restricted_lis(values: list[int]) -> int:
-    tops: list[int] = []
-    for x in values:
-        j = bisect_left(tops, x)
-        if j == len(tops):
-            tops.append(x)
-        else:
-            tops[j] = x
-    return len(tops)
-
-
 def greene_report(p: Permutation) -> GreeneReport:
-    """All Greene invariants of p by a single scan over position subsets."""
+    """All Greene invariants of p by a single scan over position subsets.
+
+    Every nonempty subset is visited once, depth first, as its prefix plus
+    one later position. So its patience piles (the LIS on the values, the
+    LDS on the negated values) are its prefix's piles with one letter
+    placed, and the placement is undone on the way back.
+    """
     n = p.n
     if n > MAX_BRUTEFORCE_N:
         raise ValueError(f"n={n} too large for the subset scan (max {MAX_BRUTEFORCE_N})")
@@ -51,17 +46,28 @@ def greene_report(p: Permutation) -> GreeneReport:
     # best_inc[d] = largest subset size whose restricted LDS is exactly d
     best_inc = [0] * (n + 1)
     best_dec = [0] * (n + 1)
-    for mask in range(1 << n):
-        values = [word[i] for i in range(n) if mask >> i & 1]
-        if not values:
-            continue
-        size = len(values)
-        lds = _restricted_lis(values[::-1])
-        if size > best_inc[lds]:
-            best_inc[lds] = size
-        lis_v = _restricted_lis(values)
-        if size > best_dec[lis_v]:
-            best_dec[lis_v] = size
+    # pile tops; slots at and past the pile count are scratch
+    tops_inc = [0] * n
+    tops_dec = [0] * n
+
+    def extend(start: int, size: int, k_inc: int, k_dec: int) -> None:
+        for i in range(start, n):
+            x = word[i]
+            j_inc = bisect_left(tops_inc, x, 0, k_inc)
+            j_dec = bisect_left(tops_dec, -x, 0, k_dec)
+            old_inc, old_dec = tops_inc[j_inc], tops_dec[j_dec]
+            tops_inc[j_inc], tops_dec[j_dec] = x, -x
+            lis_len = k_inc + (j_inc == k_inc)
+            lds_len = k_dec + (j_dec == k_dec)
+            if size > best_inc[lds_len]:
+                best_inc[lds_len] = size
+            if size > best_dec[lis_len]:
+                best_dec[lis_len] = size
+            if i + 1 < n:
+                extend(i + 1, size + 1, lis_len, lds_len)
+            tops_inc[j_inc], tops_dec[j_dec] = old_inc, old_dec
+
+    extend(0, 1, 0, 0)
     inc, dec = [], []
     run_inc = run_dec = 0
     for i in range(1, n + 1):

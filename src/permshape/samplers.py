@@ -9,6 +9,7 @@ drawn first (or is deterministic) and the class is filled exchangeably.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
@@ -234,6 +235,18 @@ def sample_in_cycle_type(t: CycleType, rng: np.random.Generator) -> Permutation:
     return Permutation.from_zero_based(word)
 
 
+# bounded, as an entry holds n/2 + 1 floats (4 MB at n = 1e6)
+@functools.lru_cache(maxsize=64)
+def _involution_cdf(n: int) -> np.ndarray:
+    """Unnormalized CDF, over k = 0..n/2, of the 2-cycle count of a uniform
+    involution of size n; read-only, as every caller shares it."""
+    ks = np.arange(n // 2 + 1)
+    logw = gammaln(n + 1) - gammaln(ks + 1) - ks * math.log(2.0) - gammaln(n - 2 * ks + 1)
+    cdf = np.cumsum(np.exp(logw - logw.max()))
+    cdf.flags.writeable = False
+    return cdf
+
+
 def _involution_two_cycle_count(n: int, rng: np.random.Generator) -> int:
     """Number of 2-cycles of a uniform involution of size n.
 
@@ -241,10 +254,7 @@ def _involution_two_cycle_count(n: int, rng: np.random.Generator) -> int:
     and normalized exactly by summation; the draw is an inverse-CDF lookup,
     no rejection.
     """
-    ks = np.arange(n // 2 + 1)
-    logw = gammaln(n + 1) - gammaln(ks + 1) - ks * math.log(2.0) - gammaln(n - 2 * ks + 1)
-    w = np.exp(logw - logw.max())
-    cdf = np.cumsum(w)
+    cdf = _involution_cdf(n)
     u = rng.random() * cdf[-1]
     return int(np.searchsorted(cdf, u, side="right"))
 

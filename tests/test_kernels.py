@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import permshape
-from permshape import _kernels
+from permshape import _kernels, experiments, rsk
 from permshape._kernels import (
     BACKEND,
     _cycle_scan_py,
@@ -17,12 +18,15 @@ from permshape._kernels import (
     _shape_py,
     cycle_scan,
     insertion_shape,
+    lis_lds_lengths,
     lis_length,
 )
 from permshape.oracles import greene_report
 from permshape.perm import Permutation
+from permshape.samplers import RegimeSpec, derive_rng, sample_regime
 
 compiled = pytest.mark.skipif(BACKEND != "c", reason="compiled kernels unavailable")
+INT64_MIN, INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 # rows the compiled shape kernel peels in one pass
 K = _kernels.info()["band_width"]
 
@@ -55,16 +59,23 @@ class TestCompiledMatchesReference:
         word = perm + 1
         assert lis_length(word) == _lis_py(word.tolist())
         assert lis_length(word[::-1]) == _lis_py(word[::-1].tolist())
+        assert lis_lds_lengths(word) == (_lis_py(word.tolist()), _lis_py(word[::-1].tolist()))
         shape = insertion_shape(word)
         assert shape.dtype == np.int64
         assert shape.tolist() == _shape_py(word.tolist()).tolist()
         assert cycle_scan(perm) == _cycle_scan_py(perm)
 
-    @given(st.lists(st.integers(-2**62, 2**62), max_size=60))
+    @given(st.lists(st.integers(-4, 4) | st.sampled_from([INT64_MIN, INT64_MAX])
+                    | st.integers(INT64_MIN, INT64_MAX), max_size=60))
+    @example([INT64_MIN, INT64_MAX, INT64_MIN, 0, INT64_MAX, -1])
+    @example([INT64_MAX, INT64_MAX, INT64_MIN, INT64_MIN])
     def test_arbitrary_int_words(self, xs):
-        # strict increase, as bisect_left: repeated values never extend a row
+        # strict increase, as bisect_left: repeated values never extend a
+        # row; the fused pass's decreasing chain runs on ~x, which does not
+        # overflow at INT64_MIN or INT64_MAX
         word = np.asarray(xs, dtype=np.int64)
         assert lis_length(word) == _lis_py(xs)
+        assert lis_lds_lengths(word) == (_lis_py(xs), _lis_py(xs[::-1]))
         assert insertion_shape(word).tolist() == _shape_py(xs).tolist()
 
     @settings(max_examples=25, deadline=None)
@@ -148,6 +159,31 @@ class TestCompiledMatchesReference:
             cycle_scan(np.array([0, 2], dtype=np.int64))
 
 
+@pytest.mark.parametrize("measurements", [("ell", "lambda1"), ("ell", "lambda1", "lambda2")])
+def test_run_trial_makes_one_monotone_pass(monkeypatch, measurements):
+    # ell and lambda1 come from one fused pass, never from lis or lds
+    calls = Counter()
+    modules = [m for key, m in list(sys.modules.items())
+               if m is not None and (key == "permshape" or key.startswith("permshape."))]
+    for name in ("lis_lds", "lis", "lds"):
+        original = getattr(rsk, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    regime = RegimeSpec(ensemble="uniform")
+    rec = experiments.run_trial(regime, 3000, 4, 29, measurements)
+    assert calls == {"lis_lds": 1}
+    monkeypatch.undo()
+    p = sample_regime(regime, 3000, derive_rng(29, 3000, 4))
+    assert (rec.lambda1, rec.ell) == (rsk.lis(p), rsk.lds(p))
+
+
 @pytest.mark.parametrize("word", [[], [1], [3, 1, 2]])
 def test_row_limit_must_be_positive(word):
     # on the backend that runs, and on the pure-Python reference
@@ -212,6 +248,7 @@ def test_fallback_without_compiler(tmp_path, monkeypatch):
         assert _kernels.info() == {"backend": "python", "library": None, "band_width": 1}
         word = np.array([3, 1, 4, 2, 5], dtype=np.int64)
         assert lis_length(word) == 3
+        assert lis_lds_lengths(word) == (3, 2)
         assert insertion_shape(word).tolist() == [3, 2]
         assert insertion_shape(word, max_rows=1).tolist() == [3]
         with pytest.raises(ValueError, match="max_rows"):

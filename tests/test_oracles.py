@@ -65,13 +65,17 @@ class TestGreeneBruteforce:
 
     def test_dilworth_step_against_union_enumeration(self):
         # the oracle's one mathematical step, cross-checked by explicitly
-        # building unions of <= i increasing subsequences
+        # building unions of <= i increasing subsequences; the decreasing
+        # subsequences of p are the increasing ones of its reversed word
         rng = derive_rng(37)
-        words = [sample_uniform(int(rng.integers(1, 8)), rng) for _ in range(25)]
-        words += [sample_uniform(8, rng) for _ in range(5)]
+        words = [Permutation(w) for n in range(6) for w in itertools.permutations(range(1, n + 1))]
+        words += [sample_uniform(n, rng) for n in (7, 8) for _ in range(15)]
         for p in words:
-            for i in (1, 2, 3):
-                assert greene_bruteforce(p, i) == max_union_of_increasing(p, i)
+            report = greene_report(p)
+            reverse = Permutation(p.word[::-1])
+            for i in range(1, p.n + 1):
+                assert report.increasing_invariants[i - 1] == max_union_of_increasing(p, i)
+                assert report.decreasing_invariants[i - 1] == max_union_of_increasing(reverse, i)
 
 
 class TestFixedPointBounds:
