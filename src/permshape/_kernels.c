@@ -1,8 +1,8 @@
-/* Compiled kernels for permshape._kernels: patience-sorting LIS, the fused
- * LIS and LDS pass, banded row-peeling Schensted shape, and the cycle scan.
- * Each keeps the integer semantics of the pure-Python reference next to it
- * (strict increase, i.e. bisect_left). The caller allocates every buffer,
- * so no function here can fail.
+/* Compiled kernels for permshape._kernels: the fused patience-sorting pass
+ * for the LIS and LDS, banded row-peeling Schensted shape, and the cycle
+ * scan. Each keeps the integer semantics of the pure-Python reference next
+ * to it (strict increase, i.e. bisect_left). The caller allocates every
+ * buffer, so no function here can fail.
  *
  * Why a patience step grows the pile count in a branch: the next search
  * starts from the pile count, so with k += (j == k) every search waits for
@@ -10,10 +10,10 @@
  * steps on a random word), so a predicted branch lets the core start the
  * next search before this one ends. gcc -O2 turns a bare if (j == k) k++
  * back into sete/add; with a store in each arm it keeps the branch. On a
- * 2-vCPU Xeon the LIS of an n-cycle word at n = 1e5 takes about 4.3 ms
- * with the add and 2.5 ms with the branch, and ps_lis_lds, which runs the
- * LIS and the LDS of one word as two independent chains in one pass, takes
- * about 3.4 ms.
+ * 2-vCPU Xeon one patience chain over an n-cycle word at n = 1e5 takes
+ * about 4.3 ms with the add and 2.5 ms with the branch, and ps_lis_lds,
+ * which runs the LIS and the LDS of one word as two independent chains in
+ * one pass, takes about 3.4 ms.
  *
  * Why the shape is peeled in bands: one row of patience sorting is one
  * chain of dependent binary searches, and a search is a run of dependent
@@ -52,16 +52,6 @@ static inline int64_t patience_step(int64_t *tops, int64_t k, int64_t x)
         tops[k++] = x;
     else
         tops[j] = x;
-    return k;
-}
-
-/* Length of the longest strictly increasing subsequence of values[0..n).
- * tops: n scratch slots. */
-int64_t ps_lis(const int64_t *values, int64_t n, int64_t *tops)
-{
-    int64_t k = 0;
-    for (int64_t idx = 0; idx < n; idx++)
-        k = patience_step(tops, k, values[idx]);
     return k;
 }
 

@@ -39,7 +39,6 @@ _CFLAGS = ("-O2", "-shared", "-fPIC")
 _ptr = ctypes.c_void_p
 _i64 = ctypes.c_int64
 _SIGNATURES = {
-    "ps_lis": ([_ptr, _i64, _ptr], _i64),
     "ps_lis_lds": ([_ptr, _i64, _ptr, _ptr, _ptr], None),
     "ps_shape": ([_ptr, _i64, _i64, _ptr, _ptr, _ptr], _i64),
     "ps_cycle_scan": ([_ptr, _i64, _ptr, _ptr], None),
@@ -185,15 +184,7 @@ def _cycle_scan_py(zero_based):
 
 def lis_length(values: np.ndarray) -> int:
     """Length of the longest strictly increasing subsequence of distinct ints."""
-    n = values.shape[0]
-    if n == 0:
-        return 0
-    lib = _library()
-    if lib is None:
-        return _lis_py(values.tolist())
-    v = np.ascontiguousarray(values, dtype=np.int64)
-    tops = np.empty(n, dtype=np.int64)
-    return int(lib.ps_lis(v.ctypes.data, n, tops.ctypes.data))
+    return lis_lds_lengths(values)[0]
 
 
 def lis_lds_lengths(values: np.ndarray) -> tuple[int, int]:
@@ -265,7 +256,6 @@ def cycle_scan(zero_based: np.ndarray) -> tuple[int, int, int]:
 def warm_up() -> None:
     """Build or load the compiled kernels now, so later timings exclude it."""
     w = np.array([2, 0, 1], dtype=np.int64)
-    lis_length(w)
     lis_lds_lengths(w)
     insertion_shape(w)
     cycle_scan(w)

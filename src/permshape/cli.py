@@ -31,9 +31,7 @@ from .experiments import (
 from .perm import Permutation
 from .rsk import schensted_shape
 from .samplers import (
-    CORES,
-    ENSEMBLES,
-    FIX_RULES,
+    REGIME_CHOICES,
     REGIME_KEYS,
     RegimeSpec,
     derive_rng,
@@ -62,6 +60,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def count(text: str) -> int:
+    """A count flag's value: an integer of at least 1 (argparse names it in errors)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _ensure_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -75,17 +81,15 @@ def _flags(args, keys) -> dict[str, str]:
     return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
+_REGIME_HELP = {"ensemble": "default uniform",
+                "cycle_type": "comma-separated cycle lengths, e.g. 2,2"}
+
+
 def _add_regime_flags(sub):
     # values stay text: RegimeSpec.from_mapping reads them as it reads a config file
-    sub.add_argument("--ensemble", choices=ENSEMBLES, default=None, help="default uniform")
-    sub.add_argument("--core", choices=CORES, default=None)
-    sub.add_argument("--fix-rule", dest="fix_rule", choices=FIX_RULES, default=None)
-    sub.add_argument("--theta", default=None)
-    sub.add_argument("--beta", default=None)
-    sub.add_argument("--p", default=None)
-    sub.add_argument("--c", default=None)
-    sub.add_argument("--cycle-type", dest="cycle_type", default=None,
-                     help="comma-separated cycle lengths, e.g. 2,2")
+    for key in REGIME_KEYS:
+        sub.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None,
+                         choices=REGIME_CHOICES.get(key), help=_REGIME_HELP.get(key))
 
 
 def cmd_sample(args) -> int:
@@ -109,11 +113,13 @@ def cmd_shape(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    if args.m is not None and args.n is None:
+        raise UsageError("profile takes --m only with --n")
     d = YoungDiagram.from_text(args.diagram)
     if args.n is not None:
-        m = args.m if args.m is not None else 0
+        rows = scaled_rows(d, args.n, args.m if args.m is not None else 0)
         print("s,F,Phi")
-        for s, f, phi in scaled_rows(d, args.n, m):
+        for s, f, phi in rows:
             print(f"{s!r},{f!r},{phi!r}")
     else:
         print("t,L")
@@ -125,6 +131,8 @@ def cmd_profile(args) -> int:
 def cmd_distance(args) -> int:
     d = YoungDiagram.from_text(args.diagram)
     if args.other is not None:
+        if args.n is not None or args.m is not None:
+            raise UsageError("distance takes either --other or --n/--m, not both")
         other = YoungDiagram.from_text(args.other)
         dist = sup_profile_distance(d, other)
         bound = profile_distance_bound(d, other)
@@ -193,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="draw permutations from an ensemble")
     p_sample.add_argument("--n", type=int, required=True)
     p_sample.add_argument("--seed", type=int, default=None)
-    p_sample.add_argument("--count", type=int, default=1)
+    p_sample.add_argument("--count", type=count, default=1)
     _add_regime_flags(p_sample)
     p_sample.set_defaults(func=cmd_sample)
 
@@ -221,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--trials", default=None, help="default 1")
     p_exp.add_argument("--seed", default=None)
     p_exp.add_argument("--out", default=None, help="default experiment_out")
-    p_exp.add_argument("--workers", type=int, default=1)
+    p_exp.add_argument("--workers", type=count, default=1)
     p_exp.add_argument("--measurements", default=None,
                        help=f"comma-separated subset of {','.join(MEASUREMENTS)} (default all); "
                             "cycle statistics are always recorded")
@@ -231,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=SUITES, required=True)
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--pairs", type=int, default=None)
-    p_verify.add_argument("--draws", type=int, default=None)
+    p_verify.add_argument("--pairs", type=count, default=None)
+    p_verify.add_argument("--draws", type=count, default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_ks = sub.add_parser("ks", help="two-sample Kolmogorov-Smirnov statistic")

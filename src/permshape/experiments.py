@@ -200,12 +200,14 @@ def run_experiment(cfg: ExperimentConfig,
     depends only on (cfg.seed, n, trial_index), so the outputs are
     byte-identical for any ``workers``.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     tasks = [
         (cfg.regime, n, t, cfg.seed, cfg.measurements)
         for n in cfg.n_ladder
         for t in range(cfg.trials)
     ]
-    if workers <= 1:
+    if workers == 1:
         records = [run_trial(*task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -178,17 +178,24 @@ def remove_fixed_points(p: Permutation) -> FixedPointSplit:
     )
 
 
-def insert_fixed_points(split: FixedPointSplit) -> Permutation:
-    """Reconstruct the original permutation from a FixedPointSplit."""
-    fixed = np.asarray(split.fixed_set, dtype=np.int64) - 1
-    k = split.reduced.n
-    n = k + fixed.shape[0]
-    if fixed.shape[0] and (fixed.min() < 0 or fixed.max() >= n):
-        raise ValueError("fixed_set outside 1..n")
+def plant_fixed_points(fixed: np.ndarray, core: Permutation) -> Permutation:
+    """The permutation of size len(fixed) + core.n that fixes the distinct
+    0-based points ``fixed`` and acts as ``core`` on the other points,
+    relabeled order-preservingly."""
+    n = fixed.shape[0] + core.n
     mask = np.zeros(n, dtype=bool)
     mask[fixed] = True
     rest = np.arange(n, dtype=np.int64)[~mask]
     out = np.empty(n, dtype=np.int64)
     out[fixed] = fixed
-    out[rest] = rest[split.reduced.zero_based]
+    out[rest] = rest[core.zero_based]
     return Permutation.from_zero_based(out)
+
+
+def insert_fixed_points(split: FixedPointSplit) -> Permutation:
+    """Reconstruct the original permutation from a FixedPointSplit."""
+    fixed = np.asarray(split.fixed_set, dtype=np.int64) - 1
+    n = split.reduced.n + fixed.shape[0]
+    if fixed.shape[0] and (fixed.min() < 0 or fixed.max() >= n):
+        raise ValueError("fixed_set outside 1..n")
+    return plant_fixed_points(fixed, split.reduced)

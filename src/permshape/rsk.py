@@ -8,7 +8,7 @@ LIS and the LDS patience chains side by side. Each chain grows its pile
 count in a well-predicted branch, not by a data-dependent add, so the next
 search need not wait for the last one, and the two chains' searches overlap:
 the pair costs about 1.3 times one LIS. ``lis``/``lds`` give one of the
-two, and ``leading_parts`` the first few rows: by Greene's theorem
+two from that same pass, and ``leading_parts`` the first few rows: by Greene's theorem
 lambda_1 + ... + lambda_k is the largest union of k increasing
 subsequences, and the row peeling finds these parts exactly after k passes.
 """
@@ -42,7 +42,7 @@ def lis(p: Permutation) -> int:
 
 def lds(p: Permutation) -> int:
     """Length of the longest decreasing subsequence (number of rows of the shape)."""
-    return lis_length(p.word[::-1])
+    return lis_lds(p)[1]
 
 
 def lis_lds(p: Permutation) -> tuple[int, int]:

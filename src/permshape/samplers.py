@@ -17,23 +17,8 @@ from typing import Any, Callable, Mapping
 import numpy as np
 from scipy.special import gammaln
 
-from .perm import Permutation
-
-ENSEMBLES = (
-    "uniform",
-    "uniform_involution",
-    "fpf_involution",
-    "n_cycle",
-    "uniform_in_cycle_type",
-    "composite",
-)
-CORES = ("n_cycle", "fpf_involution", "uniform_derangement")
-FIX_RULES = ("constant", "theta_log", "power", "linear")
-# the keys besides ensemble that each ensemble reads
-ENSEMBLE_READS = {"composite": ("core", "fix_rule"), "uniform_in_cycle_type": ("cycle_type",)}
-# and the parameters that a composite regime's fix_rule reads
-FIX_RULE_READS = {"constant": ("c",), "theta_log": ("theta",), "power": ("beta", "c"),
-                  "linear": ("p",)}
+from .diagram import YoungDiagram
+from .perm import Permutation, plant_fixed_points
 
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
@@ -49,24 +34,8 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-@dataclass(frozen=True)
-class CycleType:
-    """A conjugacy-class label: weakly decreasing positive parts summing to n."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        prev = None
-        for p in self.parts:
-            if p <= 0:
-                raise ValueError("cycle lengths must be positive")
-            if prev is not None and p > prev:
-                raise ValueError("cycle type parts must be weakly decreasing")
-            prev = p
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
+# a conjugacy-class label: a cycle type is a partition of n
+CycleType = YoungDiagram
 
 
 # -- config text ------------------------------------------------------------
@@ -113,20 +82,25 @@ def parse_values(kv: Mapping[str, str], parsers: Mapping[str, Callable[[str], An
     return out
 
 
+# fix_rule -> (the parameters it reads, its fixed-point target at n)
+FIX_RULES = {
+    "constant": (("c",), lambda spec, n: int(spec.c)),
+    "theta_log": (("theta",),
+                  lambda spec, n: math.floor(spec.theta * n / math.log(n)) if n >= 2 else 0),
+    "power": (("beta", "c"), lambda spec, n: math.floor(spec.c * n**spec.beta)),
+    "linear": (("p",), lambda spec, n: math.floor(spec.p * n)),
+}
+
+
 @dataclass(frozen=True)
 class RegimeSpec:
     """Which ensemble to draw from, and for composite ensembles how many
     fixed points to plant and what structure to put on the rest.
 
-    fix_rule maps n to a target fixed-point count:
-      constant  -> c
-      theta_log -> floor(theta * n / log n)
-      power     -> floor(c * n**beta)
-      linear    -> floor(p * n)
-    The target is clamped to [0, n] and may be adjusted by +-1 when the core
-    needs it (an fpf core needs an even remainder; a cycle or derangement
-    core cannot live on exactly 1 element). The realized count is visible on
-    the sampled permutation itself.
+    fix_rule maps n to a target fixed-point count by its entry in
+    ``FIX_RULES``. The target is clamped to [0, n] and may be adjusted by
+    +-1 when the core needs it (``CORES`` gives the core sizes each core
+    allows). The realized count is visible on the sampled permutation itself.
     """
 
     ensemble: str
@@ -141,13 +115,11 @@ class RegimeSpec:
     def __post_init__(self):
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
-        if self.ensemble == "composite":
-            if self.core not in CORES:
-                raise ValueError(f"composite regime needs a core in {CORES}")
-            if self.fix_rule not in FIX_RULES:
-                raise ValueError(f"composite regime needs a fix_rule in {FIX_RULES}")
-        if self.ensemble == "uniform_in_cycle_type" and not self.cycle_type:
-            raise ValueError("uniform_in_cycle_type regime needs a cycle_type")
+        for key in ENSEMBLES[self.ensemble][0]:
+            value, choices = getattr(self, key), REGIME_CHOICES.get(key)
+            if not value or (choices and value not in choices):
+                among = f" in {tuple(choices)}" if choices else ""
+                raise ValueError(f"{self.ensemble} regime needs a {key}{among}")
         if not 0.0 < self.theta < math.inf:
             raise ValueError("theta must be positive and finite")
         if not 0.0 < self.beta < 1.0:
@@ -159,25 +131,17 @@ class RegimeSpec:
 
     def fix_count(self, n: int) -> int:
         """Target fixed-point count before parity adjustment, clamped to [0, n]."""
-        if self.fix_rule == "constant":
-            m = int(self.c)
-        elif self.fix_rule == "theta_log":
-            m = math.floor(self.theta * n / math.log(n)) if n >= 2 else 0
-        elif self.fix_rule == "power":
-            m = math.floor(self.c * n**self.beta)
-        elif self.fix_rule == "linear":
-            m = math.floor(self.p * n)
-        else:
+        if self.fix_rule not in FIX_RULES:
             raise ValueError("regime has no fix_rule")
-        return max(0, min(n, m))
+        return max(0, min(n, FIX_RULES[self.fix_rule][1](self, n)))
 
     def keys(self) -> tuple[str, ...]:
         """The config keys this regime reads: the ensemble, the keys the
-        ensemble reads and, for a composite regime, its fix_rule's."""
-        keys = ("ensemble",) + ENSEMBLE_READS.get(self.ensemble, ())
-        if self.ensemble == "composite":
-            keys += FIX_RULE_READS[self.fix_rule]
-        return keys
+        ensemble reads and, when one of them is fix_rule, the rule's."""
+        reads = ENSEMBLES[self.ensemble][0]
+        if "fix_rule" in reads:
+            reads += FIX_RULES[self.fix_rule][0]
+        return ("ensemble",) + reads
 
     def to_text(self) -> str:
         """Key-value block, embeddable in an experiment config file: the
@@ -196,12 +160,11 @@ class RegimeSpec:
         defaults to uniform, and a key the regime does not read is an
         error."""
         spec = cls(**parse_values({"ensemble": "uniform", **kv}, REGIME_KEYS))
-        unread = sorted(set(kv) - set(spec.keys()))
+        keys = spec.keys()
+        unread = sorted(set(kv) - set(keys))
         if unread:
-            reader = f"ensemble {spec.ensemble}"
-            if spec.ensemble == "composite":
-                reader += f" with fix_rule {spec.fix_rule}"
-            raise ValueError(f"{reader} does not read {', '.join(unread)}")
+            rule = f" with fix_rule {spec.fix_rule}" if "fix_rule" in keys else ""
+            raise ValueError(f"ensemble {spec.ensemble}{rule} does not read {', '.join(unread)}")
         return spec
 
     @classmethod
@@ -247,23 +210,16 @@ def _involution_cdf(n: int) -> np.ndarray:
     return cdf
 
 
-def _involution_two_cycle_count(n: int, rng: np.random.Generator) -> int:
-    """Number of 2-cycles of a uniform involution of size n.
+def sample_uniform_involution(n: int, rng: np.random.Generator) -> Permutation:
+    """Uniform over involutions (permutations with square = identity).
 
-    k is drawn with weight n! / (k! 2^k (n-2k)!), computed as log-weights
-    and normalized exactly by summation; the draw is an inverse-CDF lookup,
-    no rejection.
+    The number k of 2-cycles is drawn with weight n! / (k! 2^k (n-2k)!),
+    computed as log-weights and normalized exactly by summation; the draw
+    is an inverse-CDF lookup, no rejection.
     """
     cdf = _involution_cdf(n)
-    u = rng.random() * cdf[-1]
-    return int(np.searchsorted(cdf, u, side="right"))
-
-
-def sample_uniform_involution(n: int, rng: np.random.Generator) -> Permutation:
-    """Uniform over involutions (permutations with square = identity)."""
-    k = _involution_two_cycle_count(n, rng)
-    t = CycleType((2,) * k + (1,) * (n - 2 * k))
-    return sample_in_cycle_type(t, rng)
+    k = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+    return sample_in_cycle_type(CycleType((2,) * k + (1,) * (n - 2 * k)), rng)
 
 
 def sample_fpf_involution(n: int, rng: np.random.Generator) -> Permutation:
@@ -296,66 +252,62 @@ def _sample_derangement(n: int, rng: np.random.Generator) -> Permutation:
             return Permutation.from_zero_based(w)
 
 
-# -- composite regimes -------------------------------------------------------
+# -- composite regimes and the regime tables --------------------------------
 
 
-def _core_size_ok(core: str, k: int) -> bool:
-    if core == "fpf_involution":
-        return k % 2 == 0
+def _sample_n_cycle(n: int, rng: np.random.Generator) -> Permutation:
+    """Uniform over the n-cycles (the empty permutation at n = 0)."""
+    return sample_in_cycle_type(CycleType((n,) if n else ()), rng)
+
+
+def _sample_given_cycle_type(spec: RegimeSpec, n: int, rng: np.random.Generator) -> Permutation:
+    t = CycleType(spec.cycle_type)
+    if t.n != n:
+        raise ValueError(f"cycle_type sums to {t.n}, expected n={n}")
+    return sample_in_cycle_type(t, rng)
+
+
+def _sample_composite(spec: RegimeSpec, n: int, rng: np.random.Generator) -> Permutation:
+    """m fixed points on a uniform m-subset and an independent core on the
+    complement, relabeled order-preservingly. Both choices are exchangeable,
+    so the law is conjugacy invariant. m is the fix_rule target adjusted by
+    at most 1 when the core demands it (decrement preferred; increment only
+    from m = 0)."""
+    sample_core, size_ok = CORES[spec.core]
+    m = spec.fix_count(n)
+    if not size_ok(n - m):
+        m = m - 1 if m > 0 else m + 1
+    if not 0 <= m <= n or not size_ok(n - m):
+        raise ValueError(f"no valid fixed-point count near target for n={n}")
+    fixed = np.sort(rng.choice(n, size=m, replace=False)) if m else np.empty(0, dtype=np.int64)
+    return plant_fixed_points(fixed, sample_core(n - m, rng))
+
+
+# sample_in_cycle_type is called by its module-global name at draw time,
+# never stored in a table, so a rebinding of it (the benchmark's tracer) is
+# seen. core -> (its sampler on k elements, whether it can live on k elements)
+CORES = {
     # a lone leftover element would be a fixed point, not a core
-    return k != 1
-
-
-def _sample_core(core: str, k: int, rng: np.random.Generator) -> Permutation:
-    if k == 0:
-        return Permutation.identity(0)
-    if core == "n_cycle":
-        return sample_in_cycle_type(CycleType((k,)), rng)
-    if core == "fpf_involution":
-        return sample_fpf_involution(k, rng)
-    if core == "uniform_derangement":
-        return _sample_derangement(k, rng)
-    raise ValueError(f"unknown core {core!r}")
+    "n_cycle": (_sample_n_cycle, lambda k: k != 1),
+    "fpf_involution": (sample_fpf_involution, lambda k: k % 2 == 0),
+    "uniform_derangement": (_sample_derangement, lambda k: k != 1),
+}
+# ensemble -> (the keys it reads besides ensemble, its sampler (spec, n, rng))
+ENSEMBLES = {
+    "uniform": ((), lambda spec, n, rng: sample_uniform(n, rng)),
+    "uniform_involution": ((), lambda spec, n, rng: sample_uniform_involution(n, rng)),
+    "fpf_involution": ((), lambda spec, n, rng: sample_fpf_involution(n, rng)),
+    "n_cycle": ((), lambda spec, n, rng: _sample_n_cycle(n, rng)),
+    "uniform_in_cycle_type": (("cycle_type",), _sample_given_cycle_type),
+    "composite": (("core", "fix_rule"), _sample_composite),
+}
+# regime key -> the names it may take
+REGIME_CHOICES = {"ensemble": ENSEMBLES, "core": CORES, "fix_rule": FIX_RULES}
 
 
 def sample_regime(spec: RegimeSpec, n: int, rng: np.random.Generator) -> Permutation:
-    """Draw from the ensemble described by spec at size n.
-
-    For composite regimes: plant m fixed points on a uniform m-subset and an
-    independent core structure on the complement, relabeled order-
-    preservingly. Both choices are exchangeable, so the law is conjugacy
-    invariant. m is the fix_rule target adjusted by at most 1 when the core
-    demands it (decrement preferred; increment only from m = 0).
-    """
+    """Draw from the ensemble described by spec at size n, by the sampler
+    its ``ENSEMBLES`` entry names."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if spec.ensemble == "uniform":
-        return sample_uniform(n, rng)
-    if spec.ensemble == "uniform_involution":
-        return sample_uniform_involution(n, rng)
-    if spec.ensemble == "fpf_involution":
-        return sample_fpf_involution(n, rng)
-    if spec.ensemble == "n_cycle":
-        return sample_in_cycle_type(CycleType((n,) if n else ()), rng)
-    if spec.ensemble == "uniform_in_cycle_type":
-        t = CycleType(spec.cycle_type or ())
-        if t.n != n:
-            raise ValueError(f"cycle_type sums to {t.n}, expected n={n}")
-        return sample_in_cycle_type(t, rng)
-
-    core = spec.core or ""
-    m = spec.fix_count(n)
-    if not _core_size_ok(core, n - m):
-        m = m - 1 if m > 0 else m + 1
-    if not 0 <= m <= n or not _core_size_ok(core, n - m):
-        raise ValueError(f"no valid fixed-point count near target for n={n}")
-    k = n - m
-    fixed = np.sort(rng.choice(n, size=m, replace=False)) if m else np.empty(0, dtype=np.int64)
-    mask = np.zeros(n, dtype=bool)
-    mask[fixed] = True
-    rest = np.arange(n, dtype=np.int64)[~mask]
-    core_perm = _sample_core(core, k, rng)
-    word = np.empty(n, dtype=np.int64)
-    word[fixed] = fixed
-    word[rest] = rest[core_perm.zero_based]
-    return Permutation.from_zero_based(word)
+    return ENSEMBLES[spec.ensemble][1](spec, n, rng)

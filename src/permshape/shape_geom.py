@@ -140,6 +140,16 @@ def limit_curve(s, p: float):
 # -- scaled sup distance against the limit curve ---------------------------
 
 
+def _check_scaling(d: YoungDiagram, n: int, m: int) -> None:
+    """d must have n >= 1 cells and m must be a fixed-point count of n."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if d.n != n:
+        raise ValueError(f"size mismatch: diagram has {d.n} cells, n={n}")
+    if not 0 <= m <= n:
+        raise ValueError(f"fixed-point count m={m} outside [0, {n}]")
+
+
 def scaled_sup_distance(d: YoungDiagram, n: int, m: int) -> float:
     """Sup-norm gap between the rescaled profile of d and the limit curve.
 
@@ -153,12 +163,7 @@ def scaled_sup_distance(d: YoungDiagram, n: int, m: int) -> float:
     up to rounding. The midpoints can add nothing; they stay so that
     recorded distances keep their last bits.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if d.n != n:
-        raise ValueError(f"size mismatch: diagram has {d.n} cells, n={n}")
-    if not 0 <= m <= n:
-        raise ValueError(f"fixed-point count m={m} outside [0, {n}]")
+    _check_scaling(d, n, m)
     sqn = math.sqrt(n)
     lam1 = d.part(1)
     T = max(lam1, d.num_rows) + math.ceil(2.0 * sqn)
@@ -255,7 +260,9 @@ def profile_rows(d: YoungDiagram) -> Iterator[tuple[int, int]]:
 
 
 def scaled_rows(d: YoungDiagram, n: int, m: int) -> Iterator[tuple[float, float, float]]:
-    """(s, F_n(s), limit_curve(s, m/n)) rows on the kink grid."""
+    """(s, F_n(s), limit_curve(s, m/n)) rows on the kink grid. The arguments
+    are checked as ``scaled_sup_distance`` checks them, at the call."""
+    _check_scaling(d, n, m)
     sqn = math.sqrt(n)
     lo = -(d.num_rows + math.ceil(2 * sqn))
     hi = d.part(1) + math.ceil(2 * sqn)
@@ -264,5 +271,4 @@ def scaled_rows(d: YoungDiagram, n: int, m: int) -> Iterator[tuple[float, float,
     s = t / (2.0 * sqn)
     f = L / (2.0 * sqn)
     phi = limit_curve(s, m / n)
-    for si, fi, pi in zip(s.tolist(), f.tolist(), phi.tolist()):
-        yield si, fi, pi
+    return zip(s.tolist(), f.tolist(), phi.tolist())

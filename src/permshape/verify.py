@@ -9,7 +9,6 @@ should never happen on a healthy build.
 from __future__ import annotations
 
 import itertools
-from typing import Callable
 
 import numpy as np
 
@@ -17,16 +16,7 @@ from .diagram import YoungDiagram
 from .oracles import check_fixed_point_bounds, check_profile_distance_bound, greene_report
 from .perm import Permutation, conjugate
 from .rsk import schensted_shape
-from .samplers import (
-    CycleType,
-    RegimeSpec,
-    derive_rng,
-    sample_fpf_involution,
-    sample_in_cycle_type,
-    sample_regime,
-    sample_uniform,
-    sample_uniform_involution,
-)
+from .samplers import RegimeSpec, derive_rng, sample_regime, sample_uniform
 from .shape_geom import scaled_height, scaled_height_unit
 
 # suite -> (name of its function here, the size keyword it takes or None).
@@ -82,30 +72,30 @@ def suite_greene(exhaustive_max: int = 6, random_sizes: tuple[int, ...] = (7, 8)
 def _five_sampler_draws(count: int, max_n: int, seed: int):
     """Round-robin draws from all five sampler families."""
     rng = derive_rng(seed, 2)
-    composite = RegimeSpec(ensemble="composite", core="fpf_involution", fix_rule="linear", p=0.3)
+    uniform, involution, matching = map(RegimeSpec, ("uniform", "uniform_involution",
+                                                     "fpf_involution"))
+    composite = RegimeSpec("composite", core="fpf_involution", fix_rule="linear", p=0.3)
+    # family -> (its regime, the size it draws at) at a drawn size n
+    families = (
+        lambda n: (uniform, n),
+        lambda n: (involution, n),
+        lambda n: (matching, n + n % 2),
+        lambda n: (RegimeSpec("uniform_in_cycle_type", cycle_type=_random_cycle_type(n, rng)), n),
+        lambda n: (composite, n),
+    )
     for k in range(count):
-        kind = k % 5
-        n = int(rng.integers(1, max_n + 1))
-        if kind == 0:
-            yield sample_uniform(n, rng)
-        elif kind == 1:
-            yield sample_uniform_involution(n, rng)
-        elif kind == 2:
-            yield sample_fpf_involution(n + (n % 2), rng)
-        elif kind == 3:
-            yield sample_in_cycle_type(_random_cycle_type(n, rng), rng)
-        else:
-            yield sample_regime(composite, n, rng)
+        spec, n = families[k % 5](int(rng.integers(1, max_n + 1)))
+        yield sample_regime(spec, n, rng)
 
 
-def _random_cycle_type(n: int, rng: np.random.Generator) -> CycleType:
+def _random_cycle_type(n: int, rng: np.random.Generator) -> tuple[int, ...]:
     parts = []
     rest = n
     while rest > 0:
         c = int(rng.integers(1, rest + 1))
         parts.append(c)
         rest -= c
-    return CycleType(tuple(sorted(parts, reverse=True)))
+    return tuple(sorted(parts, reverse=True))
 
 
 def suite_fixpoint(draws: int = 10_000, max_n: int = 200, seed: int = 0) -> dict:
@@ -194,29 +184,27 @@ def suite_samplers(draws: int = 100_000, seed: int = 0) -> dict:
     count of the full group at n <= 4).
     """
     results = []
-    rho4 = Permutation([2, 4, 1, 3])
-    rho3 = Permutation([3, 1, 2])
-
-    def family(name: str, n: int, rho: Permutation, draw: Callable[[np.random.Generator], Permutation]):
+    # the group is S_4, or S_3 for the one cycle type drawn at n = 3
+    rhos = {4: Permutation([2, 4, 1, 3]), 3: Permutation([3, 1, 2])}
+    for spec, n in (
+        (RegimeSpec("uniform"), 4),
+        (RegimeSpec("uniform_involution"), 4),
+        (RegimeSpec("fpf_involution"), 4),
+        (RegimeSpec("n_cycle"), 4),
+        (RegimeSpec("uniform_in_cycle_type", cycle_type=(2, 1)), 3),
+        (RegimeSpec("composite", core="fpf_involution", fix_rule="linear", p=0.5), 4),
+    ):
         rng_a = derive_rng(seed, 5, len(results), 0)
         rng_b = derive_rng(seed, 5, len(results), 1)
         counts_a: dict = {}
         counts_b: dict = {}
         for _ in range(draws):
-            wa = draw(rng_a).word.tobytes()
+            wa = sample_regime(spec, n, rng_a).word.tobytes()
             counts_a[wa] = counts_a.get(wa, 0) + 1
-            wb = conjugate(draw(rng_b), rho).word.tobytes()
+            wb = conjugate(sample_regime(spec, n, rng_b), rhos[n]).word.tobytes()
             counts_b[wb] = counts_b.get(wb, 0) + 1
         ok, stat, crit = _chi_square_homogeneity(counts_a, counts_b)
-        results.append({"family": name, "n": n, "ok": ok, "stat": stat, "crit": crit})
-
-    composite = RegimeSpec(ensemble="composite", core="fpf_involution", fix_rule="linear", p=0.5)
-    family("uniform", 4, rho4, lambda g: sample_uniform(4, g))
-    family("uniform_involution", 4, rho4, lambda g: sample_uniform_involution(4, g))
-    family("fpf_involution", 4, rho4, lambda g: sample_fpf_involution(4, g))
-    family("n_cycle", 4, rho4, lambda g: sample_in_cycle_type(CycleType((4,)), g))
-    family("uniform_in_cycle_type", 3, rho3, lambda g: sample_in_cycle_type(CycleType((2, 1)), g))
-    family("composite", 4, rho4, lambda g: sample_regime(composite, 4, g))
+        results.append({"family": spec.ensemble, "n": n, "ok": ok, "stat": stat, "crit": crit})
     ok = all(r["ok"] for r in results)
     return {"suite": "samplers", "ok": ok, "draws": draws, "families": results}
 
@@ -224,5 +212,7 @@ def suite_samplers(draws: int = 100_000, seed: int = 0) -> dict:
 def run_suite(name: str, seed: int = 0, **kwargs) -> dict:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
-    function, _ = SUITES[name]
+    function, size_keyword = SUITES[name]
+    if kwargs.get(size_keyword, 1) < 1:
+        raise ValueError(f"{size_keyword} must be at least 1, got {kwargs[size_keyword]}")
     return globals()[function](seed=seed, **kwargs)

@@ -250,6 +250,32 @@ class TestVerify:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["verify", "--suite", "fixpoint", "--draws", "-3"],
+                 id="fixpoint-draws"),
+    pytest.param(["verify", "--suite", "profile-bound", "--pairs", "-1"],
+                 id="profile-bound-pairs"),
+    pytest.param(["verify", "--suite", "samplers", "--draws", "0"],
+                 id="samplers-draws"),
+    pytest.param(["sample", "--n", "4", "--count", "-2"], id="sample-count"),
+    pytest.param(["experiment", "--n", "10", "--workers", "-3"],
+                 id="experiment-workers"),
+    pytest.param(["profile", "--diagram", "2,1", "--n", "0"], id="profile-n-zero"),
+    pytest.param(["profile", "--diagram", "3,1", "--n", "10"], id="profile-size-mismatch"),
+    pytest.param(["profile", "--diagram", "2,1", "--m", "2"], id="profile-m-without-n"),
+    pytest.param(["distance", "--diagram", "2,2", "--other", "2,2", "--n", "4", "--m", "1"],
+                 id="distance-other-with-n"),
+])
+def test_bad_input_fails_loudly(capsys, tmp_path, monkeypatch, argv):
+    # nothing is checked, drawn or written (no seed is drawn either), and one
+    # error line says why
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes about a second to import; only the samplers suite needs it
     code = "import sys, permshape.cli; print('scipy.stats' in sys.modules)"
