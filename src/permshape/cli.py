@@ -68,6 +68,14 @@ def count(text: str) -> int:
     return value
 
 
+def size(text: str) -> int:
+    """A size flag's value: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _ensure_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -199,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sample = sub.add_parser("sample", help="draw permutations from an ensemble")
-    p_sample.add_argument("--n", type=int, required=True)
+    p_sample.add_argument("--n", type=size, required=True)
     p_sample.add_argument("--seed", type=int, default=None)
     p_sample.add_argument("--count", type=count, default=1)
     _add_regime_flags(p_sample)

@@ -41,7 +41,6 @@ ALL_ROWS = sys.maxsize
 # from one fused patience pass over the word.
 ROWS_NEEDED = {"shape_distance": ALL_ROWS, "ell": 0, "lambda1": 0, "lambda2": 2}
 MEASUREMENTS = tuple(ROWS_NEEDED)
-RESCALE_MODES = ("tw2", "tw1", "tw4", "lln", "theta_log_l1")
 
 
 @dataclass(frozen=True)

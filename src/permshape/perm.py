@@ -38,10 +38,8 @@ class Permutation:
         self._zero = zero
 
     @classmethod
-    def from_zero_based(cls, arr: np.ndarray, validate: bool = False) -> "Permutation":
-        """Wrap a 0-based image array. Skips validation unless asked."""
-        if validate:
-            return cls(np.asarray(arr) + 1)
+    def from_zero_based(cls, arr: np.ndarray) -> "Permutation":
+        """Wrap a 0-based image array, without validation."""
         p = cls.__new__(cls)
         zero = np.ascontiguousarray(arr, dtype=np.int64).copy()
         zero.flags.writeable = False

@@ -82,13 +82,14 @@ def parse_values(kv: Mapping[str, str], parsers: Mapping[str, Callable[[str], An
     return out
 
 
-# fix_rule -> (the parameters it reads, its fixed-point target at n)
+# fix_rule -> (the parameters it reads, its fixed-point target at n, the
+# parameters among them that must be whole numbers)
 FIX_RULES = {
-    "constant": (("c",), lambda spec, n: int(spec.c)),
+    "constant": (("c",), lambda spec, n: int(spec.c), ("c",)),
     "theta_log": (("theta",),
-                  lambda spec, n: math.floor(spec.theta * n / math.log(n)) if n >= 2 else 0),
-    "power": (("beta", "c"), lambda spec, n: math.floor(spec.c * n**spec.beta)),
-    "linear": (("p",), lambda spec, n: math.floor(spec.p * n)),
+                  lambda spec, n: math.floor(spec.theta * n / math.log(n)) if n >= 2 else 0, ()),
+    "power": (("beta", "c"), lambda spec, n: math.floor(spec.c * n**spec.beta), ()),
+    "linear": (("p",), lambda spec, n: math.floor(spec.p * n), ()),
 }
 
 
@@ -128,6 +129,10 @@ class RegimeSpec:
             raise ValueError("p must lie in [0, 1]")
         if not 0.0 <= self.c < math.inf:
             raise ValueError("c must be non-negative and finite")
+        for key in FIX_RULES[self.fix_rule][2] if self.fix_rule in FIX_RULES else ():
+            if getattr(self, key) % 1:
+                raise ValueError(f"fix_rule {self.fix_rule} needs a whole number {key}, "
+                                 f"got {getattr(self, key)}")
 
     def fix_count(self, n: int) -> int:
         """Target fixed-point count before parity adjustment, clamped to [0, n]."""

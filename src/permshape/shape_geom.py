@@ -150,32 +150,31 @@ def _check_scaling(d: YoungDiagram, n: int, m: int) -> None:
         raise ValueError(f"fixed-point count m={m} outside [0, {n}]")
 
 
+def _scaled_kinks(d: YoungDiagram, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, F_n(s), limit_curve(s, m/n)) as arrays on the profile kinks
+    2 s sqrt(n) = t for the integers t in [-(rows + W), lambda_1 + W],
+    W = ceil(2 sqrt(n)), outside which both functions equal |s|."""
+    _check_scaling(d, n, m)
+    c = 2.0 * math.sqrt(n)
+    w = math.ceil(c)
+    t = np.arange(-(d.num_rows + w), d.part(1) + w + 1, dtype=np.int64)
+    s = t / c
+    return s, height_profile(d, t) / c, limit_curve(s, m / n)
+
+
 def scaled_sup_distance(d: YoungDiagram, n: int, m: int) -> float:
     """Sup-norm gap between the rescaled profile of d and the limit curve.
 
-    Computes sup over s of |F_n(s) - limit_curve(s, m/n)| on the grid of all
-    profile kinks (2 s sqrt(n) integer) inside [-W, W] with
-    W = max(lambda_1, lambda'_1)/(2 sqrt(n)) + 1, plus segment midpoints.
-    Outside the window both functions equal |s| exactly. Between two kinks
-    F_n has slope +1 or -1 and the limit curve, being 1-Lipschitz, a slope
-    in [-1, 1], so their difference is monotone on each segment and its
-    largest absolute value sits at a kink: the kink scan is the exact sup
-    up to rounding. The midpoints can add nothing; they stay so that
-    recorded distances keep their last bits.
+    Computes sup over s of |F_n(s) - limit_curve(s, m/n)| as the maximum over
+    the kinks of ``_scaled_kinks``, the rows ``scaled_rows`` gives. Outside
+    their window both functions equal |s| exactly. Between two kinks F_n has
+    slope +1 or -1 and the limit curve, being 1-Lipschitz, a slope in
+    [-1, 1], so their difference is monotone on each segment and its largest
+    absolute value sits at a kink: the kink scan is the exact sup up to
+    rounding.
     """
-    _check_scaling(d, n, m)
-    sqn = math.sqrt(n)
-    lam1 = d.part(1)
-    T = max(lam1, d.num_rows) + math.ceil(2.0 * sqn)
-    t = np.arange(-T, T + 1, dtype=np.int64)
-    L = height_profile(d, t).astype(np.float64)
-    s_kinks = t / (2.0 * sqn)
-    f_kinks = L / (2.0 * sqn)
-    s_mids = (t[:-1] + 0.5) / (2.0 * sqn)
-    f_mids = (L[:-1] + L[1:]) * 0.5 / (2.0 * sqn)
-    s = np.concatenate([s_kinks, s_mids])
-    f = np.concatenate([f_kinks, f_mids])
-    return float(np.max(np.abs(f - limit_curve(s, m / n))))
+    _, f, phi = _scaled_kinks(d, n, m)
+    return float(np.max(np.abs(f - phi)))
 
 
 # -- pairwise profile distance and its partition bound ---------------------
@@ -260,15 +259,6 @@ def profile_rows(d: YoungDiagram) -> Iterator[tuple[int, int]]:
 
 
 def scaled_rows(d: YoungDiagram, n: int, m: int) -> Iterator[tuple[float, float, float]]:
-    """(s, F_n(s), limit_curve(s, m/n)) rows on the kink grid. The arguments
-    are checked as ``scaled_sup_distance`` checks them, at the call."""
-    _check_scaling(d, n, m)
-    sqn = math.sqrt(n)
-    lo = -(d.num_rows + math.ceil(2 * sqn))
-    hi = d.part(1) + math.ceil(2 * sqn)
-    t = np.arange(lo, hi + 1, dtype=np.int64)
-    L = height_profile(d, t).astype(np.float64)
-    s = t / (2.0 * sqn)
-    f = L / (2.0 * sqn)
-    phi = limit_curve(s, m / n)
-    return zip(s.tolist(), f.tolist(), phi.tolist())
+    """(s, F_n(s), limit_curve(s, m/n)) rows on the kinks that
+    ``scaled_sup_distance`` scans. The arguments are checked at the call."""
+    return zip(*(a.tolist() for a in _scaled_kinks(d, n, m)))

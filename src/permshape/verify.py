@@ -9,12 +9,14 @@ should never happen on a healthy build.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 
 import numpy as np
 
 from .diagram import YoungDiagram
 from .oracles import check_fixed_point_bounds, check_profile_distance_bound, greene_report
-from .perm import Permutation, conjugate
+from .perm import Permutation
 from .rsk import schensted_shape
 from .samplers import RegimeSpec, derive_rng, sample_regime, sample_uniform
 from .shape_geom import scaled_height, scaled_height_unit
@@ -156,55 +158,58 @@ def suite_convention(n_diagrams: int = 100, n_svalues: int = 100, seed: int = 0,
     return {"suite": "convention", "ok": worst <= tol, "worst_gap": worst, "tol": tol}
 
 
-def _chi_square_homogeneity(counts_a: dict, counts_b: dict, alpha: float = 1e-3) -> tuple[bool, float, float]:
-    """Two-sample chi-square over the union of observed cells."""
+# false-alarm rate of each family's chi-square test in the samplers suite
+SAMPLERS_ALPHA = 1e-3
+
+
+def _cycle_type(word: tuple[int, ...]) -> tuple[int, ...]:
+    """Cycle lengths of a 0-based word, largest first."""
+    lengths, left = [], set(range(len(word)))
+    while left:
+        start = i = left.pop()
+        lengths.append(1)
+        while (i := word[i]) != start:
+            left.remove(i)
+            lengths[-1] += 1
+    return tuple(sorted(lengths, reverse=True))
+
+
+def suite_samplers(draws: int = 100_000, seed: int = 0) -> dict:
+    """Every sampler family against its exact law at small sizes.
+
+    Each family is uniform on the permutations of S_n (n <= 4) whose cycle
+    type lies in a known set. One batch of draws per family is compared with
+    that law over the whole support by a one-sample chi-square test at
+    alpha = 1e-3; a draw outside the support makes the statistic infinite.
+    With six families a healthy build fails a run with probability
+    1 - (1 - 1e-3)^6, about 0.6%.
+    """
     # imported here, not at the top: scipy.stats takes about a second to load,
     # and every CLI call imports this module
     from scipy.stats import chi2
 
-    cells = sorted(set(counts_a) | set(counts_b))
-    a = np.array([counts_a.get(c, 0) for c in cells], dtype=np.float64)
-    b = np.array([counts_b.get(c, 0) for c in cells], dtype=np.float64)
-    tot = a + b
-    na, nb = a.sum(), b.sum()
-    expected_a = tot * na / (na + nb)
-    expected_b = tot * nb / (na + nb)
-    stat = float(np.sum((a - expected_a) ** 2 / expected_a + (b - expected_b) ** 2 / expected_b))
-    dof = max(len(cells) - 1, 1)
-    crit = float(chi2.ppf(1.0 - alpha, dof))
-    return stat <= crit, stat, crit
-
-
-def suite_samplers(draws: int = 100_000, seed: int = 0) -> dict:
-    """Conjugacy invariance of every sampler family at small sizes.
-
-    For each family: draw two independent batches, conjugate the second by a
-    fixed permutation, and compare the two empirical laws over the whole
-    symmetric group by a chi-square homogeneity test (alpha = 1e-3 per cell
-    count of the full group at n <= 4).
-    """
     results = []
-    # the group is S_4, or S_3 for the one cycle type drawn at n = 3
-    rhos = {4: Permutation([2, 4, 1, 3]), 3: Permutation([3, 1, 2])}
-    for spec, n in (
-        (RegimeSpec("uniform"), 4),
-        (RegimeSpec("uniform_involution"), 4),
-        (RegimeSpec("fpf_involution"), 4),
-        (RegimeSpec("n_cycle"), 4),
-        (RegimeSpec("uniform_in_cycle_type", cycle_type=(2, 1)), 3),
-        (RegimeSpec("composite", core="fpf_involution", fix_rule="linear", p=0.5), 4),
+    for spec, n, cycle_types in (
+        (RegimeSpec("uniform"), 4, {(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)}),
+        (RegimeSpec("uniform_involution"), 4, {(1, 1, 1, 1), (2, 1, 1), (2, 2)}),
+        (RegimeSpec("fpf_involution"), 4, {(2, 2)}),
+        (RegimeSpec("n_cycle"), 4, {(4,)}),
+        (RegimeSpec("uniform_in_cycle_type", cycle_type=(2, 1)), 3, {(2, 1)}),
+        (RegimeSpec("composite", core="fpf_involution", fix_rule="linear", p=0.5), 4,
+         {(2, 1, 1)}),
     ):
-        rng_a = derive_rng(seed, 5, len(results), 0)
-        rng_b = derive_rng(seed, 5, len(results), 1)
-        counts_a: dict = {}
-        counts_b: dict = {}
-        for _ in range(draws):
-            wa = sample_regime(spec, n, rng_a).word.tobytes()
-            counts_a[wa] = counts_a.get(wa, 0) + 1
-            wb = conjugate(sample_regime(spec, n, rng_b), rhos[n]).word.tobytes()
-            counts_b[wb] = counts_b.get(wb, 0) + 1
-        ok, stat, crit = _chi_square_homogeneity(counts_a, counts_b)
-        results.append({"family": spec.ensemble, "n": n, "ok": ok, "stat": stat, "crit": crit})
+        support = [w for w in itertools.permutations(range(n)) if _cycle_type(w) in cycle_types]
+        rng = derive_rng(seed, 5, len(results))
+        drawn = Counter(tuple(sample_regime(spec, n, rng).zero_based.tolist())
+                        for _ in range(draws))
+        observed = np.array([drawn[w] for w in support], dtype=np.float64)
+        expected = draws / len(support)
+        stat = float(np.sum((observed - expected) ** 2) / expected)
+        if observed.sum() < draws:  # a draw fell outside the support
+            stat = math.inf
+        crit = float(chi2.ppf(1.0 - SAMPLERS_ALPHA, len(support) - 1))
+        results.append({"family": spec.ensemble, "n": n, "ok": stat <= crit, "stat": stat,
+                        "crit": crit})
     ok = all(r["ok"] for r in results)
     return {"suite": "samplers", "ok": ok, "draws": draws, "families": results}
 

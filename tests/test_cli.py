@@ -258,6 +258,10 @@ class TestVerify:
     pytest.param(["verify", "--suite", "samplers", "--draws", "0"],
                  id="samplers-draws"),
     pytest.param(["sample", "--n", "4", "--count", "-2"], id="sample-count"),
+    pytest.param(["sample", "--n", "-1", "--seed", "1"], id="sample-n-negative"),
+    pytest.param(["experiment", "--n", "10", "--seed", "1", "--ensemble", "composite",
+                  "--core", "fpf_involution", "--fix-rule", "constant", "--c", "0.5"],
+                 id="constant-fractional-c"),
     pytest.param(["experiment", "--n", "10", "--workers", "-3"],
                  id="experiment-workers"),
     pytest.param(["profile", "--diagram", "2,1", "--n", "0"], id="profile-n-zero"),

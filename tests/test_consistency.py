@@ -21,7 +21,7 @@ def test_table_parameters_are_regime_keys_and_spec_fields():
     assert set(REGIME_KEYS) == fields
     assert set(REGIME_CHOICES) <= set(REGIME_KEYS)
     for table in (ENSEMBLES, FIX_RULES):
-        for name, (reads, _) in table.items():
+        for name, (reads, *_) in table.items():
             assert set(reads) <= set(REGIME_KEYS), name
 
 

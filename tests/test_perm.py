@@ -30,8 +30,6 @@ class TestPermutation:
             with pytest.raises(ValueError):
                 Permutation(word)
         assert Permutation(np.array([2, 1], dtype=np.uint8)) == Permutation([2, 1])
-        with pytest.raises(ValueError):
-            Permutation.from_zero_based(np.array([1.0, 0.0]), validate=True)
 
     def test_empty_and_identity(self):
         assert Permutation([]).n == 0

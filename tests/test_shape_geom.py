@@ -22,6 +22,7 @@ from permshape.shape_geom import (
     profile_rows,
     scaled_height,
     scaled_height_unit,
+    scaled_rows,
     scaled_sup_distance,
     sup_profile_distance,
 )
@@ -185,6 +186,16 @@ class TestScaledSupDistance:
             reported = scaled_sup_distance(d, n, m)
             dense = np.max(np.abs(scaled_height(d, n, s) - limit_curve(s, m / n)))
             assert reported >= dense - 1e-12
+
+    def test_is_the_maximum_over_scaled_rows(self):
+        # the distance scans exactly the rows the profile dump prints, bit for bit
+        rng = derive_rng(18)
+        for _ in range(40):
+            n = int(rng.integers(1, 500))
+            d = schensted_shape(sample_uniform(n, rng))
+            for m in (0, int(rng.integers(0, n + 1)), n):
+                gaps = [abs(f - phi) for _, f, phi in scaled_rows(d, n, m)]
+                assert scaled_sup_distance(d, n, m) == max(gaps)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
