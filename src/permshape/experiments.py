@@ -10,6 +10,7 @@ the in-memory record).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -21,8 +22,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .diagram import YoungDiagram
 from .perm import cycle_stats
-from .rsk import leading_parts, lis_lds, schensted_shape
+from .rsk import leading_parts, lis_lds
 from .samplers import (
     RegimeSpec,
     derive_rng,
@@ -35,12 +37,18 @@ from .shape_geom import scaled_sup_distance
 
 CSV_SCHEMA_VERSION = 1
 ALL_ROWS = sys.maxsize
-# Leading rows of the insertion shape each measurement reads. The profile
-# distance reads them all, and then ell, lambda1 and lambda2 come free;
-# lambda2 reads two. Otherwise lambda1 (the LIS) and ell (the LDS) come
-# from one fused patience pass over the word.
-ROWS_NEEDED = {"shape_distance": ALL_ROWS, "ell": 0, "lambda1": 0, "lambda2": 2}
-MEASUREMENTS = tuple(ROWS_NEEDED)
+# measurement -> (leading rows of the insertion shape it reads, its value from
+# those rows, a lazy (lambda1, ell) pair, n and the fixed-point count m). The
+# profile distance reads every row; ell and lambda1 read none, and come from
+# the rows when the peel was complete, else from one fused patience pass.
+MEASURES = {
+    "shape_distance": (ALL_ROWS,
+                       lambda rows, pair, n, m: scaled_sup_distance(YoungDiagram(rows), n, m)),
+    "ell": (0, lambda rows, pair, n, m: pair()[1]),
+    "lambda1": (0, lambda rows, pair, n, m: pair()[0]),
+    "lambda2": (2, lambda rows, pair, n, m: rows[1] if len(rows) > 1 else 0),
+}
+MEASUREMENTS = tuple(MEASURES)
 
 
 @dataclass(frozen=True)
@@ -50,10 +58,10 @@ class TrialRecord:
     fix_count: int
     num_cycles: int
     fixed_points_of_square: int
-    shape_distance: float | None
-    ell: int | None
-    lambda1: int | None
-    lambda2: int | None
+    shape_distance: float | None = None
+    ell: int | None = None
+    lambda1: int | None = None
+    lambda2: int | None = None
     wall_time: float = 0.0
 
     def csv_row(self) -> str:
@@ -96,6 +104,9 @@ class ExperimentConfig:
         unknown = set(self.measurements) - set(MEASUREMENTS)
         if unknown:
             raise ValueError(f"unknown measurements: {sorted(unknown)}")
+        repeated = sorted({m for m in self.measurements if self.measurements.count(m) > 1})
+        if repeated:
+            raise ValueError(f"measurements named twice: {repeated}")
 
     @classmethod
     def from_mapping(cls, kv: Mapping[str, str]) -> "ExperimentConfig":
@@ -148,41 +159,23 @@ class SummaryStats:
 
 def run_trial(regime: RegimeSpec, n: int, trial_index: int, seed: int,
               measurements: Sequence[str]) -> TrialRecord:
-    """Sample one permutation and measure the requested statistics."""
+    """Sample one permutation and measure the requested statistics.
+
+    The shape is peeled once, as deep as the deepest requested measurement
+    reads. A peel that returns fewer rows than it asked for is the whole
+    shape, which gives lambda1 (its first row) and ell (its row count) free.
+    """
     t0 = time.perf_counter()
-    rng = derive_rng(seed, n, trial_index)
-    p = sample_regime(regime, n, rng)
+    p = sample_regime(regime, n, derive_rng(seed, n, trial_index))
     cs = cycle_stats(p)
-    wants = set(measurements)
-    rows = max((ROWS_NEEDED[m] for m in wants), default=0)
-    shape = schensted_shape(p) if rows == ALL_ROWS else None
-    if shape is not None:
-        parts = shape.parts
-    else:
-        parts = leading_parts(p, rows) if rows else ()
-    shape_distance = ell = lambda1 = lambda2 = None
-    if "shape_distance" in wants:
-        shape_distance = scaled_sup_distance(shape, n, cs.fixed_points)
-    if "lambda2" in wants:
-        lambda2 = parts[1] if len(parts) > 1 else 0
-    if wants & {"ell", "lambda1"}:
-        lis_len, lds_len = (shape.part(1), shape.num_rows) if shape is not None else lis_lds(p)
-        if "lambda1" in wants:
-            lambda1 = lis_len
-        if "ell" in wants:
-            ell = lds_len
-    return TrialRecord(
-        n=n,
-        trial_index=trial_index,
-        fix_count=cs.fixed_points,
-        num_cycles=cs.num_cycles,
-        fixed_points_of_square=cs.fixed_points_of_square,
-        shape_distance=shape_distance,
-        ell=ell,
-        lambda1=lambda1,
-        lambda2=lambda2,
-        wall_time=time.perf_counter() - t0,
-    )
+    k = max((MEASURES[m][0] for m in measurements), default=0)
+    rows = leading_parts(p, k) if k else ()
+    complete = len(rows) < k
+    pair = functools.cache(lambda: (rows[0] if rows else 0, len(rows)) if complete else lis_lds(p))
+    values = {m: MEASURES[m][1](rows, pair, n, cs.fixed_points) for m in measurements}
+    return TrialRecord(n=n, trial_index=trial_index, fix_count=cs.fixed_points,
+                       num_cycles=cs.num_cycles, fixed_points_of_square=cs.fixed_points_of_square,
+                       **values, wall_time=time.perf_counter() - t0)
 
 
 def _run_trial_star(args) -> TrialRecord:
@@ -265,7 +258,9 @@ def read_records_csv(path: str | Path) -> list[TrialRecord]:
         raise ValueError(f"unrecognized records CSV header in {path}")
     out = []
     for line in lines[1:]:
-        cells = line.split(",")[1:]
+        version, *cells = line.split(",")
+        if version != str(CSV_SCHEMA_VERSION):
+            raise ValueError(f"records CSV row of schema version {version!r} in {path}: {line!r}")
         if len(cells) != len(RECORD_FIELDS):
             raise ValueError(f"records CSV row of {len(cells) + 1} cells in {path}: {line!r}")
         # shape_distance is the one float column; an empty cell was not measured
@@ -325,11 +320,19 @@ def rescale_statistic(rec: TrialRecord, mode: str, theta: float = 1.0) -> float:
 
 
 def ks_two_sample(x: Sequence[float], y: Sequence[float]) -> float:
-    """Classical two-sample Kolmogorov-Smirnov statistic (max CDF gap)."""
-    xs = np.sort(np.asarray(x, dtype=np.float64))
-    ys = np.sort(np.asarray(y, dtype=np.float64))
-    if xs.size == 0 or ys.size == 0:
-        raise ValueError("both samples must be nonempty")
+    """Classical two-sample Kolmogorov-Smirnov statistic (max CDF gap).
+
+    Each sample must be a nonempty flat sequence of numbers that are not NaN.
+    """
+    xs, ys = (np.asarray(v, dtype=np.float64) for v in (x, y))
+    for which, v in (("first", xs), ("second", ys)):
+        if v.ndim != 1:
+            raise ValueError(f"the {which} sample must be flat, not of shape {v.shape}")
+        if v.size == 0:
+            raise ValueError(f"the {which} sample is empty")
+        if np.isnan(v).any():
+            raise ValueError(f"the {which} sample holds NaN")
+    xs, ys = np.sort(xs), np.sort(ys)
     grid = np.concatenate([xs, ys])
     cdf_x = np.searchsorted(xs, grid, side="right") / xs.size
     cdf_y = np.searchsorted(ys, grid, side="right") / ys.size

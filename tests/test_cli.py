@@ -172,6 +172,7 @@ class TestExperiment:
                             "--fix-rule", "constant", "--cycle-type", "2,2"],
                      id="cycle_type-composite"),
         pytest.param(None, ["--n", "10", "--measurements", "cycle_stats"], id="cycle_stats"),
+        pytest.param(None, ["--n", "10", "--measurements", "ell,ell"], id="measurement-twice"),
         pytest.param(None, ["--n", "10", "--trials", "many"], id="bad-value"),
         pytest.param("n_ladder 10\n", [], id="no-equals"),
     ])
@@ -307,3 +308,15 @@ class TestKs:
         b.write_text("1.5\n2.5\n")
         code, out, _ = run_cli(capsys, "ks", "--a", str(a), "--b", str(b))
         assert code == 0 and float(out.strip()) == 0.5
+
+    @pytest.mark.parametrize("text", ["1\nnan\n", "", "1 2\n3 4\n"],
+                             ids=["nan", "empty", "two-columns"])
+    @pytest.mark.parametrize("side", ["--a", "--b"])
+    def test_bad_sample_fails_loudly(self, capsys, tmp_path, text, side):
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text("1\n2\n")
+        bad.write_text(text)
+        files = {"--a": good, "--b": good, side: bad}
+        code, out, err = run_cli(capsys, "ks", "--a", str(files["--a"]), "--b", str(files["--b"]))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -1,6 +1,6 @@
 """Names that one module lists and others read must agree: the regime tables
-and the config keys, the CLI's regime flags, and the benchmark tracer's
-targets."""
+and the config keys, the CLI's regime flags, the measurement table and the
+record columns, and the benchmark tracer's targets."""
 
 import dataclasses
 import importlib
@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from permshape import cli
+from permshape.experiments import MEASUREMENTS, RECORD_FIELDS
 from permshape.samplers import ENSEMBLES, FIX_RULES, REGIME_CHOICES, REGIME_KEYS, RegimeSpec
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -31,6 +32,11 @@ def test_sample_help_lists_one_flag_per_regime_key(capsys):
     flags = re.findall(r"^\s+(--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
     for key in REGIME_KEYS:
         assert flags.count("--" + key.replace("_", "-")) == 1, key
+
+
+def test_measurements_are_the_record_columns_after_the_cycle_statistics():
+    cycle_end = RECORD_FIELDS.index("fixed_points_of_square") + 1
+    assert MEASUREMENTS == RECORD_FIELDS[cycle_end:]
 
 
 def test_tracer_targets_are_package_functions():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -89,6 +90,13 @@ class TestKsTwoSample:
         with pytest.raises(ValueError):
             ks_two_sample([], [1.0])
 
+    @pytest.mark.parametrize("x", [[math.nan], [1.0, math.nan], [[1.0, 2.0], [3.0, 4.0]], 1.0])
+    def test_nan_and_non_flat_samples_rejected(self, x):
+        with pytest.raises(ValueError):
+            ks_two_sample(x, [1.0])
+        with pytest.raises(ValueError):
+            ks_two_sample([1.0], x)
+
     def test_matches_scipy(self):
         from scipy.stats import ks_2samp
 
@@ -174,6 +182,8 @@ SWEEP = {
     "fpf_involution": RegimeSpec(ensemble="fpf_involution"),
     "uniform_involution": RegimeSpec(ensemble="uniform_involution"),
 }
+SWEEP_CASES = [(name, n) for name in SWEEP for n in (1, 2, 3, 50, 2000)
+               if not (name == "fpf_involution" and n % 2)]  # a matching needs even n
 
 
 class TestRunTrial:
@@ -184,10 +194,7 @@ class TestRunTrial:
         assert fast.ell == full.ell and fast.lambda1 == full.lambda1
         assert fast.lambda2 is None and full.lambda2 is not None
 
-    @pytest.mark.parametrize("name, n", [
-        (name, n) for name in SWEEP for n in (1, 2, 3, 50, 2000)
-        if not (name == "fpf_involution" and n % 2)  # a matching needs even n
-    ])
+    @pytest.mark.parametrize("name, n", SWEEP_CASES)
     def test_leading_rows_match_full_shape(self, name, n):
         # ell, lambda1 and lambda2 come from two row passes and the LDS; they
         # must equal what the whole shape of the same permutation says, with
@@ -199,6 +206,18 @@ class TestRunTrial:
             assert (rec.ell, rec.lambda1, rec.lambda2) == (shape.num_rows, shape.part(1),
                                                            shape.part(2))
             assert isinstance(rec.lambda2, int)
+
+    @pytest.mark.parametrize("name, n", SWEEP_CASES)
+    def test_every_subset_measures_what_all_measurements_do(self, name, n):
+        # each subset peels only as deep as it reads, yet gives the values of
+        # the all-measurement trial, and leaves the rest unmeasured
+        regime = SWEEP[name]
+        full = run_trial(regime, n, 1, 23, MEASUREMENTS)
+        for size in range(1, len(MEASUREMENTS) + 1):
+            for subset in itertools.combinations(MEASUREMENTS, size):
+                rec = run_trial(regime, n, 1, 23, subset)
+                for m in MEASUREMENTS:
+                    assert getattr(rec, m) == (getattr(full, m) if m in subset else None), subset
 
     def test_involution_hypothesis_ratio(self):
         reg = RegimeSpec(ensemble="uniform_involution")
@@ -253,9 +272,10 @@ class TestRunExperiment:
         assert [r.csv_row() for r in back] == [r.csv_row() for r in records]
         doc = json.loads(json_path.read_text())
         assert doc["schema_version"] == 1
-        csv_path.write_text(lines[0] + "\n1,30,0,0\n")
-        with pytest.raises(ValueError):
-            read_records_csv(csv_path)
+        for bad_row in ("1,30,0,0", "2" + lines[1][1:]):
+            csv_path.write_text(lines[0] + "\n" + bad_row + "\n")
+            with pytest.raises(ValueError):
+                read_records_csv(csv_path)
 
     def test_summary_order_independent(self):
         cfg = self.cfg()

@@ -159,13 +159,23 @@ class TestCompiledMatchesReference:
             cycle_scan(np.array([0, 2], dtype=np.int64))
 
 
-@pytest.mark.parametrize("measurements", [("ell", "lambda1"), ("ell", "lambda1", "lambda2")])
+# measurements of one trial -> the kernel passes it makes
+TRIAL_PASSES = {
+    ("ell", "lambda1"): {"lis_lds": 1},
+    ("ell", "lambda1", "lambda2"): {"lis_lds": 1, "insertion_shape": 1},
+    ("shape_distance",): {"insertion_shape": 1},
+    ("shape_distance", "ell", "lambda1", "lambda2"): {"insertion_shape": 1},
+}
+
+
+@pytest.mark.parametrize("measurements", list(TRIAL_PASSES))
 def test_run_trial_makes_one_monotone_pass(monkeypatch, measurements):
-    # ell and lambda1 come from one fused pass, never from lis or lds
+    # ell and lambda1 come from one fused pass, never from lis or lds, and
+    # from no pass at all when the shape was peeled whole
     calls = Counter()
     modules = [m for key, m in list(sys.modules.items())
                if m is not None and (key == "permshape" or key.startswith("permshape."))]
-    for name in ("lis_lds", "lis", "lds"):
+    for name in ("lis_lds", "lis", "lds", "insertion_shape"):
         original = getattr(rsk, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -178,10 +188,11 @@ def test_run_trial_makes_one_monotone_pass(monkeypatch, measurements):
                     monkeypatch.setattr(module, attr, counted)
     regime = RegimeSpec(ensemble="uniform")
     rec = experiments.run_trial(regime, 3000, 4, 29, measurements)
-    assert calls == {"lis_lds": 1}
+    assert calls == TRIAL_PASSES[measurements]
     monkeypatch.undo()
     p = sample_regime(regime, 3000, derive_rng(29, 3000, 4))
-    assert (rec.lambda1, rec.ell) == (rsk.lis(p), rsk.lds(p))
+    if "ell" in measurements:
+        assert (rec.lambda1, rec.ell) == (rsk.lis(p), rsk.lds(p))
 
 
 @pytest.mark.parametrize("word", [[], [1], [3, 1, 2]])
