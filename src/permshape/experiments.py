@@ -285,6 +285,23 @@ def load_pilot_manifest() -> dict:
     return json.loads((files("permshape") / "data" / "pilot_manifest.json").read_text())
 
 
+def _edge(v: float, k: int, n: int, theta: float) -> float:
+    return (v - 2.0 * math.sqrt(k)) / k ** (1.0 / 6.0)
+
+
+# mode -> (the record field it reads, the size k it centres at from n and the
+# fixed-point count m, its value from the field value, k, n and theta).
+# tw2, tw1 and tw4 are one edge scaling on different fields and sizes.
+RESCALINGS = {
+    "tw2": ("ell", lambda n, m: n - m, _edge),
+    "tw1": ("ell", lambda n, m: n, _edge),
+    "tw4": ("lambda1", lambda n, m: n, _edge),
+    "lln": ("ell", lambda n, m: n - m, lambda v, k, n, theta: v / math.sqrt(k)),
+    "theta_log_l1": ("lambda1", lambda n, m: n,
+                     lambda v, k, n, theta: v * math.log(n) / (theta * n)),
+}
+
+
 def rescale_statistic(rec: TrialRecord, mode: str, theta: float = 1.0) -> float:
     """Center/scale one trial the way the fluctuation and LLN limits do.
 
@@ -295,28 +312,16 @@ def rescale_statistic(rec: TrialRecord, mode: str, theta: float = 1.0) -> float:
     theta_log_l1: lambda1 * log(n) / (theta * n)
     with m the trial's measured fixed-point count.
     """
-    n, m = rec.n, rec.fix_count
-    if mode in ("tw2", "lln"):
-        if n - m <= 0:
-            raise ZeroDivisionError(f"mode {mode} needs n - m > 0 (n={n}, m={m})")
-        if rec.ell is None:
-            raise ValueError("record has no ell measurement")
-        if mode == "tw2":
-            return (rec.ell - 2.0 * math.sqrt(n - m)) / (n - m) ** (1.0 / 6.0)
-        return rec.ell / math.sqrt(n - m)
-    if mode == "tw1":
-        if rec.ell is None:
-            raise ValueError("record has no ell measurement")
-        return (rec.ell - 2.0 * math.sqrt(n)) / n ** (1.0 / 6.0)
-    if mode == "tw4":
-        if rec.lambda1 is None:
-            raise ValueError("record has no lambda1 measurement")
-        return (rec.lambda1 - 2.0 * math.sqrt(n)) / n ** (1.0 / 6.0)
-    if mode == "theta_log_l1":
-        if rec.lambda1 is None:
-            raise ValueError("record has no lambda1 measurement")
-        return rec.lambda1 * math.log(n) / (theta * n)
-    raise ValueError(f"unknown rescale mode {mode!r}")
+    if mode not in RESCALINGS:
+        raise ValueError(f"unknown rescale mode {mode!r}")
+    name, size, value = RESCALINGS[mode]
+    k = size(rec.n, rec.fix_count)
+    if k <= 0:
+        raise ZeroDivisionError(f"mode {mode} centres at {k} <= 0 (n={rec.n}, m={rec.fix_count})")
+    v = getattr(rec, name)
+    if v is None:
+        raise ValueError(f"record has no {name} measurement")
+    return value(v, k, rec.n, theta)
 
 
 def ks_two_sample(x: Sequence[float], y: Sequence[float]) -> float:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 import numpy as np
-from scipy.special import gammaln
 
 from .diagram import YoungDiagram
 from .perm import Permutation, plant_fixed_points
@@ -208,6 +207,10 @@ def sample_in_cycle_type(t: CycleType, rng: np.random.Generator) -> Permutation:
 def _involution_cdf(n: int) -> np.ndarray:
     """Unnormalized CDF, over k = 0..n/2, of the 2-cycle count of a uniform
     involution of size n; read-only, as every caller shares it."""
+    # imported here, not at the top: scipy.special takes about 0.3 s to load,
+    # and only uniform-involution draws need it
+    from scipy.special import gammaln
+
     ks = np.arange(n // 2 + 1)
     logw = gammaln(n + 1) - gammaln(ks + 1) - ks * math.log(2.0) - gammaln(n - 2 * ks + 1)
     cdf = np.cumsum(np.exp(logw - logw.max()))

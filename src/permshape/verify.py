@@ -11,11 +11,17 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from typing import Iterable
 
 import numpy as np
 
 from .diagram import YoungDiagram
-from .oracles import check_fixed_point_bounds, check_profile_distance_bound, greene_report
+from .oracles import (
+    CheckResult,
+    check_fixed_point_bounds,
+    check_profile_distance_bound,
+    greene_report,
+)
 from .perm import Permutation
 from .rsk import schensted_shape
 from .samplers import RegimeSpec, derive_rng, sample_regime, sample_uniform
@@ -33,6 +39,23 @@ SUITES: dict[str, tuple[str, str | None]] = {
 }
 
 
+def _until_fifth_failure(results: Iterable[CheckResult]) -> list[CheckResult]:
+    """The results up to and including the fifth failure, where a suite stops."""
+    done, failed = [], 0
+    for res in results:
+        done.append(res)
+        failed += not res.ok
+        if failed == 5:
+            break
+    return done
+
+
+def _report(suite: str, done: list[CheckResult], **extra) -> dict:
+    failures = [res.witness for res in done if not res.ok]
+    return {"suite": suite, "ok": not failures, "checked": len(done), **extra,
+            "failures": failures}
+
+
 def _partial_sums(parts: tuple[int, ...], upto: int) -> list[int]:
     out, acc = [], 0
     for i in range(upto):
@@ -45,30 +68,21 @@ def suite_greene(exhaustive_max: int = 6, random_sizes: tuple[int, ...] = (7, 8)
                  random_count: int = 200, seed: int = 0) -> dict:
     """Partial sums of the Schensted shape against the subset-scan oracle,
     exhaustively up to exhaustive_max and on random draws beyond."""
-    failures: list[dict] = []
-    checked = 0
 
-    def check(p: Permutation):
-        nonlocal checked
-        checked += 1
+    def check(p: Permutation) -> CheckResult:
         shape = schensted_shape(p)
-        conj = shape.conjugate()
         report = greene_report(p)
         if tuple(_partial_sums(shape.parts, p.n)) != report.increasing_invariants:
-            failures.append({"sigma": p.to_text(), "family": "increasing"})
-        elif tuple(_partial_sums(conj.parts, p.n)) != report.decreasing_invariants:
-            failures.append({"sigma": p.to_text(), "family": "decreasing"})
+            return CheckResult(False, {"sigma": p.to_text(), "family": "increasing"})
+        if tuple(_partial_sums(shape.conjugate().parts, p.n)) != report.decreasing_invariants:
+            return CheckResult(False, {"sigma": p.to_text(), "family": "decreasing"})
+        return CheckResult(True)
 
-    for n in range(1, exhaustive_max + 1):
-        for word in itertools.permutations(range(1, n + 1)):
-            check(Permutation(word))
-            if failures:
-                break
     rng = derive_rng(seed, 1)
-    for n in random_sizes:
-        for _ in range(random_count):
-            check(sample_uniform(n, rng))
-    return {"suite": "greene", "ok": not failures, "checked": checked, "failures": failures[:5]}
+    exhaustive = (Permutation(word) for n in range(1, exhaustive_max + 1)
+                  for word in itertools.permutations(range(1, n + 1)))
+    drawn = (sample_uniform(n, rng) for n in random_sizes for _ in range(random_count))
+    return _report("greene", _until_fifth_failure(map(check, itertools.chain(exhaustive, drawn))))
 
 
 def _five_sampler_draws(count: int, max_n: int, seed: int):
@@ -102,16 +116,8 @@ def _random_cycle_type(n: int, rng: np.random.Generator) -> tuple[int, ...]:
 
 def suite_fixpoint(draws: int = 10_000, max_n: int = 200, seed: int = 0) -> dict:
     """Fixed-point removal shape inequalities across all sampler families."""
-    failures = []
-    checked = 0
-    for p in _five_sampler_draws(draws, max_n, seed):
-        checked += 1
-        res = check_fixed_point_bounds(p)
-        if not res.ok:
-            failures.append(res.witness)
-            if len(failures) >= 5:
-                break
-    return {"suite": "fixpoint", "ok": not failures, "checked": checked, "failures": failures}
+    perms = _five_sampler_draws(draws, max_n, seed)
+    return _report("fixpoint", _until_fifth_failure(map(check_fixed_point_bounds, perms)))
 
 
 def random_shape_pair(rng: np.random.Generator, max_n: int) -> tuple[YoungDiagram, YoungDiagram]:
@@ -122,25 +128,11 @@ def random_shape_pair(rng: np.random.Generator, max_n: int) -> tuple[YoungDiagra
 
 def suite_profile_bound(pairs: int = 10_000, max_n: int = 300, seed: int = 0) -> dict:
     """Partition bound dominates the exact profile distance, in exact arithmetic."""
-    failures = []
-    min_slack = float("inf")
     rng = derive_rng(seed, 3)
-    for _ in range(pairs):
-        a, b = random_shape_pair(rng, max_n)
-        res = check_profile_distance_bound(a, b)
-        if not res.ok:
-            failures.append(res.witness)
-            if len(failures) >= 5:
-                break
-        else:
-            min_slack = min(min_slack, res.witness["slack"])
-    return {
-        "suite": "profile-bound",
-        "ok": not failures,
-        "checked": pairs,
-        "min_slack": min_slack,
-        "failures": failures,
-    }
+    done = _until_fifth_failure(check_profile_distance_bound(*random_shape_pair(rng, max_n))
+                                for _ in range(pairs))
+    slacks = [res.witness["slack"] for res in done if res.ok]
+    return _report("profile-bound", done, min_slack=min(slacks, default=float("inf")))
 
 
 def suite_convention(n_diagrams: int = 100, n_svalues: int = 100, seed: int = 0,

@@ -282,13 +282,15 @@ def test_bad_input_fails_loudly(capsys, tmp_path, monkeypatch, argv):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about a second to import; only the samplers suite needs it
-    code = "import sys, permshape.cli; print('scipy.stats' in sys.modules)"
+    # scipy.stats takes about a second to import and scipy.special about 0.3 s;
+    # only the samplers suite and uniform-involution draws need them
+    code = ("import sys, permshape.cli; "
+            "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"
 
 
 def test_info(capsys):

@@ -1,6 +1,7 @@
 """Names that one module lists and others read must agree: the regime tables
 and the config keys, the CLI's regime flags, the measurement table and the
-record columns, and the benchmark tracer's targets."""
+record columns, the rescalings and the measurements, and the benchmark
+tracer's targets."""
 
 import dataclasses
 import importlib
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from permshape import cli
-from permshape.experiments import MEASUREMENTS, RECORD_FIELDS
+from permshape.experiments import MEASUREMENTS, RECORD_FIELDS, RESCALINGS
 from permshape.samplers import ENSEMBLES, FIX_RULES, REGIME_CHOICES, REGIME_KEYS, RegimeSpec
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -37,6 +38,11 @@ def test_sample_help_lists_one_flag_per_regime_key(capsys):
 def test_measurements_are_the_record_columns_after_the_cycle_statistics():
     cycle_end = RECORD_FIELDS.index("fixed_points_of_square") + 1
     assert MEASUREMENTS == RECORD_FIELDS[cycle_end:]
+
+
+def test_rescalings_read_measurements():
+    for mode, (field, *_) in RESCALINGS.items():
+        assert field in MEASUREMENTS, mode
 
 
 def test_tracer_targets_are_package_functions():

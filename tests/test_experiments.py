@@ -75,6 +75,27 @@ class TestRescaleStatistic:
         with pytest.raises(ValueError):
             rescale_statistic(make_record(ell=5), "tw3")
 
+    # float.hex of each mode's value, pinned before the modes became a table;
+    # theta_log_l1 is taken at theta = 2.5
+    @pytest.mark.parametrize("m, ell, lambda1, pinned", [
+        (0, 87, 89, {"tw2": "-0x1.605917324a4d5p-1", "tw1": "-0x1.605917324a4d5p-1",
+                     "tw4": "-0x1.fee091b8b2c58p-4", "lln": "0x1.f2045e0a71f75p+0",
+                     "theta_log_l1": "0x1.15161a49b2239p-3"}),
+        (44, 85, 91, {"tw2": "-0x1.f3fadadf580e7p-1", "tw1": "-0x1.406b0e16bf20fp+0",
+                      "tw4": "0x1.c141e5883b37dp-2", "lln": "0x1.ec02b727ce38ep+0",
+                      "theta_log_l1": "0x1.1b5020a1a4e23p-3"}),
+    ])
+    def test_values_are_pinned_bit_for_bit(self, m, ell, lambda1, pinned):
+        rec = make_record(n=2000, m=m, ell=ell, lambda1=lambda1)
+        values = {mode: rescale_statistic(rec, mode, theta=2.5).hex() for mode in pinned}
+        assert values == pinned
+
+    @pytest.mark.parametrize("mode, field", [("tw2", "ell"), ("tw1", "ell"), ("tw4", "lambda1"),
+                                             ("lln", "ell"), ("theta_log_l1", "lambda1")])
+    def test_missing_field_is_named(self, mode, field):
+        with pytest.raises(ValueError, match=f"no {field} measurement"):
+            rescale_statistic(make_record(n=2000, m=3), mode)
+
 
 class TestKsTwoSample:
     def test_identical(self):

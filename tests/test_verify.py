@@ -1,5 +1,8 @@
 import pytest
 
+from permshape import verify
+from permshape.diagram import YoungDiagram
+from permshape.oracles import CheckResult
 from permshape.verify import (
     run_suite,
     suite_convention,
@@ -40,3 +43,15 @@ class TestSuites:
         assert run_suite("convention", seed=3, n_diagrams=5, n_svalues=5)["suite"] == "convention"
         with pytest.raises(ValueError):
             run_suite("nonsense")
+
+
+def test_suites_stop_at_the_fifth_failure_and_count_what_they_checked(monkeypatch):
+    monkeypatch.setattr(verify, "check_profile_distance_bound",
+                        lambda a, b: CheckResult(False, {"a": a.to_text(), "b": b.to_text()}))
+    monkeypatch.setattr(verify, "check_fixed_point_bounds",
+                        lambda p: CheckResult(False, {"sigma": p.to_text()}))
+    # a first row longer than the permutation breaks every Greene partial sum
+    monkeypatch.setattr(verify, "schensted_shape", lambda p: YoungDiagram((p.n + 1,)))
+    for report in (suite_profile_bound(pairs=50), suite_greene(), suite_fixpoint(draws=50)):
+        assert report["checked"] == 5 and len(report["failures"]) == 5, report["suite"]
+        assert report["ok"] is False
