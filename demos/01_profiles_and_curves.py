@@ -14,7 +14,7 @@ from permshape import (
     Permutation,
     YoungDiagram,
     cycle_stats,
-    height_at,
+    height_profile,
     limit_curve,
     omega,
     remove_fixed_points,
@@ -35,8 +35,9 @@ print(f"shape:           {schensted_shape(p).to_text()}")
 print()
 
 d = YoungDiagram((7, 5, 2, 1, 1))
-print(f"diagram {d.to_text()}: L(0)={height_at(d, 0)} (twice the Durfee square), "
-      f"L(7)={height_at(d, 7)}, L(-5)={height_at(d, -5)}")
+at_0, at_7, at_minus_5 = height_profile(d, [0, 7, -5]).tolist()
+print(f"diagram {d.to_text()}: L(0)={at_0} (twice the Durfee square), "
+      f"L(7)={at_7}, L(-5)={at_minus_5}")
 csv = OUT / "profile_75211.csv"
 csv.write_text("t,L\n" + "\n".join(f"{t},{L}" for t, L in profile_rows(d)) + "\n")
 print(f"wrote {csv}")

@@ -5,7 +5,7 @@ profiles with limit-shape distances, brute-force oracles, and a
 reproducible Monte Carlo experiment harness.
 """
 
-from .diagram import YoungDiagram, conjugate_diagram
+from .diagram import YoungDiagram
 from .experiments import (
     ExperimentConfig,
     SummaryStats,
@@ -35,7 +35,7 @@ from .perm import (
     remove_fixed_points,
     square,
 )
-from .rsk import leading_parts, lds, lis, lis_lds, schensted_shape
+from .rsk import lds, lis, lis_lds, schensted_shape
 from .samplers import (
     CycleType,
     RegimeSpec,
@@ -48,7 +48,6 @@ from .samplers import (
 )
 from .shape_geom import (
     bound_dominates_distance,
-    height_at,
     height_profile,
     limit_curve,
     omega,

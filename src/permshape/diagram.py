@@ -56,7 +56,8 @@ class YoungDiagram:
         return np.asarray(self.parts, dtype=np.int64)
 
     def conjugate(self) -> "YoungDiagram":
-        return conjugate_diagram(self)
+        """Transpose: column lengths become row lengths."""
+        return YoungDiagram.from_parts(column_lengths(self.parts_array()))
 
     def __repr__(self) -> str:
         return f"YoungDiagram(({', '.join(str(p) for p in self.parts)}))"
@@ -69,8 +70,3 @@ def column_lengths(parts: np.ndarray) -> np.ndarray:
     j = np.arange(1, parts[0] + 1, dtype=np.int64)
     # number of rows with length >= j, vectorized over j
     return np.searchsorted(-parts, -j, side="right").astype(np.int64)
-
-
-def conjugate_diagram(d: YoungDiagram) -> YoungDiagram:
-    """Transpose: column lengths become row lengths."""
-    return YoungDiagram.from_parts(column_lengths(d.parts_array()))

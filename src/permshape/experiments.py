@@ -22,9 +22,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .diagram import YoungDiagram
 from .perm import cycle_stats
-from .rsk import leading_parts, lis_lds
+from .rsk import lis_lds, schensted_shape
 from .samplers import (
     RegimeSpec,
     derive_rng,
@@ -38,15 +37,15 @@ from .shape_geom import scaled_sup_distance
 CSV_SCHEMA_VERSION = 1
 ALL_ROWS = sys.maxsize
 # measurement -> (leading rows of the insertion shape it reads, its value from
-# those rows, a lazy (lambda1, ell) pair, n and the fixed-point count m). The
-# profile distance reads every row; ell and lambda1 read none, and come from
-# the rows when the peel was complete, else from one fused patience pass.
+# the diagram of the peeled rows, a lazy (lambda1, ell) pair, n and the
+# fixed-point count m). The profile distance reads every row; ell and lambda1
+# read none, and come from the diagram when the peel was complete, else from
+# one fused patience pass.
 MEASURES = {
-    "shape_distance": (ALL_ROWS,
-                       lambda rows, pair, n, m: scaled_sup_distance(YoungDiagram(rows), n, m)),
-    "ell": (0, lambda rows, pair, n, m: pair()[1]),
-    "lambda1": (0, lambda rows, pair, n, m: pair()[0]),
-    "lambda2": (2, lambda rows, pair, n, m: rows[1] if len(rows) > 1 else 0),
+    "shape_distance": (ALL_ROWS, lambda shape, pair, n, m: scaled_sup_distance(shape, n, m)),
+    "ell": (0, lambda shape, pair, n, m: pair()[1]),
+    "lambda1": (0, lambda shape, pair, n, m: pair()[0]),
+    "lambda2": (2, lambda shape, pair, n, m: shape.part(2)),
 }
 MEASUREMENTS = tuple(MEASURES)
 
@@ -169,10 +168,10 @@ def run_trial(regime: RegimeSpec, n: int, trial_index: int, seed: int,
     p = sample_regime(regime, n, derive_rng(seed, n, trial_index))
     cs = cycle_stats(p)
     k = max((MEASURES[m][0] for m in measurements), default=0)
-    rows = leading_parts(p, k) if k else ()
-    complete = len(rows) < k
-    pair = functools.cache(lambda: (rows[0] if rows else 0, len(rows)) if complete else lis_lds(p))
-    values = {m: MEASURES[m][1](rows, pair, n, cs.fixed_points) for m in measurements}
+    shape = schensted_shape(p, max_rows=k) if k else None
+    complete = shape is not None and shape.num_rows < k
+    pair = functools.cache(lambda: (shape.part(1), shape.num_rows) if complete else lis_lds(p))
+    values = {m: MEASURES[m][1](shape, pair, n, cs.fixed_points) for m in measurements}
     return TrialRecord(n=n, trial_index=trial_index, fix_count=cs.fixed_points,
                        num_cycles=cs.num_cycles, fixed_points_of_square=cs.fixed_points_of_square,
                        **values, wall_time=time.perf_counter() - t0)

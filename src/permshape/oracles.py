@@ -42,7 +42,7 @@ def greene_report(p: Permutation) -> GreeneReport:
     n = p.n
     if n > MAX_BRUTEFORCE_N:
         raise ValueError(f"n={n} too large for the subset scan (max {MAX_BRUTEFORCE_N})")
-    word = [int(v) for v in p.word]
+    word = p.zero_based.tolist()
     # best_inc[d] = largest subset size whose restricted LDS is exactly d
     best_inc = [0] * (n + 1)
     best_dec = [0] * (n + 1)
@@ -95,7 +95,7 @@ def max_union_of_increasing(p: Permutation, i: int) -> int:
 
     Exponential; intended for cross-validating greene_bruteforce at n <= 8.
     """
-    word = [int(v) for v in p.word]
+    word = p.zero_based.tolist()
     n = p.n
 
     def decomposable(values: list[int]) -> bool:

@@ -27,21 +27,25 @@ class Permutation:
             raise ValueError("one-line notation must be a flat sequence")
         if arr.size and arr.dtype.kind not in "iu":
             raise ValueError(f"one-line notation must be integers, not {arr.dtype}")
-        arr = arr.astype(np.int64, copy=False)
-        n = arr.shape[0]
-        if n > 0:
-            counts = np.bincount(arr, minlength=n + 1)
-            if counts[0] != 0 or counts.shape[0] != n + 1 or not (counts[1:] == 1).all():
-                raise ValueError("word is not a bijection of {1..n}")
-        zero = arr - 1
+        zero = arr.astype(np.int64, copy=False) - 1
+        n = zero.shape[0]
+        # the range check comes first, so counting allocates n slots, not max(word)
+        if n and (zero.min() < 0 or zero.max() >= n
+                  or not (np.bincount(zero, minlength=n) == 1).all()):
+            raise ValueError("word is not a bijection of {1..n}")
         zero.flags.writeable = False
         self._zero = zero
 
     @classmethod
     def from_zero_based(cls, arr: np.ndarray) -> "Permutation":
-        """Wrap a 0-based image array, without validation."""
+        """Wrap a 0-based image array, without validation or a copy.
+
+        The permutation takes ownership of ``arr`` and marks it read-only, so
+        pass an array built for it that nothing else writes to. An array that
+        is not a contiguous int64 one is converted first.
+        """
         p = cls.__new__(cls)
-        zero = np.ascontiguousarray(arr, dtype=np.int64).copy()
+        zero = np.ascontiguousarray(arr, dtype=np.int64)
         zero.flags.writeable = False
         p._zero = zero
         return p
@@ -67,7 +71,8 @@ class Permutation:
 
     @property
     def word(self) -> np.ndarray:
-        """1-based one-line notation (fresh array)."""
+        """1-based one-line notation (fresh array), the text view; computations
+        read ``zero_based``."""
         return self._zero + 1
 
     @property
@@ -183,7 +188,7 @@ def plant_fixed_points(fixed: np.ndarray, core: Permutation) -> Permutation:
     n = fixed.shape[0] + core.n
     mask = np.zeros(n, dtype=bool)
     mask[fixed] = True
-    rest = np.arange(n, dtype=np.int64)[~mask]
+    rest = np.flatnonzero(~mask)
     out = np.empty(n, dtype=np.int64)
     out[fixed] = fixed
     out[rest] = rest[core.zero_based]

@@ -63,11 +63,6 @@ def height_profile(d: YoungDiagram, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def height_at(d: YoungDiagram, t: int) -> int:
-    """Exact L(t) at a single integer t."""
-    return int(height_profile(d, np.asarray([t]))[0])
-
-
 def height_interp(d: YoungDiagram, x: float | np.ndarray) -> float | np.ndarray:
     """L at real x by linear interpolation between the integer kinks; x is
     a float, giving a float, or an array, giving an array."""

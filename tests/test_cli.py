@@ -33,6 +33,13 @@ class TestShape:
         code, _, err = run_cli(capsys, "shape", "--perm", "1 1")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("word", ["1000000000000000", "-3 1 2"])
+    def test_out_of_range_letters(self, capsys, word):
+        # rejected before counting, so a huge letter allocates nothing
+        code, out, err = run_cli(capsys, "shape", "--perm", word)
+        assert (code, out) == (1, "")
+        assert err == "error: word is not a bijection of {1..n}\n"
+
 
 class TestProfile:
     def test_durfee_row_present(self, capsys):

@@ -63,6 +63,9 @@ class TestCompiledMatchesReference:
         shape = insertion_shape(word)
         assert shape.dtype == np.int64
         assert shape.tolist() == _shape_py(word.tolist()).tolist()
+        # the package hands the kernels the 0-based array: same relative order
+        assert lis_lds_lengths(perm) == lis_lds_lengths(word)
+        assert insertion_shape(perm).tolist() == shape.tolist()
         assert cycle_scan(perm) == _cycle_scan_py(perm)
 
     @given(st.lists(st.integers(-4, 4) | st.sampled_from([INT64_MIN, INT64_MAX])
@@ -159,12 +162,14 @@ class TestCompiledMatchesReference:
             cycle_scan(np.array([0, 2], dtype=np.int64))
 
 
-# measurements of one trial -> the kernel passes it makes
+# measurements of one trial -> the kernel passes it makes; a trial that peels
+# does so once, through schensted_shape
 TRIAL_PASSES = {
     ("ell", "lambda1"): {"lis_lds": 1},
-    ("ell", "lambda1", "lambda2"): {"lis_lds": 1, "insertion_shape": 1},
-    ("shape_distance",): {"insertion_shape": 1},
-    ("shape_distance", "ell", "lambda1", "lambda2"): {"insertion_shape": 1},
+    ("ell", "lambda1", "lambda2"): {"lis_lds": 1, "schensted_shape": 1, "insertion_shape": 1},
+    ("shape_distance",): {"schensted_shape": 1, "insertion_shape": 1},
+    ("shape_distance", "ell", "lambda1", "lambda2"): {"schensted_shape": 1,
+                                                      "insertion_shape": 1},
 }
 
 
@@ -175,7 +180,7 @@ def test_run_trial_makes_one_monotone_pass(monkeypatch, measurements):
     calls = Counter()
     modules = [m for key, m in list(sys.modules.items())
                if m is not None and (key == "permshape" or key.startswith("permshape."))]
-    for name in ("lis_lds", "lis", "lds", "insertion_shape"):
+    for name in ("lis_lds", "lis", "lds", "schensted_shape", "insertion_shape"):
         original = getattr(rsk, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):

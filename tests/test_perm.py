@@ -25,6 +25,12 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation([2, 3])
 
+    @pytest.mark.parametrize("word", [[1_000_000_000_000_000], [-3, 1, 2]])
+    def test_rejects_out_of_range_letters(self, word):
+        # checked before counting, so the count never sizes itself by max(word)
+        with pytest.raises(ValueError, match="not a bijection"):
+            Permutation(word)
+
     def test_rejects_non_integer_words(self):
         for word in ([1.7, 2.2], [1.0, 2.0], np.array([2.0, 1.0]), [True], ["1", "2"]):
             with pytest.raises(ValueError):
@@ -58,6 +64,13 @@ class TestPermutation:
         assert p == Permutation([2, 1])
         with pytest.raises(ValueError):
             p.zero_based[0] = 5
+
+    def test_from_zero_based_takes_ownership(self):
+        arr = np.random.default_rng(3).permutation(50)
+        p = Permutation.from_zero_based(arr)
+        assert np.shares_memory(p.zero_based, arr)
+        with pytest.raises(ValueError):
+            arr[0] = 5
 
 
 class TestCycleStats:

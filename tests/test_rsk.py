@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from permshape.diagram import YoungDiagram, conjugate_diagram
+from permshape.diagram import YoungDiagram
 from permshape.perm import Permutation
-from permshape.rsk import leading_parts, lds, lis, schensted_shape
+from permshape.rsk import lds, lis, schensted_shape
 
 partitions = st.lists(st.integers(1, 12), max_size=10).map(
     lambda xs: YoungDiagram(tuple(sorted(xs, reverse=True)))
@@ -34,19 +34,19 @@ class TestYoungDiagram:
 
 class TestConjugate:
     def test_hand_transpose(self):
-        assert conjugate_diagram(YoungDiagram((3, 1, 1, 1))).parts == (4, 1, 1)
+        assert YoungDiagram((3, 1, 1, 1)).conjugate().parts == (4, 1, 1)
 
     def test_row_to_column(self):
-        assert conjugate_diagram(YoungDiagram((5,))).parts == (1, 1, 1, 1, 1)
-        assert conjugate_diagram(YoungDiagram(())).parts == ()
+        assert YoungDiagram((5,)).conjugate().parts == (1, 1, 1, 1, 1)
+        assert YoungDiagram(()).conjugate().parts == ()
 
     @given(partitions)
     def test_involution(self, d):
-        assert conjugate_diagram(conjugate_diagram(d)) == d
+        assert d.conjugate().conjugate() == d
 
     @given(partitions)
     def test_preserves_size(self, d):
-        assert conjugate_diagram(d).n == d.n
+        assert d.conjugate().n == d.n
 
 
 class TestSchenstedShape:
@@ -67,7 +67,7 @@ class TestSchenstedShape:
             expected = _row_insertion_shape(p.word)
             assert schensted_shape(p).parts == expected
             for k in (1, 2, 3):
-                head = leading_parts(p, k)
+                head = schensted_shape(p, max_rows=k).parts
                 assert head == expected[:k] and all(type(x) is int for x in head)
 
     def test_shape_of_inverse_is_same(self):

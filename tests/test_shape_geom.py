@@ -12,7 +12,6 @@ from permshape.samplers import derive_rng, sample_uniform
 from permshape.shape_geom import (
     SQRT2,
     bound_dominates_distance,
-    height_at,
     height_interp,
     height_profile,
     height_unit_cells,
@@ -56,17 +55,14 @@ def corner_profile(d: YoungDiagram, xs):
 class TestHeightProfile:
     def test_durfee_square_example(self):
         d = YoungDiagram((7, 5, 2, 1, 1))
-        assert height_at(d, 0) == 4
+        assert height_profile(d, [0]).tolist() == [4]
 
     def test_tails_are_absolute_value(self):
         d = YoungDiagram((7, 5, 2, 1, 1))
-        assert height_at(d, 7) == 7
-        assert height_at(d, -5) == 5
-        assert height_at(d, 100) == 100
+        assert height_profile(d, [7, -5, 100]).tolist() == [7, 5, 100]
 
     def test_empty_diagram(self):
-        assert height_at(YoungDiagram(()), 3) == 3
-        assert height_at(YoungDiagram(()), -4) == 4
+        assert height_profile(YoungDiagram(()), [3, -4]).tolist() == [3, 4]
 
     @given(partitions)
     def test_matches_corner_construction(self, d):
