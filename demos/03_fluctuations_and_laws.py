@@ -65,7 +65,7 @@ def main() -> None:
     records, _ = run_experiment(cfg)
     lln = np.mean([rescale_statistic(r, "lln") for r in records])
     tl = np.mean([rescale_statistic(r, "theta_log_l1") for r in records])
-    frac = lambda2_window(records, eps=0.25)
+    frac = lambda2_window(records)
     print(f"   ell/sqrt(n-m) = {lln:.4f} (limit 2)")
     print(f"   lambda1*log(n)/(theta n) = {tl:.4f} (limit 1)")
     print(f"   fraction of trials with lambda2/sqrt(n) in (1.75, 4.25) = {frac:.2f}")

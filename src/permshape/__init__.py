@@ -37,7 +37,6 @@ from .perm import (
 )
 from .rsk import lds, lis, lis_lds, schensted_shape
 from .samplers import (
-    CycleType,
     RegimeSpec,
     derive_rng,
     sample_fpf_involution,

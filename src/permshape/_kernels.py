@@ -10,10 +10,12 @@ with a warning; they are also the reference the compiled ones are tested
 against. ``BACKEND`` names the one in use: ``"c"`` or ``"python"``, and
 ``info()`` also gives the library file and the shape kernel's band width.
 
-All kernels take plain int64 numpy arrays so they stay picklable across
-worker processes. The wrappers make each buffer a contiguous int64 (or
-uint8) array and pass its raw address: ctypes' own array checks would cost
-more than the kernel on the short words of the exact suites.
+All kernels take plain integer numpy arrays so they stay picklable across
+worker processes; a word of another dtype, or a uint64 one past the int64
+range, is a ValueError on either backend. The wrappers make each buffer a
+contiguous int64 (or uint8) array and pass its raw address: ctypes' own
+array checks would cost more than the kernel on the short words of the
+exact suites.
 """
 
 from __future__ import annotations
@@ -135,6 +137,15 @@ def _lis_py(values):
     return len(tops)
 
 
+def _check_word(values: np.ndarray) -> None:
+    """Reject a word that the compiled kernels' int64 view would change: a
+    dtype that is not integer, or a uint64 value of 2**63 or more."""
+    if values.dtype.kind not in "iu":
+        raise ValueError(f"the kernels read integer words, not dtype {values.dtype}")
+    if values.dtype == np.uint64 and values.size and values.max() >= 2**63:
+        raise ValueError("the kernels read words below 2**63")
+
+
 def _check_max_rows(max_rows):
     if max_rows is not None and max_rows < 1:
         raise ValueError(f"max_rows must be at least 1, got {max_rows}")
@@ -191,6 +202,7 @@ def lis_lds_lengths(values: np.ndarray) -> tuple[int, int]:
     """(longest strictly increasing, longest strictly decreasing) subsequence
     lengths of an int word. The compiled kernel runs both patience chains in
     one pass over the word, the decreasing one on ~x."""
+    _check_word(values)
     n = values.shape[0]
     if n == 0:
         return 0, 0
@@ -217,6 +229,7 @@ def insertion_shape(values: np.ndarray, max_rows: int | None = None) -> np.ndarr
     searches of the band's rows overlap on the core instead of running one
     after another; the shape is the same as the one-row-a-pass reference.
     """
+    _check_word(values)
     _check_max_rows(max_rows)
     n = values.shape[0]
     if n == 0:
@@ -238,6 +251,7 @@ def insertion_shape(values: np.ndarray, max_rows: int | None = None) -> np.ndarr
 
 def cycle_scan(zero_based: np.ndarray) -> tuple[int, int, int]:
     """(number of cycles, fixed points, 2-cycles) of a 0-based permutation array."""
+    _check_word(zero_based)
     n = zero_based.shape[0]
     if n == 0:
         return 0, 0, 0

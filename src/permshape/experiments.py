@@ -343,15 +343,15 @@ def ks_two_sample(x: Sequence[float], y: Sequence[float]) -> float:
     return float(np.max(np.abs(cdf_x - cdf_y)))
 
 
-def lambda2_window(records: Iterable[TrialRecord], eps: float = 0.25) -> float:
-    """Fraction of records with 2 - eps < lambda2 / sqrt(n) < 4 + eps."""
+def lambda2_window(records: Iterable[TrialRecord]) -> float:
+    """Fraction of records with 1.75 < lambda2 / sqrt(n) < 4.25."""
     total = hits = 0
     for rec in records:
         if rec.lambda2 is None:
             continue
         total += 1
         ratio = rec.lambda2 / math.sqrt(rec.n)
-        if 2.0 - eps < ratio < 4.0 + eps:
+        if 1.75 < ratio < 4.25:
             hits += 1
     if total == 0:
         raise ValueError("no records carry a lambda2 measurement")

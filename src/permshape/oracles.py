@@ -26,7 +26,6 @@ MAX_BRUTEFORCE_N = 16
 class GreeneReport:
     """Maximal sizes of unions of i increasing (resp. decreasing) subsequences."""
 
-    sigma: Permutation
     increasing_invariants: tuple[int, ...]
     decreasing_invariants: tuple[int, ...]
 
@@ -75,7 +74,7 @@ def greene_report(p: Permutation) -> GreeneReport:
         run_dec = max(run_dec, best_dec[i])
         inc.append(run_inc)
         dec.append(run_dec)
-    return GreeneReport(p, tuple(inc), tuple(dec))
+    return GreeneReport(tuple(inc), tuple(dec))
 
 
 def greene_bruteforce(p: Permutation, i: int, decreasing: bool = False) -> int:

@@ -12,11 +12,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .diagram import YoungDiagram
 from .perm import Permutation, plant_fixed_points
 
 
@@ -31,10 +30,6 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
         raise ValueError("seed must be non-negative")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(x) for x in path))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-# a conjugacy-class label: a cycle type is a partition of n
-CycleType = YoungDiagram
 
 
 # -- config text ------------------------------------------------------------
@@ -128,6 +123,9 @@ class RegimeSpec:
             raise ValueError("p must lie in [0, 1]")
         if not 0.0 <= self.c < math.inf:
             raise ValueError("c must be non-negative and finite")
+        parts = self.cycle_type or ()
+        if any(a < 1 for a in parts) or any(a < b for a, b in zip(parts, parts[1:])):
+            raise ValueError(f"cycle_type needs positive, weakly decreasing parts, got {parts}")
         for key in FIX_RULES[self.fix_rule][2] if self.fix_rule in FIX_RULES else ():
             if getattr(self, key) % 1:
                 raise ValueError(f"fix_rule {self.fix_rule} needs a whole number {key}, "
@@ -184,16 +182,20 @@ def sample_uniform(n: int, rng: np.random.Generator) -> Permutation:
     return Permutation.from_zero_based(rng.permutation(n))
 
 
-def sample_in_cycle_type(t: CycleType, rng: np.random.Generator) -> Permutation:
-    """Uniform over the conjugacy class with the given cycle type.
+def sample_in_cycle_type(lengths: Sequence[int], rng: np.random.Generator) -> Permutation:
+    """Uniform over the conjugacy class with the given cycle lengths, a flat
+    sequence of positive integers in any order; n is their sum.
 
-    Draws a uniform arrangement of 1..n and fills cycles of the prescribed
-    lengths left to right; every class member arises from the same number of
-    arrangements, so the result is exactly uniform in the class.
+    Draws a uniform arrangement of 0..n-1 and fills cycles of the given
+    lengths left to right, in the order given; every class member arises from
+    the same number of arrangements, so the result is exactly uniform in the class.
     """
-    n = t.n
+    lengths = np.asarray(lengths)
+    if lengths.ndim != 1 or lengths.size and (lengths.dtype.kind not in "iu" or lengths.min() < 1):
+        raise ValueError(f"cycle lengths must be positive integers, got {lengths.tolist()}")
+    lengths = lengths.astype(np.int64, copy=False)
+    n = int(lengths.sum())
     arrangement = rng.permutation(n)
-    lengths = np.asarray(t.parts, dtype=np.int64)
     ends = np.cumsum(lengths)
     # each element maps to the next in the arrangement, a cycle's last to its first
     word = np.empty(n, dtype=np.int64)
@@ -227,7 +229,7 @@ def sample_uniform_involution(n: int, rng: np.random.Generator) -> Permutation:
     """
     cdf = _involution_cdf(n)
     k = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-    return sample_in_cycle_type(CycleType((2,) * k + (1,) * (n - 2 * k)), rng)
+    return sample_in_cycle_type(np.repeat([2, 1], [k, n - 2 * k]), rng)
 
 
 def sample_fpf_involution(n: int, rng: np.random.Generator) -> Permutation:
@@ -265,14 +267,13 @@ def _sample_derangement(n: int, rng: np.random.Generator) -> Permutation:
 
 def _sample_n_cycle(n: int, rng: np.random.Generator) -> Permutation:
     """Uniform over the n-cycles (the empty permutation at n = 0)."""
-    return sample_in_cycle_type(CycleType((n,) if n else ()), rng)
+    return sample_in_cycle_type((n,) if n else (), rng)
 
 
 def _sample_given_cycle_type(spec: RegimeSpec, n: int, rng: np.random.Generator) -> Permutation:
-    t = CycleType(spec.cycle_type)
-    if t.n != n:
-        raise ValueError(f"cycle_type sums to {t.n}, expected n={n}")
-    return sample_in_cycle_type(t, rng)
+    if sum(spec.cycle_type) != n:
+        raise ValueError(f"cycle_type sums to {sum(spec.cycle_type)}, expected n={n}")
+    return sample_in_cycle_type(spec.cycle_type, rng)
 
 
 def _sample_composite(spec: RegimeSpec, n: int, rng: np.random.Generator) -> Permutation:

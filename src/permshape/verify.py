@@ -64,10 +64,10 @@ def _partial_sums(parts: tuple[int, ...], upto: int) -> list[int]:
     return out
 
 
-def suite_greene(exhaustive_max: int = 6, random_sizes: tuple[int, ...] = (7, 8),
-                 random_count: int = 200, seed: int = 0) -> dict:
-    """Partial sums of the Schensted shape against the subset-scan oracle,
-    exhaustively up to exhaustive_max and on random draws beyond."""
+def suite_greene(seed: int = 0) -> dict:
+    """Partial sums of the Schensted shape against the subset-scan oracle:
+    on every permutation up to n = 6 (873 of them), then on 200 uniform
+    draws each at n = 7 and n = 8."""
 
     def check(p: Permutation) -> CheckResult:
         shape = schensted_shape(p)
@@ -79,14 +79,14 @@ def suite_greene(exhaustive_max: int = 6, random_sizes: tuple[int, ...] = (7, 8)
         return CheckResult(True)
 
     rng = derive_rng(seed, 1)
-    exhaustive = (Permutation(word) for n in range(1, exhaustive_max + 1)
+    exhaustive = (Permutation(word) for n in range(1, 7)
                   for word in itertools.permutations(range(1, n + 1)))
-    drawn = (sample_uniform(n, rng) for n in random_sizes for _ in range(random_count))
+    drawn = (sample_uniform(n, rng) for n in (7, 8) for _ in range(200))
     return _report("greene", _until_fifth_failure(map(check, itertools.chain(exhaustive, drawn))))
 
 
-def _five_sampler_draws(count: int, max_n: int, seed: int):
-    """Round-robin draws from all five sampler families."""
+def _five_sampler_draws(count: int, seed: int):
+    """Round-robin draws from all five sampler families, of sizes up to 200."""
     rng = derive_rng(seed, 2)
     uniform, involution, matching = map(RegimeSpec, ("uniform", "uniform_involution",
                                                      "fpf_involution"))
@@ -100,7 +100,7 @@ def _five_sampler_draws(count: int, max_n: int, seed: int):
         lambda n: (composite, n),
     )
     for k in range(count):
-        spec, n = families[k % 5](int(rng.integers(1, max_n + 1)))
+        spec, n = families[k % 5](int(rng.integers(1, 201)))
         yield sample_regime(spec, n, rng)
 
 
@@ -114,40 +114,40 @@ def _random_cycle_type(n: int, rng: np.random.Generator) -> tuple[int, ...]:
     return tuple(sorted(parts, reverse=True))
 
 
-def suite_fixpoint(draws: int = 10_000, max_n: int = 200, seed: int = 0) -> dict:
-    """Fixed-point removal shape inequalities across all sampler families."""
-    perms = _five_sampler_draws(draws, max_n, seed)
+def suite_fixpoint(draws: int = 10_000, seed: int = 0) -> dict:
+    """Fixed-point removal shape inequalities across all sampler families,
+    on draws of sizes up to 200."""
+    perms = _five_sampler_draws(draws, seed)
     return _report("fixpoint", _until_fifth_failure(map(check_fixed_point_bounds, perms)))
 
 
-def random_shape_pair(rng: np.random.Generator, max_n: int) -> tuple[YoungDiagram, YoungDiagram]:
-    a = schensted_shape(sample_uniform(int(rng.integers(0, max_n + 1)), rng))
-    b = schensted_shape(sample_uniform(int(rng.integers(0, max_n + 1)), rng))
-    return a, b
-
-
-def suite_profile_bound(pairs: int = 10_000, max_n: int = 300, seed: int = 0) -> dict:
-    """Partition bound dominates the exact profile distance, in exact arithmetic."""
+def suite_profile_bound(pairs: int = 10_000, seed: int = 0) -> dict:
+    """Partition bound dominates the exact profile distance, in exact
+    arithmetic, on shapes of uniform draws of up to 300 cells."""
     rng = derive_rng(seed, 3)
-    done = _until_fifth_failure(check_profile_distance_bound(*random_shape_pair(rng, max_n))
+
+    def shape() -> YoungDiagram:
+        return schensted_shape(sample_uniform(int(rng.integers(0, 301)), rng))
+
+    done = _until_fifth_failure(check_profile_distance_bound(shape(), shape())
                                 for _ in range(pairs))
     slacks = [res.witness["slack"] for res in done if res.ok]
     return _report("profile-bound", done, min_slack=min(slacks, default=float("inf")))
 
 
-def suite_convention(n_diagrams: int = 100, n_svalues: int = 100, seed: int = 0,
-                     tol: float = 1e-12) -> dict:
-    """The two scaled profile evaluations agree through the coordinate map."""
+def suite_convention(seed: int = 0) -> dict:
+    """The two scaled profile evaluations agree through the coordinate map,
+    to 1e-12, at 100 values of s on each of 100 shapes of uniform draws."""
     rng = derive_rng(seed, 4)
     worst = 0.0
-    for _ in range(n_diagrams):
+    for _ in range(100):
         n = int(rng.integers(1, 2000))
         d = schensted_shape(sample_uniform(n, rng))
         width = max(d.part(1), d.num_rows) / (2.0 * np.sqrt(n)) + 1.5
-        s = rng.uniform(-width, width, size=n_svalues)
+        s = rng.uniform(-width, width, size=100)
         gap = np.abs(scaled_height(d, n, s) - scaled_height_unit(d, n, s))
         worst = max(worst, float(gap.max()))
-    return {"suite": "convention", "ok": worst <= tol, "worst_gap": worst, "tol": tol}
+    return {"suite": "convention", "ok": worst <= 1e-12, "worst_gap": worst, "tol": 1e-12}
 
 
 # false-alarm rate of each family's chi-square test in the samplers suite

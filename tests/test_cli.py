@@ -193,6 +193,15 @@ class TestExperiment:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("parts", ["1,2", "0,3"])
+    def test_cycle_type_rejected_before_the_first_rung(self, capsys, tmp_path, parts):
+        code, out, err = run_cli(capsys, "experiment", "--ensemble", "uniform_in_cycle_type",
+                                 "--cycle-type", parts, "--n", "3", "--seed", "1",
+                                 "--out", str(tmp_path / "o"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1 and "cycle_type" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "experiment", "--config", str(tmp_path / "none.cfg"))
         assert code == 1 and err.startswith("error: ")

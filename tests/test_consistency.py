@@ -1,17 +1,18 @@
 """Names that one module lists and others read must agree: the regime tables
-and the config keys, the CLI's regime flags, the measurement table and the
-record columns, the rescalings and the measurements, and the benchmark
-tracer's targets."""
+and the config keys, the CLI's regime flags, the verify suites and their
+size flags, the measurement table and the record columns, the rescalings and
+the measurements, and the benchmark tracer's targets."""
 
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
-from permshape import cli
+from permshape import cli, verify
 from permshape.experiments import MEASUREMENTS, RECORD_FIELDS, RESCALINGS
 from permshape.samplers import ENSEMBLES, FIX_RULES, REGIME_CHOICES, REGIME_KEYS, RegimeSpec
 
@@ -33,6 +34,18 @@ def test_sample_help_lists_one_flag_per_regime_key(capsys):
     flags = re.findall(r"^\s+(--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
     for key in REGIME_KEYS:
         assert flags.count("--" + key.replace("_", "-")) == 1, key
+
+
+def test_suites_take_their_seed_and_the_size_flag_the_cli_passes(capsys):
+    # a suite parameter the CLI cannot set would be a knob only tests turn
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    flags = set(re.findall(r"^\s+(--[a-z-]+)", capsys.readouterr().out, re.MULTILINE))
+    for suite, (function, size_keyword) in verify.SUITES.items():
+        params = set(inspect.signature(getattr(verify, function)).parameters)
+        assert params == {"seed"} | ({size_keyword} if size_keyword else set()), suite
+        if size_keyword:
+            assert f"--{size_keyword}" in flags, suite
 
 
 def test_measurements_are_the_record_columns_after_the_cycle_statistics():

@@ -130,11 +130,11 @@ class TestKsTwoSample:
 class TestLambda2Window:
     def test_centered_records_pass(self):
         recs = [make_record(n=400, lambda2=int(3 * 20))]  # 3 sqrt(n)
-        assert lambda2_window(recs, eps=0.25) == 1.0
+        assert lambda2_window(recs) == 1.0
 
     def test_zero_lambda2_excluded(self):
         recs = [make_record(n=400, lambda2=0)]
-        assert lambda2_window(recs, eps=0.25) == 0.0
+        assert lambda2_window(recs) == 0.0
 
     def test_no_measurements(self):
         with pytest.raises(ValueError):

@@ -209,6 +209,26 @@ def test_row_limit_must_be_positive(word):
         _shape_py(word, max_rows=0)
 
 
+@pytest.mark.parametrize("backend", ["c", "python"])
+@pytest.mark.parametrize("word", [np.array([0.2, 0.5]), np.array([1.7, 0.2]),
+                                  np.array([True, False]),
+                                  np.array([2**63, 1], dtype=np.uint64)],
+                         ids=["float", "float-cycle", "bool", "uint64-past-int64"])
+def test_kernels_reject_words_an_int64_view_would_change(monkeypatch, backend, word):
+    # cast to int64, these words would read as other words on the compiled
+    # backend, so both backends refuse them
+    if backend == "python":
+        monkeypatch.setattr(_kernels, "_library", lambda: None)
+    elif BACKEND != "c":
+        pytest.skip("compiled kernels unavailable")
+    for kernel in (lis_lds_lengths, insertion_shape, cycle_scan):
+        with pytest.raises(ValueError, match="kernels read"):
+            kernel(word)
+    # an unsigned word within the int64 range reads as it is
+    small = np.array([2, 0, 1], dtype=np.uint64)
+    assert insertion_shape(small).tolist() == [2, 1] and cycle_scan(small) == (1, 0, 0)
+
+
 @compiled
 def test_concurrent_builds_into_empty_cache(tmp_path):
     # each builder publishes by atomic rename, so every process loads a

@@ -90,7 +90,7 @@ class TestFixedPointBounds:
         assert check_fixed_point_bounds(Permutation([])).ok
 
     def test_across_all_samplers(self):
-        for p in _five_sampler_draws(400, 120, seed=41):
+        for p in _five_sampler_draws(400, seed=41):
             res = check_fixed_point_bounds(p)
             assert res.ok, res.witness
 

@@ -6,7 +6,6 @@ from scipy.stats import chi2
 
 from permshape.perm import Permutation, cycle_stats, square
 from permshape.samplers import (
-    CycleType,
     RegimeSpec,
     derive_rng,
     parse_key_values,
@@ -64,15 +63,14 @@ class TestSampleUniform:
 class TestSampleInCycleType:
     def test_all_ones_is_identity(self):
         rng = derive_rng(2)
-        t = CycleType((1, 1, 1, 1))
         for _ in range(5):
-            assert sample_in_cycle_type(t, rng) == Permutation.identity(4)
+            assert sample_in_cycle_type((1, 1, 1, 1), rng) == Permutation.identity(4)
 
     def test_three_cycles_balanced(self):
         rng = derive_rng(3)
         total = 40_000
         counts = Counter(
-            sample_in_cycle_type(CycleType((3,)), rng).word.tobytes() for _ in range(total)
+            sample_in_cycle_type((3,), rng).word.tobytes() for _ in range(total)
         )
         # the two 3-cycles, balanced
         assert_uniform_over_cells(counts, 2, total)
@@ -81,7 +79,7 @@ class TestSampleInCycleType:
         rng = derive_rng(4)
         total = 30_000
         counts = Counter(
-            sample_in_cycle_type(CycleType((2, 2)), rng).word.tobytes() for _ in range(total)
+            sample_in_cycle_type((2, 2), rng).word.tobytes() for _ in range(total)
         )
         assert_uniform_over_cells(counts, 3, total)
 
@@ -91,10 +89,9 @@ class TestSampleInCycleType:
         rng = np.random.default_rng(seed)
         for _ in range(25):
             parts = sorted(rng.integers(1, 9, size=rng.integers(0, 12)).tolist(), reverse=True)
-            t = CycleType(tuple(parts))
-            got = sample_in_cycle_type(t, derive_rng(seed, len(parts)))
-            arrangement = derive_rng(seed, len(parts)).permutation(t.n)
-            word = np.empty(t.n, dtype=np.int64)
+            got = sample_in_cycle_type(tuple(parts), derive_rng(seed, len(parts)))
+            arrangement = derive_rng(seed, len(parts)).permutation(sum(parts))
+            word = np.empty(sum(parts), dtype=np.int64)
             offset = 0
             for length in parts:
                 block = arrangement[offset : offset + length]
@@ -102,19 +99,24 @@ class TestSampleInCycleType:
                 offset += length
             assert got == Permutation.from_zero_based(word)
 
-    def test_cycle_type_is_respected(self):
+    @pytest.mark.parametrize("lengths", [(4, 2, 1), (1, 2, 4), (2, 1, 4)])
+    def test_cycle_type_is_respected(self, lengths):
+        # the lengths may come in any order
         rng = derive_rng(5)
-        t = CycleType((4, 2, 1))
         for _ in range(20):
-            cs = cycle_stats(sample_in_cycle_type(t, rng))
+            cs = cycle_stats(sample_in_cycle_type(lengths, rng))
             assert cs.n == 7 and cs.num_cycles == 3
             assert cs.fixed_points == 1 and cs.two_cycles == 1
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CycleType((1, 2))
-        with pytest.raises(ValueError):
-            CycleType((0,))
+    @pytest.mark.parametrize("lengths", [(0,), (-1,), (2.5,), (3, 0, 1), (2, -1)])
+    def test_rejects_a_length_that_is_not_a_positive_integer(self, lengths):
+        with pytest.raises(ValueError, match="cycle lengths"):
+            sample_in_cycle_type(lengths, derive_rng(5))
+
+    def test_regime_takes_weakly_decreasing_positive_parts(self):
+        for parts in ((1, 2), (0,), (2, 0), (3, -1)):
+            with pytest.raises(ValueError, match="cycle_type"):
+                RegimeSpec(ensemble="uniform_in_cycle_type", cycle_type=parts)
 
 
 class TestSampleUniformInvolution:

@@ -15,22 +15,22 @@ from permshape.verify import (
 
 class TestSuites:
     def test_greene_small(self):
-        report = suite_greene(exhaustive_max=4, random_sizes=(6,), random_count=20, seed=1)
+        report = suite_greene(seed=1)
         assert report["ok"] and report["failures"] == []
-        # 1! + 2! + 3! + 4! + 20 random draws
-        assert report["checked"] == 1 + 2 + 6 + 24 + 20
+        # 1! + ... + 6! = 873, and 200 random draws each at n = 7 and 8
+        assert report["checked"] == 873 + 400
 
     def test_fixpoint_small(self):
-        report = suite_fixpoint(draws=200, max_n=60, seed=1)
+        report = suite_fixpoint(draws=200, seed=1)
         assert report["ok"], report["failures"]
 
     def test_profile_bound_small(self):
-        report = suite_profile_bound(pairs=150, max_n=80, seed=1)
+        report = suite_profile_bound(pairs=150, seed=1)
         assert report["ok"]
         assert report["min_slack"] >= 0.0
 
     def test_convention_small(self):
-        report = suite_convention(n_diagrams=10, n_svalues=20, seed=1)
+        report = suite_convention(seed=1)
         assert report["ok"]
         assert report["worst_gap"] <= report["tol"]
 
@@ -40,7 +40,7 @@ class TestSuites:
         assert len(report["families"]) == 6
 
     def test_run_suite_dispatch(self):
-        assert run_suite("convention", seed=3, n_diagrams=5, n_svalues=5)["suite"] == "convention"
+        assert run_suite("convention", seed=3)["suite"] == "convention"
         with pytest.raises(ValueError):
             run_suite("nonsense")
 
