@@ -17,6 +17,7 @@ from permshape import (
     height_profile,
     limit_curve,
     omega,
+    plant_fixed_points,
     remove_fixed_points,
     scaled_sup_distance,
     schensted_shape,
@@ -29,8 +30,10 @@ OUT = Path(__file__).resolve().parent
 p = Permutation([5, 3, 2, 1, 4, 6])
 print(f"word:            {p.to_text()}")
 print(f"cycle stats:     {cycle_stats(p)}")
-split = remove_fixed_points(p)
-print(f"fixed points:    {split.fixed_set}, remainder {split.reduced.to_text()}")
+fixed, reduced = remove_fixed_points(p)
+assert plant_fixed_points(fixed, reduced) == p  # the split loses nothing
+fixed_set = tuple(int(v) + 1 for v in fixed)
+print(f"fixed points:    {fixed_set}, remainder {reduced.to_text()}")
 print(f"shape:           {schensted_shape(p).to_text()}")
 print()
 

@@ -27,11 +27,10 @@ from .oracles import (
 )
 from .perm import (
     CycleStats,
-    FixedPointSplit,
     Permutation,
     conjugate,
     cycle_stats,
-    insert_fixed_points,
+    plant_fixed_points,
     remove_fixed_points,
     square,
 )

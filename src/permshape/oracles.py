@@ -154,10 +154,10 @@ def check_fixed_point_bounds(p: Permutation) -> CheckResult:
       4. rows(b) <= rows(a) <= rows(b) + 1
     Returns the first violated inequality with its indices, or pass.
     """
-    split = remove_fixed_points(p)
-    m = len(split.fixed_set)
+    fixed, reduced = remove_fixed_points(p)
+    m = fixed.shape[0]
     a = schensted_shape(p)
-    b = schensted_shape(split.reduced)
+    b = schensted_shape(reduced)
     a1, b1 = a.part(1), b.part(1)
 
     def fail(name: str, **kw) -> CheckResult:

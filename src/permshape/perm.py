@@ -126,14 +126,6 @@ class CycleStats:
     fixed_points_of_square: int
 
 
-@dataclass(frozen=True)
-class FixedPointSplit:
-    """A permutation written as (fixed-point set, fixed-point-free remainder)."""
-
-    fixed_set: tuple[int, ...]
-    reduced: Permutation
-
-
 def cycle_stats(p: Permutation) -> CycleStats:
     """Count cycles, fixed points, 2-cycles, and fixed points of the square in O(n)."""
     num_cycles, fixed, two = cycle_scan(p.zero_based)
@@ -162,43 +154,34 @@ def conjugate(p: Permutation, r: Permutation) -> Permutation:
     return Permutation.from_zero_based(out)
 
 
-def remove_fixed_points(p: Permutation) -> FixedPointSplit:
-    """Split p into its fixed-point set and the relabeled remainder.
-
-    The remainder is the restriction of p to the non-fixed positions,
-    relabeled to {1..k} by the unique order-preserving bijection; it has no
-    fixed points. ``insert_fixed_points`` undoes the split exactly.
+def remove_fixed_points(p: Permutation) -> tuple[np.ndarray, Permutation]:
+    """Split p into its fixed points, a sorted 0-based int64 array, and the
+    remainder: the restriction of p to the other points, relabeled to
+    {1..k} by the unique order-preserving bijection, which has no fixed
+    points. ``plant_fixed_points`` undoes the split exactly.
     """
     z = p.zero_based
     idx = np.arange(p.n, dtype=np.int64)
     fixed_mask = z == idx
-    fixed = idx[fixed_mask]
     rest = idx[~fixed_mask]
-    reduced = np.searchsorted(rest, z[rest])
-    return FixedPointSplit(
-        fixed_set=tuple(int(v) + 1 for v in fixed),
-        reduced=Permutation.from_zero_based(reduced),
-    )
+    return idx[fixed_mask], Permutation.from_zero_based(np.searchsorted(rest, z[rest]))
 
 
 def plant_fixed_points(fixed: np.ndarray, core: Permutation) -> Permutation:
     """The permutation of size len(fixed) + core.n that fixes the distinct
-    0-based points ``fixed`` and acts as ``core`` on the other points,
-    relabeled order-preservingly."""
+    0-based points ``fixed``, in any order, and acts as ``core`` on the
+    other points, relabeled order-preservingly; the inverse of
+    ``remove_fixed_points``. A point outside 0..n-1, or given twice, is an
+    error."""
     n = fixed.shape[0] + core.n
+    if fixed.shape[0] and (fixed.min() < 0 or fixed.max() >= n):
+        raise ValueError(f"fixed points outside 0..{n - 1}")
     mask = np.zeros(n, dtype=bool)
     mask[fixed] = True
     rest = np.flatnonzero(~mask)
+    if rest.shape[0] != core.n:
+        raise ValueError("a fixed point is given twice")
     out = np.empty(n, dtype=np.int64)
     out[fixed] = fixed
     out[rest] = rest[core.zero_based]
     return Permutation.from_zero_based(out)
-
-
-def insert_fixed_points(split: FixedPointSplit) -> Permutation:
-    """Reconstruct the original permutation from a FixedPointSplit."""
-    fixed = np.asarray(split.fixed_set, dtype=np.int64) - 1
-    n = split.reduced.n + fixed.shape[0]
-    if fixed.shape[0] and (fixed.min() < 0 or fixed.max() >= n):
-        raise ValueError("fixed_set outside 1..n")
-    return plant_fixed_points(fixed, split.reduced)

@@ -96,15 +96,18 @@ class RegimeSpec:
     ``FIX_RULES``. The target is clamped to [0, n] and may be adjusted by
     +-1 when the core needs it (``CORES`` gives the core sizes each core
     allows). The realized count is visible on the sampled permutation itself.
+
+    Exactly the keys the regime reads (``keys()``) are given; every other
+    key stays None.
     """
 
     ensemble: str
     core: str | None = None
     fix_rule: str | None = None
-    theta: float = 1.0
-    beta: float = 0.5
-    p: float = 0.0
-    c: float = 0.0
+    theta: float | None = None
+    beta: float | None = None
+    p: float | None = None
+    c: float | None = None
     cycle_type: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -115,18 +118,26 @@ class RegimeSpec:
             if not value or (choices and value not in choices):
                 among = f" in {tuple(choices)}" if choices else ""
                 raise ValueError(f"{self.ensemble} regime needs a {key}{among}")
-        if not 0.0 < self.theta < math.inf:
+        keys = self.keys()
+        rule = f" with fix_rule {self.fix_rule}" if "fix_rule" in keys else ""
+        unread = sorted(k for k in REGIME_KEYS if k not in keys and getattr(self, k) is not None)
+        if unread:
+            raise ValueError(f"ensemble {self.ensemble}{rule} does not read {', '.join(unread)}")
+        for key in keys:
+            if getattr(self, key) is None:
+                raise ValueError(f"ensemble {self.ensemble}{rule} needs {key}")
+        if self.theta is not None and not 0.0 < self.theta < math.inf:
             raise ValueError("theta must be positive and finite")
-        if not 0.0 < self.beta < 1.0:
+        if self.beta is not None and not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if not 0.0 <= self.p <= 1.0:
+        if self.p is not None and not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-        if not 0.0 <= self.c < math.inf:
+        if self.c is not None and not 0.0 <= self.c < math.inf:
             raise ValueError("c must be non-negative and finite")
         parts = self.cycle_type or ()
         if any(a < 1 for a in parts) or any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError(f"cycle_type needs positive, weakly decreasing parts, got {parts}")
-        for key in FIX_RULES[self.fix_rule][2] if self.fix_rule in FIX_RULES else ():
+        for key in FIX_RULES[self.fix_rule][2] if self.fix_rule else ():
             if getattr(self, key) % 1:
                 raise ValueError(f"fix_rule {self.fix_rule} needs a whole number {key}, "
                                  f"got {getattr(self, key)}")
@@ -159,15 +170,8 @@ class RegimeSpec:
     @classmethod
     def from_mapping(cls, kv: Mapping[str, str]) -> "RegimeSpec":
         """The regime the ``key = value`` settings name; the ensemble
-        defaults to uniform, and a key the regime does not read is an
-        error."""
-        spec = cls(**parse_values({"ensemble": "uniform", **kv}, REGIME_KEYS))
-        keys = spec.keys()
-        unread = sorted(set(kv) - set(keys))
-        if unread:
-            rule = f" with fix_rule {spec.fix_rule}" if "fix_rule" in keys else ""
-            raise ValueError(f"ensemble {spec.ensemble}{rule} does not read {', '.join(unread)}")
-        return spec
+        defaults to uniform."""
+        return cls(**parse_values({"ensemble": "uniform", **kv}, REGIME_KEYS))
 
     @classmethod
     def from_text(cls, text: str) -> "RegimeSpec":
@@ -288,7 +292,7 @@ def _sample_composite(spec: RegimeSpec, n: int, rng: np.random.Generator) -> Per
         m = m - 1 if m > 0 else m + 1
     if not 0 <= m <= n or not size_ok(n - m):
         raise ValueError(f"no valid fixed-point count near target for n={n}")
-    fixed = np.sort(rng.choice(n, size=m, replace=False)) if m else np.empty(0, dtype=np.int64)
+    fixed = rng.choice(n, size=m, replace=False) if m else np.empty(0, dtype=np.int64)
     return plant_fixed_points(fixed, sample_core(n - m, rng))
 
 

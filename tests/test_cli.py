@@ -113,6 +113,13 @@ class TestSample:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "does not read" in err
 
+    def test_a_parameter_the_fix_rule_reads_left_out(self, capsys):
+        # no default stands in for it: without --p this drew the bare core
+        code, out, err = run_cli(capsys, "sample", "--n", "4", "--seed", "1", "--ensemble",
+                                 "composite", "--core", "n_cycle", "--fix-rule", "linear")
+        assert code == 1 and out == ""
+        assert err == "error: ensemble composite with fix_rule linear needs p\n"
+
     @pytest.mark.parametrize("argv", [
         pytest.param(["sample", "--n", "4", "--ensemble", "nope"], id="unknown-choice"),
         pytest.param(["sample", "--n", "four"], id="non-integer"),
@@ -191,6 +198,26 @@ class TestExperiment:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config, flags, missing", [
+        pytest.param("fix_rule = linear\n", [], "p", id="linear-without-p"),
+        pytest.param("fix_rule = constant\n", [], "c", id="constant-without-c"),
+        pytest.param("fix_rule = power\nc = 1\n", [], "beta", id="power-without-beta"),
+        pytest.param(None, ["--fix-rule", "power", "--beta", "0.5"], "c", id="power-without-c"),
+        pytest.param(None, ["--fix-rule", "theta_log"], "theta", id="theta_log-without-theta"),
+    ])
+    def test_a_parameter_the_fix_rule_reads_left_out(self, capsys, tmp_path, config, flags,
+                                                      missing):
+        argv = ["experiment", "--n", "10", "--seed", "1", "--out", str(tmp_path / "o"),
+                "--ensemble", "composite", "--core", "n_cycle", *flags]
+        if config is not None:
+            (tmp_path / "c.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "c.cfg")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and err.endswith(f" needs {missing}\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("parts", ["1,2", "0,3"])

@@ -28,6 +28,15 @@ def test_table_parameters_are_regime_keys_and_spec_fields():
             assert set(reads) <= set(REGIME_KEYS), name
 
 
+def test_regime_fields_after_ensemble_are_the_regime_keys_and_default_to_none():
+    # a default would stand in for a key a regime reads but a config left out
+    ensemble, *rest = dataclasses.fields(RegimeSpec)
+    assert ensemble.name == "ensemble"
+    assert [f.name for f in rest] == [key for key in REGIME_KEYS if key != "ensemble"]
+    for field in rest:
+        assert field.default is None, field.name
+
+
 def test_sample_help_lists_one_flag_per_regime_key(capsys):
     with pytest.raises(SystemExit):
         cli.main(["sample", "--help"])

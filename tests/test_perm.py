@@ -8,7 +8,7 @@ from permshape.perm import (
     Permutation,
     conjugate,
     cycle_stats,
-    insert_fixed_points,
+    plant_fixed_points,
     remove_fixed_points,
     square,
 )
@@ -141,35 +141,52 @@ class TestConjugate:
 
 
 class TestFixedPointSplit:
+    # fixed points come back 0-based; + 1 reads them as the 1-based points of p
     def test_paper_example(self):
-        split = remove_fixed_points(Permutation([5, 3, 2, 1, 4, 6]))
-        assert split.fixed_set == (6,)
-        assert split.reduced == Permutation([5, 3, 2, 1, 4])
+        fixed, reduced = remove_fixed_points(Permutation([5, 3, 2, 1, 4, 6]))
+        assert fixed.dtype == np.int64 and (fixed + 1).tolist() == [6]
+        assert reduced == Permutation([5, 3, 2, 1, 4])
 
     def test_identity_reduces_to_empty(self):
-        split = remove_fixed_points(Permutation.identity(3))
-        assert split.fixed_set == (1, 2, 3)
-        assert split.reduced.n == 0
+        fixed, reduced = remove_fixed_points(Permutation.identity(3))
+        assert (fixed + 1).tolist() == [1, 2, 3]
+        assert reduced.n == 0
 
     def test_relabel_is_order_preserving(self):
-        split = remove_fixed_points(Permutation([3, 4, 1, 2, 5]))
-        assert split.fixed_set == (5,)
-        assert split.reduced == Permutation([3, 4, 1, 2])
+        fixed, reduced = remove_fixed_points(Permutation([3, 4, 1, 2, 5]))
+        assert (fixed + 1).tolist() == [5]
+        assert reduced == Permutation([3, 4, 1, 2])
 
     def test_interleaved_relabeling(self):
         # fixed points in the middle force a nontrivial relabeling
-        split = remove_fixed_points(Permutation([4, 2, 3, 1]))
-        assert split.fixed_set == (2, 3)
-        assert split.reduced == Permutation([2, 1])
+        fixed, reduced = remove_fixed_points(Permutation([4, 2, 3, 1]))
+        assert (fixed + 1).tolist() == [2, 3]
+        assert reduced == Permutation([2, 1])
 
     @given(perm_words)
     def test_round_trip(self, word):
         p = Permutation(word)
-        split = remove_fixed_points(p)
-        assert cycle_stats(split.reduced).fixed_points == 0
-        assert insert_fixed_points(split) == p
+        fixed, reduced = remove_fixed_points(p)
+        assert cycle_stats(reduced).fixed_points == 0
+        assert plant_fixed_points(fixed, reduced) == p
 
     def test_round_trip_large(self):
         rng = np.random.default_rng(123)
         p = Permutation.from_zero_based(rng.permutation(1000))
-        assert insert_fixed_points(remove_fixed_points(p)) == p
+        assert plant_fixed_points(*remove_fixed_points(p)) == p
+
+    def test_plant_ignores_the_order_of_the_points(self):
+        core = Permutation([2, 1])
+        assert plant_fixed_points(np.array([3, 0]), core) == Permutation([1, 3, 2, 4])
+        assert plant_fixed_points(np.array([0, 3]), core) == Permutation([1, 3, 2, 4])
+
+    @pytest.mark.parametrize("point", [-1, 2])
+    def test_plant_rejects_a_point_outside_the_permutation(self, point):
+        # n = 2 here; numpy would wrap -1 to the last point
+        with pytest.raises(ValueError, match="outside"):
+            plant_fixed_points(np.array([point]), Permutation([1]))
+
+    def test_plant_rejects_a_point_given_twice(self):
+        # else the core's image would be written twice: the word 1 2 2
+        with pytest.raises(ValueError, match="twice"):
+            plant_fixed_points(np.array([0, 0]), Permutation([1]))

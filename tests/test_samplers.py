@@ -2,10 +2,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from permshape.perm import Permutation, cycle_stats, square
 from permshape.samplers import (
+    CORES,
+    ENSEMBLES,
+    FIX_RULES,
     RegimeSpec,
     derive_rng,
     parse_key_values,
@@ -15,6 +20,27 @@ from permshape.samplers import (
     sample_uniform,
     sample_uniform_involution,
 )
+
+
+@st.composite
+def regime_kwargs(draw):
+    """Keyword sets near a valid regime: the keys the tables say it reads,
+    with at most one key flipped between given and left out."""
+    ensemble = draw(st.sampled_from(sorted(ENSEMBLES)))
+    fix_rule = draw(st.sampled_from(sorted(FIX_RULES)))
+    values = {
+        "core": draw(st.sampled_from(sorted(CORES))),
+        "fix_rule": fix_rule,
+        **{key: draw(st.floats(0.0, 3.0)) for key in ("theta", "beta", "p", "c")},
+        "cycle_type": draw(st.lists(st.integers(1, 4), max_size=4)
+                           .map(lambda parts: tuple(sorted(parts, reverse=True)))),
+    }
+    reads = set(ENSEMBLES[ensemble][0])
+    if "fix_rule" in reads:
+        reads |= set(FIX_RULES[fix_rule][0])
+    flipped = draw(st.sets(st.sampled_from(sorted(values)), max_size=1))
+    given_keys = reads ^ flipped
+    return {"ensemble": ensemble, **{k: v for k, v in values.items() if k in given_keys}}
 
 
 def assert_uniform_over_cells(counts, n_cells, total, alpha=1e-3):
@@ -259,6 +285,37 @@ class TestRegimeSpec:
             RegimeSpec(ensemble="n_cycle"),
         ):
             assert RegimeSpec.from_text(spec.to_text()) == spec
+
+    @given(regime_kwargs())
+    def test_constructor_and_text_accept_the_same_regimes(self, kwargs):
+        text = "\n".join(f"{key} = {','.join(map(str, v)) if isinstance(v, tuple) else v}"
+                         for key, v in kwargs.items())
+        try:
+            spec = RegimeSpec(**kwargs)
+        except ValueError:
+            with pytest.raises(ValueError):
+                RegimeSpec.from_text(text)
+            return
+        assert RegimeSpec.from_text(text) == spec
+        assert RegimeSpec.from_text(spec.to_text()) == spec
+
+    def test_a_key_the_regime_does_not_read_is_rejected(self):
+        with pytest.raises(ValueError, match="ensemble uniform does not read p$"):
+            RegimeSpec(ensemble="uniform", p=0.5)
+        with pytest.raises(ValueError, match="with fix_rule constant does not read theta$"):
+            RegimeSpec(ensemble="composite", core="n_cycle", fix_rule="constant", c=2, theta=7)
+
+    @pytest.mark.parametrize("fix_rule, given_params, missing", [
+        ("constant", {}, "c"),
+        ("theta_log", {}, "theta"),
+        ("power", {"c": 1.0}, "beta"),
+        ("power", {"beta": 0.5}, "c"),
+        ("linear", {}, "p"),
+    ])
+    def test_a_parameter_the_fix_rule_reads_is_required(self, fix_rule, given_params, missing):
+        # no default stands in for it: a missing c is not c = 0
+        with pytest.raises(ValueError, match=f"with fix_rule {fix_rule} needs {missing}$"):
+            RegimeSpec(ensemble="composite", core="n_cycle", fix_rule=fix_rule, **given_params)
 
     def test_to_text_writes_only_keys_the_ensemble_reads(self):
         assert RegimeSpec(ensemble="n_cycle").to_text() == "ensemble = n_cycle"
