@@ -1,8 +1,9 @@
 /* Compiled kernels for permshape._kernels: the fused patience-sorting pass
- * for the LIS and LDS, banded row-peeling Schensted shape, and the cycle
- * scan. Each keeps the integer semantics of the pure-Python reference next
- * to it (strict increase, i.e. bisect_left). The caller allocates every
- * buffer, so no function here can fail.
+ * for the LIS and LDS, banded row-peeling Schensted shape, the cycle scan,
+ * and the Greene subset scan. Each keeps the integer semantics of the
+ * pure-Python reference next to it (strict increase, i.e. bisect_left). The
+ * caller allocates one scratch array per call for everything a kernel
+ * writes, so no function here can fail.
  *
  * Why a patience step grows the pile count in a branch: the next search
  * starts from the pile count, so with k += (j == k) every search waits for
@@ -55,12 +56,14 @@ static inline int64_t patience_step(int64_t *tops, int64_t k, int64_t x)
     return k;
 }
 
-/* Lengths of the longest strictly increasing (out[0]) and strictly
- * decreasing (out[1]) subsequences of values[0..n), in one pass: the LDS is
- * the LIS of ~x, which reverses the order of every int64 (-x overflows on
- * INT64_MIN). inc, dec: n scratch slots each. */
-void ps_lis_lds(const int64_t *values, int64_t n, int64_t *inc, int64_t *dec, int64_t *out)
+/* Lengths of the longest strictly increasing (scratch[0]) and strictly
+ * decreasing (scratch[1]) subsequences of values[0..n), in one pass: the
+ * LDS is the LIS of ~x, which reverses the order of every int64 (-x
+ * overflows on INT64_MIN). scratch: 2 + 2n slots, the two lengths, then the
+ * piles of each chain. */
+void ps_lis_lds(const int64_t *values, int64_t n, int64_t *scratch)
 {
+    int64_t *out = scratch, *inc = scratch + 2, *dec = scratch + 2 + n;
     int64_t ki = 0, kd = 0;
     for (int64_t idx = 0; idx < n; idx++) {
         int64_t x = values[idx];
@@ -96,12 +99,12 @@ static inline void place(int64_t *cur, struct row *row)
 }
 
 /* Lengths of the first max_rows rows (all of them, when there are fewer) of
- * the insertion tableau of values[0..n), written to row_lengths; returns how
- * many were written. Row r evolves by patience with replacement, and the
- * letters bumped out of row r, in bump order, are the insertion stream for
- * row r+1, so the rows come out in order and the peeling can stop early.
- * row_lengths: min(n, max_rows) slots; cur: n scratch slots; tops: the sum
- * of n / r over r = 1..min(max_rows, SHAPE_BAND) scratch slots.
+ * the insertion tableau of values[0..n), written to scratch[0..); returns
+ * how many were written. Row r evolves by patience with replacement, and
+ * the letters bumped out of row r, in bump order, are the insertion stream
+ * for row r+1, so the rows come out in order and the peeling can stop early.
+ * scratch: the row lengths, min(n, max_rows) slots; then cur, n slots; then
+ * tops, the sum of n / r over r = 1..min(max_rows, SHAPE_BAND) slots.
  *
  * Each pass peels a band of min(SHAPE_BAND, rows still wanted) rows from
  * the m letters in cur. All their queues share cur in place: a row writes
@@ -112,9 +115,10 @@ static inline void place(int64_t *cur, struct row *row)
  * the bottom up, so a row never reads a letter queued in the same step.
  * Row r of a band is the (r+1)-th row of the tableau of the band's input,
  * so it has at most m / (r+1) piles: that is its segment of tops. */
-int64_t ps_shape(const int64_t *values, int64_t n, int64_t max_rows,
-                 int64_t *row_lengths, int64_t *cur, int64_t *tops)
+int64_t ps_shape(const int64_t *values, int64_t n, int64_t max_rows, int64_t *scratch)
 {
+    int64_t limit = max_rows < n ? max_rows : n;
+    int64_t *row_lengths = scratch, *cur = scratch + limit, *tops = cur + n;
     int64_t nrows = 0;
     int64_t m = n;
     for (int64_t i = 0; i < n; i++)
@@ -145,10 +149,13 @@ int64_t ps_shape(const int64_t *values, int64_t n, int64_t max_rows,
     return nrows;
 }
 
-/* Cycle counts of the 0-based permutation perm[0..n): out[0] cycles,
- * out[1] fixed points, out[2] 2-cycles. seen: n zeroed bytes. */
-void ps_cycle_scan(const int64_t *perm, int64_t n, uint8_t *seen, int64_t *out)
+/* Cycle counts of the 0-based permutation perm[0..n): scratch[0] cycles,
+ * scratch[1] fixed points, scratch[2] 2-cycles. scratch: 3 + ceil(n / 8)
+ * zeroed slots, the counts, then one seen byte per letter. */
+void ps_cycle_scan(const int64_t *perm, int64_t n, int64_t *scratch)
 {
+    int64_t *out = scratch;
+    uint8_t *seen = (uint8_t *)(scratch + 3);
     int64_t num_cycles = 0, fixed = 0, two = 0;
     for (int64_t start = 0; start < n; start++) {
         if (seen[start])
@@ -167,4 +174,84 @@ void ps_cycle_scan(const int64_t *perm, int64_t n, uint8_t *seen, int64_t *out)
     out[0] = num_cycles;
     out[1] = fixed;
     out[2] = two;
+}
+
+/* Largest letter count ps_greene scans: its pile arrays are fixed. */
+#define GREENE_MAX_N 16
+
+/* First index i in [0, k) with tops[i] >= x, or k when there is none. A
+ * plain bisection of its own: the oracle shares no code with the patience
+ * kernels it checks, so a fault in lower_bound cannot make them agree. */
+static int64_t greene_bisect(const int64_t *tops, int64_t k, int64_t x)
+{
+    int64_t lo = 0, hi = k;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (tops[mid] < x)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* The state of one subset scan: the word, the best subset sizes found for
+ * each restricted LDS (best_inc) and LIS (best_dec) length, and the pile
+ * tops of the current subset; slots at and past a pile count are scratch. */
+struct greene {
+    const int64_t *word;
+    int64_t n;
+    int64_t *best_inc, *best_dec;
+    int64_t tops_inc[GREENE_MAX_N], tops_dec[GREENE_MAX_N];
+};
+
+/* Visit every subset that extends the current one (size - 1 letters, with
+ * k_inc and k_dec piles) by one position at or after start, depth first:
+ * place the letter on both pile sets, record the subset, recurse, undo. The
+ * decreasing piles hold ~x, as in ps_lis_lds. */
+static void greene_extend(struct greene *g, int64_t start, int64_t size,
+                          int64_t k_inc, int64_t k_dec)
+{
+    for (int64_t i = start; i < g->n; i++) {
+        int64_t x = g->word[i];
+        int64_t j_inc = greene_bisect(g->tops_inc, k_inc, x);
+        int64_t j_dec = greene_bisect(g->tops_dec, k_dec, ~x);
+        int64_t old_inc = g->tops_inc[j_inc], old_dec = g->tops_dec[j_dec];
+        g->tops_inc[j_inc] = x;
+        g->tops_dec[j_dec] = ~x;
+        int64_t lis_len = k_inc + (j_inc == k_inc);
+        int64_t lds_len = k_dec + (j_dec == k_dec);
+        if (size > g->best_inc[lds_len])
+            g->best_inc[lds_len] = size;
+        if (size > g->best_dec[lis_len])
+            g->best_dec[lis_len] = size;
+        if (i + 1 < g->n)
+            greene_extend(g, i + 1, size + 1, lis_len, lds_len);
+        g->tops_inc[j_inc] = old_inc;
+        g->tops_dec[j_dec] = old_dec;
+    }
+}
+
+/* Greene invariants of a word of n <= GREENE_MAX_N distinct letters: the
+ * largest union of i increasing (decreasing) subsequences, i = 1..n. A word
+ * splits into at most d increasing subsequences iff its LDS is at most d,
+ * so the i-th increasing invariant is the largest subset whose LDS is at
+ * most i; the scan visits every nonempty subset once, as its prefix plus
+ * one later position, and keeps the largest size for each LDS (LIS) length.
+ * scratch: 3n + 2 slots, the word in [0, n) on entry; on return the
+ * increasing invariants are in [n + 1, 2n + 1) and the decreasing ones in
+ * [2n + 2, 3n + 2). */
+void ps_greene(int64_t *scratch, int64_t n)
+{
+    struct greene g = {scratch, n, scratch + n, scratch + 2 * n + 1, {0}, {0}};
+    for (int64_t d = 0; d <= n; d++)
+        g.best_inc[d] = g.best_dec[d] = 0;
+    if (n > 0)
+        greene_extend(&g, 0, 1, 0, 0);
+    for (int64_t d = 1; d <= n; d++) {
+        if (g.best_inc[d] < g.best_inc[d - 1])
+            g.best_inc[d] = g.best_inc[d - 1];
+        if (g.best_dec[d] < g.best_dec[d - 1])
+            g.best_dec[d] = g.best_dec[d - 1];
+    }
 }

@@ -1,4 +1,5 @@
-"""Hot loops for patience sorting, Schensted row insertion, and cycle scans.
+"""Hot loops for patience sorting, Schensted row insertion, cycle scans and
+the Greene subset scan.
 
 The fast path is the C source ``_kernels.c`` next to this module. On first
 use the system C compiler ``cc`` builds it into a per-user cache
@@ -12,10 +13,12 @@ against. ``BACKEND`` names the one in use: ``"c"`` or ``"python"``, and
 
 All kernels take plain integer numpy arrays so they stay picklable across
 worker processes; a word of another dtype, or a uint64 one past the int64
-range, is a ValueError on either backend. The wrappers make each buffer a
-contiguous int64 (or uint8) array and pass its raw address: ctypes' own
-array checks would cost more than the kernel on the short words of the
-exact suites.
+range, is a ValueError on either backend. Each wrapper allocates one int64
+scratch array for everything its kernel writes and passes raw addresses:
+that array's, and the word's only where copying a long word into the
+scratch would cost O(n). So a call on the short words of the exact suites
+costs little more than its kernel: each address lookup costs about 2 us on
+a 2-vCPU Xeon, and ctypes' own array checks would cost more.
 """
 
 from __future__ import annotations
@@ -35,16 +38,19 @@ import numpy as np
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 
-# Every buffer is passed as the address of a contiguous array of the dtype
-# the kernel reads (arr.ctypes.data). The caller keeps the array bound to a
-# name until the call returns: an address does not keep its array alive.
+# Every buffer is passed as the address of a contiguous int64 array
+# (arr.ctypes.data). The caller keeps the array bound to a name until the
+# call returns: an address does not keep its array alive.
 _ptr = ctypes.c_void_p
 _i64 = ctypes.c_int64
 _SIGNATURES = {
-    "ps_lis_lds": ([_ptr, _i64, _ptr, _ptr, _ptr], None),
-    "ps_shape": ([_ptr, _i64, _i64, _ptr, _ptr, _ptr], _i64),
-    "ps_cycle_scan": ([_ptr, _i64, _ptr, _ptr], None),
+    "ps_lis_lds": ([_ptr, _i64, _ptr], None),
+    "ps_shape": ([_ptr, _i64, _i64, _ptr], _i64),
+    "ps_cycle_scan": ([_ptr, _i64, _ptr], None),
+    "ps_greene": ([_ptr, _i64], None),
 }
+# the letters ps_greene's fixed pile arrays hold (GREENE_MAX_N in _kernels.c)
+GREENE_MAX_N = 16
 
 
 def _build(source: bytes, target: Path) -> None:
@@ -193,6 +199,47 @@ def _cycle_scan_py(zero_based):
     return num_cycles, fixed, two
 
 
+def _greene_py(word):
+    """(increasing, decreasing) Greene invariants of a word of distinct ints,
+    by the subset scan ``ps_greene`` runs."""
+    from bisect import bisect_left
+
+    n = len(word)
+    # best_inc[d] = largest subset size whose restricted LDS is exactly d
+    best_inc = [0] * (n + 1)
+    best_dec = [0] * (n + 1)
+    # pile tops; slots at and past the pile count are scratch
+    tops_inc = [0] * n
+    tops_dec = [0] * n
+
+    def extend(start: int, size: int, k_inc: int, k_dec: int) -> None:
+        for i in range(start, n):
+            x = word[i]
+            j_inc = bisect_left(tops_inc, x, 0, k_inc)
+            j_dec = bisect_left(tops_dec, -x, 0, k_dec)
+            old_inc, old_dec = tops_inc[j_inc], tops_dec[j_dec]
+            tops_inc[j_inc], tops_dec[j_dec] = x, -x
+            lis_len = k_inc + (j_inc == k_inc)
+            lds_len = k_dec + (j_dec == k_dec)
+            if size > best_inc[lds_len]:
+                best_inc[lds_len] = size
+            if size > best_dec[lis_len]:
+                best_dec[lis_len] = size
+            if i + 1 < n:
+                extend(i + 1, size + 1, lis_len, lds_len)
+            tops_inc[j_inc], tops_dec[j_dec] = old_inc, old_dec
+
+    extend(0, 1, 0, 0)
+    inc, dec = [], []
+    run_inc = run_dec = 0
+    for i in range(1, n + 1):
+        run_inc = max(run_inc, best_inc[i])
+        run_dec = max(run_dec, best_dec[i])
+        inc.append(run_inc)
+        dec.append(run_dec)
+    return tuple(inc), tuple(dec)
+
+
 def lis_length(values: np.ndarray) -> int:
     """Length of the longest strictly increasing subsequence of distinct ints."""
     return lis_lds_lengths(values)[0]
@@ -211,11 +258,10 @@ def lis_lds_lengths(values: np.ndarray) -> tuple[int, int]:
         xs = values.tolist()
         return _lis_py(xs), _lis_py(xs[::-1])
     v = np.ascontiguousarray(values, dtype=np.int64)
-    inc = np.empty(n, dtype=np.int64)
-    dec = np.empty(n, dtype=np.int64)
-    out = np.empty(2, dtype=np.int64)
-    lib.ps_lis_lds(v.ctypes.data, n, inc.ctypes.data, dec.ctypes.data, out.ctypes.data)
-    return int(out[0]), int(out[1])
+    scratch = np.empty(2 + 2 * n, dtype=np.int64)
+    lib.ps_lis_lds(v.ctypes.data, n, scratch.ctypes.data)
+    ki, kd = scratch[:2].tolist()
+    return ki, kd
 
 
 def insertion_shape(values: np.ndarray, max_rows: int | None = None) -> np.ndarray:
@@ -239,14 +285,12 @@ def insertion_shape(values: np.ndarray, max_rows: int | None = None) -> np.ndarr
         return _shape_py(values.tolist(), max_rows)
     limit = n if max_rows is None else min(n, max_rows)
     v = np.ascontiguousarray(values, dtype=np.int64)
-    rows = np.empty(limit, dtype=np.int64)
-    # the r-th row of a band (r = 1..band) has at most n / r piles
+    # the row lengths, cur, and the tops of a band: its r-th row (r =
+    # 1..band) has at most n / r piles
     band = min(limit, _band_width(lib))
-    tops = np.empty(sum(n // r for r in range(1, band + 1)), dtype=np.int64)
-    cur = np.empty(n, dtype=np.int64)
-    nrows = lib.ps_shape(v.ctypes.data, n, limit, rows.ctypes.data, cur.ctypes.data,
-                         tops.ctypes.data)
-    return rows[:nrows].copy()
+    scratch = np.empty(limit + n + sum(n // r for r in range(1, band + 1)), dtype=np.int64)
+    nrows = lib.ps_shape(v.ctypes.data, n, limit, scratch.ctypes.data)
+    return scratch[:nrows].copy()
 
 
 def cycle_scan(zero_based: np.ndarray) -> tuple[int, int, int]:
@@ -261,10 +305,35 @@ def cycle_scan(zero_based: np.ndarray) -> tuple[int, int, int]:
     if lib is None:
         return _cycle_scan_py(zero_based)
     v = np.ascontiguousarray(zero_based, dtype=np.int64)
-    seen = np.zeros(n, dtype=np.uint8)
-    out = np.empty(3, dtype=np.int64)
-    lib.ps_cycle_scan(v.ctypes.data, n, seen.ctypes.data, out.ctypes.data)
-    return int(out[0]), int(out[1]), int(out[2])
+    # the three counts, then n seen bytes
+    scratch = np.zeros(3 + (n + 7) // 8, dtype=np.int64)
+    lib.ps_cycle_scan(v.ctypes.data, n, scratch.ctypes.data)
+    num_cycles, fixed, two = scratch[:3].tolist()
+    return num_cycles, fixed, two
+
+
+def greene_invariants(values: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Greene invariants of a word of at most ``GREENE_MAX_N`` distinct ints:
+    the largest union of i increasing, and of i decreasing, subsequences,
+    for i = 1..n.
+
+    The subset scan is exponential: it visits all 2**n - 1 nonempty subsets,
+    each as its prefix plus one later position, so a subset's patience piles
+    are its prefix's piles with one letter placed.
+    """
+    _check_word(values)
+    n = values.shape[0]
+    if n > GREENE_MAX_N:
+        raise ValueError(f"n={n} too large for the subset scan (max {GREENE_MAX_N})")
+    lib = _library()
+    if lib is None:
+        return _greene_py(values.tolist())
+    # the word, then the best subset sizes for each LDS and LIS length
+    scratch = np.empty(3 * n + 2, dtype=np.int64)
+    scratch[:n] = values
+    lib.ps_greene(scratch.ctypes.data, n)
+    out = scratch.tolist()
+    return tuple(out[n + 1:2 * n + 1]), tuple(out[2 * n + 2:])
 
 
 def warm_up() -> None:

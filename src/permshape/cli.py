@@ -11,6 +11,7 @@ any run can be reproduced bit for bit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import secrets
 import sys
@@ -203,7 +204,10 @@ def cmd_info(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once a process: each build leaves hundreds of
+    argparse objects in reference cycles that only a full collection frees."""
     parser = _Parser(
         prog="permshape",
         description="Robinson-Schensted shapes of conjugacy-invariant random permutations",

@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -201,6 +200,9 @@ def run_experiment(cfg: ExperimentConfig,
     if workers == 1:
         records = [run_trial(*task) for task in tasks]
     else:
+        # imported here: it loads multiprocessing, about 30 ms of every start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_trial_star, tasks, chunksize=8))
     return records, summarize(records)

@@ -7,20 +7,22 @@ i + 1. That characterization (a word decomposes into at most i increasing
 subsequences iff its longest decreasing subsequence has length at most i) is
 the oracle's single mathematical step and is itself validated against
 ``max_union_of_increasing``, an explicit backtracking enumeration of unions.
+
+The subset scan runs compiled (``_kernels.greene_invariants``), with its
+own bisection, so it shares no search code with the patience kernels it
+checks; the Python scan ``_kernels._greene_py`` is its reference and its
+fallback.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
+from ._kernels import greene_invariants
 from .diagram import YoungDiagram
 from .perm import Permutation, remove_fixed_points
 from .rsk import schensted_shape
 from .shape_geom import bound_dominates_distance, profile_distance_bound, sup_profile_distance
-
-MAX_BRUTEFORCE_N = 16
-
 
 @dataclass(frozen=True)
 class GreeneReport:
@@ -35,46 +37,11 @@ def greene_report(p: Permutation) -> GreeneReport:
 
     Every nonempty subset is visited once, depth first, as its prefix plus
     one later position. So its patience piles (the LIS on the values, the
-    LDS on the negated values) are its prefix's piles with one letter
-    placed, and the placement is undone on the way back.
+    LDS on the reversed values) are its prefix's piles with one letter
+    placed, and the placement is undone on the way back. A ValueError past
+    ``GREENE_MAX_N`` = 16 letters.
     """
-    n = p.n
-    if n > MAX_BRUTEFORCE_N:
-        raise ValueError(f"n={n} too large for the subset scan (max {MAX_BRUTEFORCE_N})")
-    word = p.zero_based.tolist()
-    # best_inc[d] = largest subset size whose restricted LDS is exactly d
-    best_inc = [0] * (n + 1)
-    best_dec = [0] * (n + 1)
-    # pile tops; slots at and past the pile count are scratch
-    tops_inc = [0] * n
-    tops_dec = [0] * n
-
-    def extend(start: int, size: int, k_inc: int, k_dec: int) -> None:
-        for i in range(start, n):
-            x = word[i]
-            j_inc = bisect_left(tops_inc, x, 0, k_inc)
-            j_dec = bisect_left(tops_dec, -x, 0, k_dec)
-            old_inc, old_dec = tops_inc[j_inc], tops_dec[j_dec]
-            tops_inc[j_inc], tops_dec[j_dec] = x, -x
-            lis_len = k_inc + (j_inc == k_inc)
-            lds_len = k_dec + (j_dec == k_dec)
-            if size > best_inc[lds_len]:
-                best_inc[lds_len] = size
-            if size > best_dec[lis_len]:
-                best_dec[lis_len] = size
-            if i + 1 < n:
-                extend(i + 1, size + 1, lis_len, lds_len)
-            tops_inc[j_inc], tops_dec[j_dec] = old_inc, old_dec
-
-    extend(0, 1, 0, 0)
-    inc, dec = [], []
-    run_inc = run_dec = 0
-    for i in range(1, n + 1):
-        run_inc = max(run_inc, best_inc[i])
-        run_dec = max(run_dec, best_dec[i])
-        inc.append(run_inc)
-        dec.append(run_dec)
-    return GreeneReport(tuple(inc), tuple(dec))
+    return GreeneReport(*greene_invariants(p.zero_based))
 
 
 def greene_bruteforce(p: Permutation, i: int, decreasing: bool = False) -> int:

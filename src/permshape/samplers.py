@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
@@ -111,6 +112,13 @@ class RegimeSpec:
     cycle_type: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if self.cycle_type is not None:
+            # a list from a Python caller is stored as the tuple config text gives
+            try:
+                parts = tuple(map(operator.index, self.cycle_type))
+            except TypeError:
+                raise ValueError(f"cycle_type needs integer parts, got {self.cycle_type}") from None
+            object.__setattr__(self, "cycle_type", parts)
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         for key in ENSEMBLES[self.ensemble][0]:

@@ -336,6 +336,33 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert done.stdout.strip() == "False False"
 
 
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # concurrent.futures.process loads multiprocessing, about 30 ms of every
+    # start-up; only run_experiment with workers > 1 needs it
+    code = "import sys, permshape.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_repeated_calls_leave_no_cyclic_garbage(capsys):
+    # a parser built per call left about 450 argparse objects in reference
+    # cycles each time, which only a full collection frees
+    import gc
+
+    cli.main(["info"])
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            assert cli.main(["info"]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_info(capsys):
     code, out, _ = run_cli(capsys, "info")
     lines = dict(line.split(": ", 1) for line in out.splitlines())

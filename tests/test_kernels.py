@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -14,14 +15,16 @@ from permshape import _kernels, experiments, rsk
 from permshape._kernels import (
     BACKEND,
     _cycle_scan_py,
+    _greene_py,
     _lis_py,
     _shape_py,
     cycle_scan,
+    greene_invariants,
     insertion_shape,
     lis_lds_lengths,
     lis_length,
 )
-from permshape.oracles import greene_report
+from permshape.oracles import GreeneReport, greene_report
 from permshape.perm import Permutation
 from permshape.samplers import RegimeSpec, derive_rng, sample_regime
 
@@ -161,6 +164,25 @@ class TestCompiledMatchesReference:
         with pytest.raises(ValueError):
             cycle_scan(np.array([0, 2], dtype=np.int64))
 
+    def test_greene_scan_on_every_small_permutation(self):
+        for n in range(8):
+            for word in itertools.permutations(range(n)):
+                assert greene_invariants(np.asarray(word, dtype=np.int64)) == _greene_py(word)
+
+    @pytest.mark.parametrize("n, draws", [(8, 200), (9, 200), (10, 200), (16, 5)])
+    def test_greene_scan_on_uniform_draws(self, n, draws):
+        rng = np.random.default_rng(n)
+        for _ in range(draws):
+            word = rng.permutation(n).astype(np.int64)
+            assert greene_invariants(word) == _greene_py(word.tolist())
+
+    @given(st.lists(st.integers(-3, 3) | st.sampled_from([INT64_MIN, INT64_MAX]), max_size=10))
+    @example([INT64_MIN, INT64_MAX, INT64_MIN, 0, INT64_MAX, -1])
+    def test_greene_scan_on_words_with_repeats(self, xs):
+        # a tie starts no pile (bisect_left), as in the reference; the
+        # decreasing piles hold ~x, which does not overflow at INT64_MIN
+        assert greene_invariants(np.asarray(xs, dtype=np.int64)) == _greene_py(xs)
+
 
 # measurements of one trial -> the kernel passes it makes; a trial that peels
 # does so once, through schensted_shape
@@ -227,6 +249,28 @@ def test_kernels_reject_words_an_int64_view_would_change(monkeypatch, backend, w
     # an unsigned word within the int64 range reads as it is
     small = np.array([2, 0, 1], dtype=np.uint64)
     assert insertion_shape(small).tolist() == [2, 1] and cycle_scan(small) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_greene_scan_sizes(monkeypatch, backend):
+    # an empty word has no invariants; past 16 letters the scan refuses
+    if backend == "python":
+        monkeypatch.setattr(_kernels, "_library", lambda: None)
+    elif BACKEND != "c":
+        pytest.skip("compiled kernels unavailable")
+    assert greene_report(Permutation([])) == GreeneReport((), ())
+    assert greene_report(Permutation([1])) == GreeneReport((1,), (1,))
+    with pytest.raises(ValueError, match="too large"):
+        greene_report(Permutation.identity(17))
+
+
+@compiled
+def test_greene_fallback_gives_the_same_reports(monkeypatch):
+    rng = np.random.default_rng(5)
+    perms = [Permutation.from_zero_based(rng.permutation(n)) for n in range(11) for _ in range(5)]
+    compiled_reports = [greene_report(p) for p in perms]
+    monkeypatch.setattr(_kernels, "_library", lambda: None)
+    assert [greene_report(p) for p in perms] == compiled_reports
 
 
 @compiled

@@ -286,6 +286,15 @@ class TestRegimeSpec:
         ):
             assert RegimeSpec.from_text(spec.to_text()) == spec
 
+    def test_cycle_type_given_as_a_list_is_stored_as_a_tuple(self):
+        # config text always yields a tuple; a Python caller may pass a list
+        spec = RegimeSpec(ensemble="uniform_in_cycle_type", cycle_type=[2, 2])
+        same = RegimeSpec(ensemble="uniform_in_cycle_type", cycle_type=(2, 2))
+        assert spec.cycle_type == (2, 2) and hash(spec) == hash(same) and spec == same
+        assert RegimeSpec.from_text(spec.to_text()) == spec
+        with pytest.raises(ValueError, match="cycle_type"):
+            RegimeSpec(ensemble="uniform_in_cycle_type", cycle_type=[2.5, 1])
+
     @given(regime_kwargs())
     def test_constructor_and_text_accept_the_same_regimes(self, kwargs):
         text = "\n".join(f"{key} = {','.join(map(str, v)) if isinstance(v, tuple) else v}"
