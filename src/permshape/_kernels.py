@@ -117,8 +117,9 @@ def __getattr__(name: str):
 
 
 @functools.cache
-def _band_width(lib: ctypes.CDLL) -> int:
-    return ctypes.c_int64.in_dll(lib, "ps_band_width").value
+def _constant(lib: ctypes.CDLL, name: str) -> int:
+    """An int64 constant the compiled kernels export, such as ``ps_band_width``."""
+    return ctypes.c_int64.in_dll(lib, name).value
 
 
 def info() -> dict[str, str | int | None]:
@@ -127,7 +128,7 @@ def info() -> dict[str, str | int | None]:
     lib = _library()
     if lib is None:
         return {"backend": "python", "library": None, "band_width": 1}
-    return {"backend": "c", "library": lib._name, "band_width": _band_width(lib)}
+    return {"backend": "c", "library": lib._name, "band_width": _constant(lib, "ps_band_width")}
 
 
 def _lis_py(values):
@@ -241,7 +242,8 @@ def _greene_py(word):
 
 
 def lis_length(values: np.ndarray) -> int:
-    """Length of the longest strictly increasing subsequence of distinct ints."""
+    """Length of the longest strictly increasing subsequence of an int word;
+    repeated letters are allowed, and a repeat never extends it."""
     return lis_lds_lengths(values)[0]
 
 
@@ -265,15 +267,20 @@ def lis_lds_lengths(values: np.ndarray) -> tuple[int, int]:
 
 
 def insertion_shape(values: np.ndarray, max_rows: int | None = None) -> np.ndarray:
-    """Row lengths of the Schensted insertion tableau of a distinct-int word.
+    """Row lengths of the Schensted insertion tableau of an int word.
 
-    With ``max_rows`` only the first ``min(max_rows, rows)`` of them: the
-    rows are peeled in order, so k rows cost only the passes that place
-    them, not the Theta(n^1.5) bumps of the whole tableau.
+    Any int64 word is read with strict increase along the rows: a letter
+    bumps the first top >= it (``bisect_left``), so a repeated letter never
+    lengthens a row. With ``max_rows`` only the first ``min(max_rows, rows)``
+    row lengths: the rows are peeled in order, so k rows cost only the
+    passes that place them, not the Theta(n^1.5) bumps of the whole tableau.
     The compiled kernel peels a band of up to ``info()["band_width"]`` rows
-    in one pass, each row a step behind the one above it, so the binary
-    searches of the band's rows overlap on the core instead of running one
-    after another; the shape is the same as the one-row-a-pass reference.
+    in one pass, each row a step behind the one above it, so the searches of
+    the band's rows overlap on the core instead of running one after
+    another. Each bumped letter carries the column it left, and past the
+    first band a row looks for its landing column in the few slots left of
+    that column before it searches the whole row. The shape is the same as
+    the one-row-a-pass reference ``_shape_py``.
     """
     _check_word(values)
     _check_max_rows(max_rows)
@@ -285,10 +292,13 @@ def insertion_shape(values: np.ndarray, max_rows: int | None = None) -> np.ndarr
         return _shape_py(values.tolist(), max_rows)
     limit = n if max_rows is None else min(n, max_rows)
     v = np.ascontiguousarray(values, dtype=np.int64)
-    # the row lengths, cur, and the tops of a band: its r-th row (r =
-    # 1..band) has at most n / r piles
-    band = min(limit, _band_width(lib))
-    scratch = np.empty(limit + n + sum(n // r for r in range(1, band + 1)), dtype=np.int64)
+    # the row lengths, cur (a letter and its column each), and the tops of a
+    # band: its r-th row (r = 1..band) has at most n / r piles, after the
+    # pad slots of its hinted search
+    band = min(limit, _constant(lib, "ps_band_width"))
+    pad = _constant(lib, "ps_hint_window")
+    scratch = np.empty(limit + 2 * n + sum(n // r + pad for r in range(1, band + 1)),
+                       dtype=np.int64)
     nrows = lib.ps_shape(v.ctypes.data, n, limit, scratch.ctypes.data)
     return scratch[:nrows].copy()
 

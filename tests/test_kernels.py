@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+from bisect import bisect_left
 from collections import Counter
 from pathlib import Path
 
@@ -47,6 +48,33 @@ def _zero_based(kind, n, seed):
     if kind == "decreasing":
         return np.arange(n - 1, -1, -1, dtype=np.int64)
     return np.random.default_rng(seed).permutation(n).astype(np.int64)
+
+
+def _received(xs):
+    """(row, letter, column it left, row length, landing column) of every
+    letter a row receives from the row above, by a one-row-a-pass peel."""
+    out = []
+    cur = [(x, None) for x in xs]
+    row = 0
+    while cur:
+        tops, bumped = [], []
+        for x, col in cur:
+            j = bisect_left(tops, x)
+            if col is not None:
+                out.append((row, x, col, len(tops), j))
+            if j == len(tops):
+                tops.append(x)
+            else:
+                bumped.append((tops[j], j))
+                tops[j] = x
+        cur, row = bumped, row + 1
+    return out
+
+
+def _hint_window():
+    """The slots left of a bumped letter's column that the compiled shape
+    kernel checks, after its first band, before it searches the whole row."""
+    return _kernels._constant(_kernels._library(), "ps_hint_window")
 
 
 @compiled
@@ -127,7 +155,7 @@ class TestCompiledMatchesReference:
         full = _shape_py(word.tolist()).tolist()
         assert len(full) == rows
         assert insertion_shape(word).tolist() == full
-        for k in (K - 1, K, K + 1, 2 * K):
+        for k in range(1, 2 * K + 2):
             assert insertion_shape(word, max_rows=k).tolist() == full[:k]
 
     @pytest.mark.parametrize("n", [K - 1, K, K + 1, 2 * K, 2 * K + 1, 100, 3000])
@@ -145,6 +173,40 @@ class TestCompiledMatchesReference:
         full = _shape_py(xs).tolist()
         assert insertion_shape(word).tolist() == full
         for k in (K - 1, K, K + 1, 2 * K):
+            assert insertion_shape(word, max_rows=k).tolist() == full[:k]
+
+    @pytest.mark.parametrize("n", [1000, 3000])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_far_landings_past_the_first_band(self, n, seed):
+        # past the first band a row checks the slots left of the column a
+        # letter left, and searches the rest of the row only when they all
+        # hold tops >= the letter: these words send letters there, negative
+        # ones too, so a pad slot that is not INT64_MIN would count
+        word = np.random.default_rng(seed).permutation(n).astype(np.int64) - n // 2
+        assert any(row >= K and min(col, length) - j > _hint_window()
+                   for row, _, col, length, j in _received(word.tolist()))
+        full = _shape_py(word.tolist()).tolist()
+        assert len(full) >= 2 * K + 1
+        assert insertion_shape(word).tolist() == full
+        for k in range(1, 2 * K + 2):
+            assert insertion_shape(word, max_rows=k).tolist() == full[:k]
+
+    @pytest.mark.parametrize("xs", [
+        [INT64_MIN] * 12,
+        [INT64_MIN] * 3 + [9, 8, 7, 6, 5, 4, 3, 2, 1] + [INT64_MIN] * 6,
+        [5, 4, INT64_MIN, 3, 2, INT64_MIN, 1, 0, INT64_MIN, -1, INT64_MIN] * 3,
+        [x for run in range(8) for x in (INT64_MIN, *range(run, -run - 1, -1))],
+    ])
+    def test_int64_min_in_short_rows_past_the_first_band(self, xs):
+        # INT64_MIN is the one letter the pad slots left of a row's tops
+        # count against: it lands in column 0 of rows shorter than the window
+        assert any(row >= K and x == INT64_MIN and length < _hint_window()
+                   for row, x, _, length, _ in _received(xs))
+        word = np.asarray(xs, dtype=np.int64)
+        full = _shape_py(xs).tolist()
+        assert len(full) >= 2 * K + 1
+        assert insertion_shape(word).tolist() == full
+        for k in range(1, 2 * K + 2):
             assert insertion_shape(word, max_rows=k).tolist() == full[:k]
 
     @settings(max_examples=200, deadline=None)
