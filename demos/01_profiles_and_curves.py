@@ -22,6 +22,7 @@ from permshape import (
     scaled_sup_distance,
     schensted_shape,
 )
+from permshape.experiments import csv_text
 from permshape.samplers import derive_rng, sample_fpf_involution
 from permshape.shape_geom import profile_rows, scaled_rows
 
@@ -42,7 +43,7 @@ at_0, at_7, at_minus_5 = height_profile(d, [0, 7, -5]).tolist()
 print(f"diagram {d.to_text()}: L(0)={at_0} (twice the Durfee square), "
       f"L(7)={at_7}, L(-5)={at_minus_5}")
 csv = OUT / "profile_75211.csv"
-csv.write_text("t,L\n" + "\n".join(f"{t},{L}" for t, L in profile_rows(d)) + "\n")
+csv.write_text(csv_text(("t", "L"), profile_rows(d)))
 print(f"wrote {csv}")
 print()
 
@@ -58,10 +59,7 @@ shape = schensted_shape(sigma)
 dist = scaled_sup_distance(shape, n, 0)
 print(f"one fixed-point-free involution, n={n}: sup distance to the limit curve = {dist:.4f}")
 csv = OUT / "scaled_profile_fpf.csv"
-with csv.open("w") as fh:
-    fh.write("s,F,Phi\n")
-    for s, f, phi in scaled_rows(shape, n, 0):
-        fh.write(f"{s!r},{f!r},{phi!r}\n")
+csv.write_text(csv_text(("s", "F", "Phi"), scaled_rows(shape, n, 0)))
 print(f"wrote {csv} (columns: s, rescaled profile, limit curve)")
 
 try:

@@ -1,6 +1,7 @@
 """Limit-shape convergence at desk scale.
 
-For three conjugacy-invariant regimes, runs a geometric ladder of sizes and
+For the three conjugacy-invariant regimes the pilot manifest calibrates
+(``experiments.PILOT_REGIMES``), runs a geometric ladder of sizes and
 tabulates the mean sup distance between the rescaled profile and the limit
 curve with the matching fixed-point fraction. The means should fall roughly
 like a power of n; the pilot manifest freezes thresholds from exactly this
@@ -11,37 +12,26 @@ Usage: python demos/02_limit_shape_convergence.py [--trials 20] [--seed 7]
 
 import argparse
 
-from permshape.experiments import ExperimentConfig, run_experiment
-from permshape.samplers import RegimeSpec
-
-REGIMES = {
-    "fpf involution (p=0)": RegimeSpec(ensemble="fpf_involution"),
-    "half fixed points, matching core (p=1/2)": RegimeSpec(
-        ensemble="composite", core="fpf_involution", fix_rule="linear", p=0.5
-    ),
-    "theta-log fixed points, long-cycle core": RegimeSpec(
-        ensemble="composite", core="n_cycle", fix_rule="theta_log", theta=1.0
-    ),
-}
+from permshape.experiments import PILOT_LADDER, PILOT_REGIMES, ExperimentConfig, run_experiment
 
 
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--trials", type=int, default=20)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--ladder", default="1000,4000,16000")
+    parser.add_argument("--ladder", default=",".join(map(str, PILOT_LADDER)))
     args = parser.parse_args()
     ladder = tuple(int(x) for x in args.ladder.split(","))
 
-    print(f"{'regime':45s}" + "".join(f"  n={n:<8d}" for n in ladder))
-    for name, regime in REGIMES.items():
+    print(f"{'regime':20s}" + "".join(f"  n={n:<8d}" for n in ladder))
+    for name, regime in PILOT_REGIMES.items():
         cfg = ExperimentConfig(
             regime=regime, n_ladder=ladder, trials=args.trials, seed=args.seed,
             measurements=("shape_distance",),
         )
         _, summary = run_experiment(cfg)
         means = [summary.get(n, "shape_distance").mean for n in ladder]
-        print(f"{name:45s}" + "".join(f"  {m:<10.5f}" for m in means))
+        print(f"{name:20s}" + "".join(f"  {m:<10.5f}" for m in means))
     print("\nmean sup distance per rung; each row should decrease left to right")
 
 

@@ -2,32 +2,25 @@
 
 The limit theorems give no rates, so the acceptance thresholds for the
 shape-distance ladders are data measured here, not constants in code: run
-the three reference regimes on the standard ladder, record per-rung mean and
-95th-percentile shape distances, and store thresholds with a 1.6x margin on
-the top rung. The acceptance suite (and anyone reproducing the numbers)
-reads src/permshape/data/pilot_manifest.json.
+the three reference regimes on their ladder (``experiments.PILOT_REGIMES``
+and ``PILOT_LADDER``), record per-rung mean and 95th-percentile shape
+distances, and store thresholds with a 1.6x margin on the top rung. The
+acceptance suite (and anyone reproducing the numbers) reads
+src/permshape/data/pilot_manifest.json.
 
 Usage: python demos/04_calibrate_pilot_manifest.py [--trials 50] [--seed 31415926]
 """
 
 import argparse
-import json
 from pathlib import Path
 
-from permshape.experiments import ExperimentConfig, run_experiment
-from permshape.samplers import RegimeSpec
-
-LADDER = (1_000, 4_000, 16_000)
-
-REGIMES = {
-    "fpf_involution": RegimeSpec(ensemble="fpf_involution"),
-    "composite_fpf_half": RegimeSpec(
-        ensemble="composite", core="fpf_involution", fix_rule="linear", p=0.5
-    ),
-    "ncycle_theta_log": RegimeSpec(
-        ensemble="composite", core="n_cycle", fix_rule="theta_log", theta=1.0
-    ),
-}
+from permshape.experiments import (
+    PILOT_LADDER,
+    PILOT_REGIMES,
+    ExperimentConfig,
+    json_text,
+    run_experiment,
+)
 
 
 def main() -> None:
@@ -41,21 +34,16 @@ def main() -> None:
         "schema_version": 1,
         "pilot_seed": args.seed,
         "trials": args.trials,
-        "n_ladder": list(LADDER),
+        "n_ladder": list(PILOT_LADDER),
         "margin": args.margin,
         "regimes": {},
     }
-    for name, regime in REGIMES.items():
-        cfg = ExperimentConfig(
-            regime=regime,
-            n_ladder=LADDER,
-            trials=args.trials,
-            seed=args.seed,
-            measurements=("shape_distance",),
-        )
+    for name, regime in PILOT_REGIMES.items():
+        cfg = ExperimentConfig(regime=regime, n_ladder=PILOT_LADDER, trials=args.trials,
+                               seed=args.seed, measurements=("shape_distance",))
         _, summary = run_experiment(cfg)
-        means = [summary.get(n, "shape_distance").mean for n in LADDER]
-        p95s = [summary.get(n, "shape_distance").q95 for n in LADDER]
+        means = [summary.get(n, "shape_distance").mean for n in PILOT_LADDER]
+        p95s = [summary.get(n, "shape_distance").q95 for n in PILOT_LADDER]
         manifest["regimes"][name] = {
             "mean_D": means,
             "p95_D": p95s,
@@ -66,7 +54,7 @@ def main() -> None:
 
     out = Path(__file__).resolve().parent.parent / "src" / "permshape" / "data" / "pilot_manifest.json"
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    out.write_text(json_text(manifest))
     print(f"wrote {out}")
 
 

@@ -289,12 +289,13 @@ static void greene_extend(struct greene *g, int64_t start, int64_t size,
     }
 }
 
-/* Greene invariants of a word of n <= GREENE_MAX_N distinct letters: the
- * largest union of i increasing (decreasing) subsequences, i = 1..n. A word
- * splits into at most d increasing subsequences iff its LDS is at most d,
- * so the i-th increasing invariant is the largest subset whose LDS is at
- * most i; the scan visits every nonempty subset once, as its prefix plus
- * one later position, and keeps the largest size for each LDS (LIS) length.
+/* Greene invariants of a word of n <= GREENE_MAX_N distinct letters, which
+ * greene_invariants checks (a repeat would count weakly monotone unions):
+ * the largest union of i increasing (decreasing) subsequences, i = 1..n. A
+ * word splits into at most d increasing subsequences iff its LDS is at most
+ * d, so the i-th increasing invariant is the largest subset whose LDS is at
+ * most i; the scan visits every nonempty subset once, as its prefix plus one
+ * later position, and keeps the largest size for each LDS (LIS) length.
  * scratch: 3n + 2 slots, the word in [0, n) on entry; on return the
  * increasing invariants are in [n + 1, 2n + 1) and the decreasing ones in
  * [2n + 2, 3n + 2). */

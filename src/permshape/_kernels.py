@@ -201,8 +201,8 @@ def _cycle_scan_py(zero_based):
 
 
 def _greene_py(word):
-    """(increasing, decreasing) Greene invariants of a word of distinct ints,
-    by the subset scan ``ps_greene`` runs."""
+    """(increasing, decreasing) Greene invariants of a word of distinct ints
+    (``greene_invariants`` checks them), by the subset scan ``ps_greene`` runs."""
     from bisect import bisect_left
 
     n = len(word)
@@ -325,7 +325,8 @@ def cycle_scan(zero_based: np.ndarray) -> tuple[int, int, int]:
 def greene_invariants(values: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Greene invariants of a word of at most ``GREENE_MAX_N`` distinct ints:
     the largest union of i increasing, and of i decreasing, subsequences,
-    for i = 1..n.
+    for i = 1..n. A repeated letter is a ValueError: the scan would count
+    weakly monotone unions, not the insertion shape's partial sums.
 
     The subset scan is exponential: it visits all 2**n - 1 nonempty subsets,
     each as its prefix plus one later position, so a subset's patience piles
@@ -335,9 +336,12 @@ def greene_invariants(values: np.ndarray) -> tuple[tuple[int, ...], tuple[int, .
     n = values.shape[0]
     if n > GREENE_MAX_N:
         raise ValueError(f"n={n} too large for the subset scan (max {GREENE_MAX_N})")
+    word = values.tolist()
+    if len(set(word)) < n:
+        raise ValueError(f"the subset scan reads words of distinct letters, got {word}")
     lib = _library()
     if lib is None:
-        return _greene_py(values.tolist())
+        return _greene_py(word)
     # the word, then the best subset sizes for each LDS and LIS length
     scratch = np.empty(3 * n + 2, dtype=np.int64)
     scratch[:n] = values

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import secrets
 import sys
 import warnings
@@ -26,6 +25,8 @@ from .experiments import (
     HARNESS_KEYS,
     MEASUREMENTS,
     ExperimentConfig,
+    csv_text,
+    json_text,
     ks_two_sample,
     run_experiment,
     write_outputs,
@@ -127,14 +128,10 @@ def cmd_profile(args) -> int:
         raise UsageError("profile takes --m only with --n")
     d = YoungDiagram.from_text(args.diagram)
     if args.n is not None:
-        rows = scaled_rows(d, args.n, args.m if args.m is not None else 0)
-        print("s,F,Phi")
-        for s, f, phi in rows:
-            print(f"{s!r},{f!r},{phi!r}")
+        m = args.m if args.m is not None else 0
+        sys.stdout.write(csv_text(("s", "F", "Phi"), scaled_rows(d, args.n, m)))
     else:
-        print("t,L")
-        for t, L in profile_rows(d):
-            print(f"{t},{L}")
+        sys.stdout.write(csv_text(("t", "L"), profile_rows(d)))
     return 0
 
 
@@ -184,7 +181,7 @@ def cmd_verify(args) -> int:
         kwargs[keyword] = value
     seed = _ensure_seed(args)
     report = run_suite(args.suite, seed=seed, **kwargs)
-    print(json.dumps(report, indent=2, sort_keys=True, default=float))
+    sys.stdout.write(json_text(report))
     return 0 if report["ok"] else 2
 
 

@@ -62,17 +62,19 @@ class TrialRecord:
     lambda2: int | None = None
     wall_time: float = 0.0
 
-    def csv_row(self) -> str:
-        def cell(v):
-            return "" if v is None else (repr(v) if isinstance(v, float) else str(v))
+    def cells(self) -> tuple:
+        """The record's cells in records.csv, its schema version first."""
+        return (CSV_SCHEMA_VERSION, *(getattr(self, name) for name in RECORD_FIELDS))
 
-        cells = [cell(getattr(self, name)) for name in RECORD_FIELDS]
-        return ",".join([str(CSV_SCHEMA_VERSION)] + cells)
+    def csv_row(self) -> str:
+        """The record's line of records.csv, without its newline."""
+        return csv_text(self.cells(), ()).rstrip("\n")
 
 
 # the columns of records.csv after schema_version; wall_time stays in memory
 RECORD_FIELDS = tuple(f.name for f in fields(TrialRecord) if f.name != "wall_time")
-CSV_HEADER = ",".join(("schema_version",) + RECORD_FIELDS)
+CSV_COLUMNS = ("schema_version",) + RECORD_FIELDS
+CSV_HEADER = ",".join(CSV_COLUMNS)
 # config key -> how its value is read; the other keys name the regime
 HARNESS_KEYS = {"n_ladder": int_list, "trials": int, "seed": int,
                 "measurements": lambda text: tuple(v.strip() for v in text.split(",")),
@@ -148,11 +150,9 @@ class SummaryStats:
         raise KeyError((n, statistic))
 
     def to_json(self) -> str:
-        doc = {
-            "schema_version": CSV_SCHEMA_VERSION,
-            "entries": [vars(e) for e in self.entries],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        """The text of summary.json."""
+        return json_text({"schema_version": CSV_SCHEMA_VERSION,
+                          "entries": [vars(e) for e in self.entries]})
 
 
 def run_trial(regime: RegimeSpec, n: int, trial_index: int, seed: int,
@@ -238,18 +238,30 @@ def summarize(records: Iterable[TrialRecord]) -> SummaryStats:
     return SummaryStats(tuple(entries))
 
 
+def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """The CSV text of every table the package and its demos write: a float
+    cell is ``repr(float(v))``, None empty and anything else ``str(v)``."""
+    def cell(v) -> str:
+        return "" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in (header, *rows))
+
+
+def json_text(doc) -> str:
+    """The JSON text of every document the package and its demos write:
+    sorted keys, indent 2, numpy floats as floats and a final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True, default=float) + "\n"
+
+
 def write_outputs(records: Sequence[TrialRecord], summary: SummaryStats,
                   out_dir: str | Path) -> tuple[Path, Path]:
     """Write records.csv and summary.json into out_dir; return their paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "records.csv"
-    with csv_path.open("w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for rec in records:
-            fh.write(rec.csv_row() + "\n")
+    csv_path.write_text(csv_text(CSV_COLUMNS, (rec.cells() for rec in records)))
     json_path = out / "summary.json"
-    json_path.write_text(summary.to_json() + "\n")
+    json_path.write_text(summary.to_json())
     return csv_path, json_path
 
 
@@ -284,6 +296,18 @@ def load_pilot_manifest() -> dict:
     from importlib.resources import files
 
     return json.loads((files("permshape") / "data" / "pilot_manifest.json").read_text())
+
+
+# the regimes the pilot manifest calibrates, by its keys, and their ladder:
+# demos/04 measures them and criterion-5 checks them against its thresholds
+PILOT_LADDER = (1_000, 4_000, 16_000)
+PILOT_REGIMES = {
+    "fpf_involution": RegimeSpec(ensemble="fpf_involution"),
+    "composite_fpf_half": RegimeSpec(ensemble="composite", core="fpf_involution",
+                                     fix_rule="linear", p=0.5),
+    "ncycle_theta_log": RegimeSpec(ensemble="composite", core="n_cycle",
+                                   fix_rule="theta_log", theta=1.0),
+}
 
 
 def _edge(v: float, k: int, n: int, theta: float) -> float:

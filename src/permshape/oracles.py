@@ -39,7 +39,7 @@ def greene_report(p: Permutation) -> GreeneReport:
     one later position. So its patience piles (the LIS on the values, the
     LDS on the reversed values) are its prefix's piles with one letter
     placed, and the placement is undone on the way back. A ValueError past
-    ``GREENE_MAX_N`` = 16 letters.
+    ``GREENE_MAX_N`` = 16 letters; the scan needs distinct letters, as p has.
     """
     return GreeneReport(*greene_invariants(p.zero_based))
 

@@ -77,14 +77,13 @@ def parse_values(kv: Mapping[str, str], parsers: Mapping[str, Callable[[str], An
     return out
 
 
-# fix_rule -> (the parameters it reads, its fixed-point target at n, the
-# parameters among them that must be whole numbers)
+# fix_rule -> (the parameters it reads, its fixed-point target at n, which
+# fix_count clamps and rounds down, the parameters that must be whole numbers)
 FIX_RULES = {
-    "constant": (("c",), lambda spec, n: int(spec.c), ("c",)),
-    "theta_log": (("theta",),
-                  lambda spec, n: math.floor(spec.theta * n / math.log(n)) if n >= 2 else 0, ()),
-    "power": (("beta", "c"), lambda spec, n: math.floor(spec.c * n**spec.beta), ()),
-    "linear": (("p",), lambda spec, n: math.floor(spec.p * n), ()),
+    "constant": (("c",), lambda spec, n: spec.c, ("c",)),
+    "theta_log": (("theta",), lambda spec, n: spec.theta * n / math.log(n) if n >= 2 else 0, ()),
+    "power": (("beta", "c"), lambda spec, n: spec.c * n**spec.beta, ()),
+    "linear": (("p",), lambda spec, n: spec.p * n, ()),
 }
 
 
@@ -94,9 +93,10 @@ class RegimeSpec:
     fixed points to plant and what structure to put on the rest.
 
     fix_rule maps n to a target fixed-point count by its entry in
-    ``FIX_RULES``. The target is clamped to [0, n] and may be adjusted by
-    +-1 when the core needs it (``CORES`` gives the core sizes each core
-    allows). The realized count is visible on the sampled permutation itself.
+    ``FIX_RULES``. The target is clamped to [0, n], then rounded down, and
+    may be adjusted by +-1 when the core needs it (``CORES`` gives the core
+    sizes each core allows). The realized count is visible on the sampled
+    permutation itself.
 
     Exactly the keys the regime reads (``keys()``) are given; every other
     key stays None.
@@ -151,10 +151,11 @@ class RegimeSpec:
                                  f"got {getattr(self, key)}")
 
     def fix_count(self, n: int) -> int:
-        """Target fixed-point count before parity adjustment, clamped to [0, n]."""
+        """Target fixed-point count before parity adjustment: the rule's
+        target clamped to [0, n] (so an infinite one too), then rounded down."""
         if self.fix_rule not in FIX_RULES:
             raise ValueError("regime has no fix_rule")
-        return max(0, min(n, FIX_RULES[self.fix_rule][1](self, n)))
+        return math.floor(max(0, min(n, FIX_RULES[self.fix_rule][1](self, n))))
 
     def keys(self) -> tuple[str, ...]:
         """The config keys this regime reads: the ensemble, the keys the

@@ -245,12 +245,8 @@ def bound_dominates_distance(a: YoungDiagram, b: YoungDiagram) -> bool:
 
 def profile_rows(d: YoungDiagram) -> Iterator[tuple[int, int]]:
     """(t, L(t)) rows over the support window, one integer t per row."""
-    lo = -(d.num_rows + 1)
-    hi = d.part(1) + 1
-    t = np.arange(lo, hi + 1, dtype=np.int64)
-    L = height_profile(d, t)
-    for ti, li in zip(t.tolist(), L.tolist()):
-        yield ti, li
+    t = np.arange(-(d.num_rows + 1), d.part(1) + 2, dtype=np.int64)
+    return zip(t.tolist(), height_profile(d, t).tolist())
 
 
 def scaled_rows(d: YoungDiagram, n: int, m: int) -> Iterator[tuple[float, float, float]]:

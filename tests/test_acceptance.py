@@ -12,6 +12,8 @@ import numpy as np
 
 from permshape._kernels import BACKEND
 from permshape.experiments import (
+    PILOT_LADDER,
+    PILOT_REGIMES,
     ExperimentConfig,
     ks_two_sample,
     lambda2_window,
@@ -29,7 +31,6 @@ from permshape.verify import (
 )
 
 ACCEPT_SEED = 271_828_182
-LADDER = (1_000, 4_000, 16_000)
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -74,25 +75,16 @@ def test_criterion_4_convention_reconciliation():
 
 def test_criterion_5_shape_distance_ladders():
     manifest = load_pilot_manifest()
-    regimes = {
-        "fpf_involution": RegimeSpec(ensemble="fpf_involution"),
-        "composite_fpf_half": RegimeSpec(
-            ensemble="composite", core="fpf_involution", fix_rule="linear", p=0.5
-        ),
-        "ncycle_theta_log": RegimeSpec(
-            ensemble="composite", core="n_cycle", fix_rule="theta_log", theta=1.0
-        ),
-    }
     details = []
     ok = True
-    for name, regime in regimes.items():
+    for name, regime in PILOT_REGIMES.items():
         cfg = ExperimentConfig(
-            regime=regime, n_ladder=LADDER, trials=50, seed=ACCEPT_SEED,
+            regime=regime, n_ladder=PILOT_LADDER, trials=50, seed=ACCEPT_SEED,
             measurements=("shape_distance",),
         )
         _, summary = run_experiment(cfg)
-        means = [summary.get(n, "shape_distance").mean for n in LADDER]
-        p95_top = summary.get(LADDER[-1], "shape_distance").q95
+        means = [summary.get(n, "shape_distance").mean for n in PILOT_LADDER]
+        p95_top = summary.get(PILOT_LADDER[-1], "shape_distance").q95
         calib = manifest["regimes"][name]
         decreasing = all(b < a for a, b in zip(means, means[1:]))
         under_mean = means[-1] <= calib["threshold_mean_top"]

@@ -92,6 +92,16 @@ class TestSample:
         assert code == 0
 
     @pytest.mark.parametrize("flags", [
+        ["--fix-rule", "power", "--beta", "0.5", "--c", "1e308"],
+        ["--fix-rule", "theta_log", "--theta", "1e308"],
+    ])
+    def test_an_infinite_fixed_point_target_plants_every_point(self, capsys, flags):
+        code, out, err = run_cli(capsys, "sample", "--n", "100", "--seed", "1",
+                                 "--ensemble", "composite", "--core", "n_cycle", *flags)
+        assert code == 0, err
+        assert out.split() == [str(i) for i in range(1, 101)]
+
+    @pytest.mark.parametrize("flags", [
         ["--core", "n_cycle", "--fix-rule", "linear"],
         ["--ensemble", "n_cycle", "--theta", "2"],
         ["--ensemble", "fpf_involution", "--cycle-type", "2,2"],

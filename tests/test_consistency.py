@@ -1,7 +1,8 @@
 """Names that one module lists and others read must agree: the regime tables
 and the config keys, the CLI's regime flags, the verify suites and their
 size flags, the measurement table and the record columns, the rescalings and
-the measurements, and the benchmark tracer's targets."""
+the measurements, the pilot regimes and the pilot manifest, and the
+benchmark tracer's targets. One module writes JSON."""
 
 import dataclasses
 import importlib
@@ -13,10 +14,18 @@ from pathlib import Path
 import pytest
 
 from permshape import cli, verify
-from permshape.experiments import MEASUREMENTS, RECORD_FIELDS, RESCALINGS
+from permshape.experiments import (
+    MEASUREMENTS,
+    PILOT_LADDER,
+    PILOT_REGIMES,
+    RECORD_FIELDS,
+    RESCALINGS,
+    load_pilot_manifest,
+)
 from permshape.samplers import ENSEMBLES, FIX_RULES, REGIME_CHOICES, REGIME_KEYS, RegimeSpec
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_table_parameters_are_regime_keys_and_spec_fields():
@@ -65,6 +74,21 @@ def test_measurements_are_the_record_columns_after_the_cycle_statistics():
 def test_rescalings_read_measurements():
     for mode, (field, *_) in RESCALINGS.items():
         assert field in MEASUREMENTS, mode
+
+
+def test_pilot_regimes_and_ladder_are_the_manifests():
+    manifest = load_pilot_manifest()
+    assert PILOT_REGIMES.keys() == manifest["regimes"].keys()
+    assert PILOT_LADDER == tuple(manifest["n_ladder"])
+
+
+def test_json_is_formatted_only_by_json_text():
+    # experiments.json_text is the one JSON format of the package and demos
+    scripts = [*(ROOT / "src" / "permshape").rglob("*.py"), *(ROOT / "demos").rglob("*.py")]
+    assert len(scripts) > 10
+    dumping = [path.name for path in scripts
+               if path.name != "experiments.py" and "json.dumps(" in path.read_text()]
+    assert dumping == []
 
 
 def test_tracer_targets_are_package_functions():

@@ -238,11 +238,12 @@ class TestCompiledMatchesReference:
             word = rng.permutation(n).astype(np.int64)
             assert greene_invariants(word) == _greene_py(word.tolist())
 
-    @given(st.lists(st.integers(-3, 3) | st.sampled_from([INT64_MIN, INT64_MAX]), max_size=10))
-    @example([INT64_MIN, INT64_MAX, INT64_MIN, 0, INT64_MAX, -1])
-    def test_greene_scan_on_words_with_repeats(self, xs):
-        # a tie starts no pile (bisect_left), as in the reference; the
-        # decreasing piles hold ~x, which does not overflow at INT64_MIN
+    @given(st.lists(st.integers(-3, 3) | st.sampled_from([INT64_MIN, INT64_MAX]), max_size=10,
+                    unique=True))
+    @example([INT64_MIN, INT64_MAX, 0, -1])
+    def test_greene_scan_on_distinct_extreme_letters(self, xs):
+        # the decreasing piles hold ~x, which does not overflow at INT64_MIN
+        # or INT64_MAX
         assert greene_invariants(np.asarray(xs, dtype=np.int64)) == _greene_py(xs)
 
 
@@ -324,6 +325,18 @@ def test_greene_scan_sizes(monkeypatch, backend):
     assert greene_report(Permutation([1])) == GreeneReport((1,), (1,))
     with pytest.raises(ValueError, match="too large"):
         greene_report(Permutation.identity(17))
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_greene_scan_rejects_a_repeated_letter(monkeypatch, backend):
+    # on [1, 1] the scan would give increasing invariants (2, 2), not the
+    # shape's partial sums (1, 2)
+    if backend == "python":
+        monkeypatch.setattr(_kernels, "_library", lambda: None)
+    elif BACKEND != "c":
+        pytest.skip("compiled kernels unavailable")
+    with pytest.raises(ValueError, match="distinct letters"):
+        greene_invariants(np.array([1, 1], dtype=np.int64))
 
 
 @compiled

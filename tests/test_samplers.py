@@ -366,5 +366,9 @@ class TestRegimeSpec:
         assert RegimeSpec(ensemble="composite", core="n_cycle", fix_rule="constant", c=7).fix_count(100) == 7
         assert RegimeSpec(ensemble="composite", core="n_cycle", fix_rule="linear", p=0.25).fix_count(100) == 25
         assert RegimeSpec(ensemble="composite", core="n_cycle", fix_rule="power", c=2, beta=0.5).fix_count(100) == 20
-        # clamped to [0, n]
+        # clamped to [0, n], then rounded down: an infinite target is clamped
         assert RegimeSpec(ensemble="composite", core="n_cycle", fix_rule="constant", c=999).fix_count(10) == 10
+        assert RegimeSpec(ensemble="composite", core="n_cycle", fix_rule="power", c=1e308,
+                          beta=0.5).fix_count(100) == 100
+        assert RegimeSpec(ensemble="composite", core="n_cycle", fix_rule="theta_log",
+                          theta=1e308).fix_count(100) == 100
