@@ -28,7 +28,6 @@ import functools
 import hashlib
 import os
 import shutil
-import subprocess
 import tempfile
 import warnings
 from pathlib import Path
@@ -59,8 +58,13 @@ def _build(source: bytes, target: Path) -> None:
 
     Concurrent builders each write their own temporary file, so a process
     never loads a half-written library. A process that has already loaded a
-    removed library keeps its mapping.
+    removed library keeps its mapping. A failed compile is an OSError that
+    carries the compiler's stderr.
     """
+    # imported here, not at the top: only a cold cache compiles, and the
+    # import costs about 5 ms of every warm start
+    import subprocess
+
     cc = shutil.which("cc")
     if cc is None:
         raise FileNotFoundError("no C compiler on PATH")
@@ -68,10 +72,11 @@ def _build(source: bytes, target: Path) -> None:
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.stem, suffix=".tmp")
     os.close(fd)
     try:
-        subprocess.run(
-            [cc, *_CFLAGS, "-o", tmp, "-x", "c", "-"],
-            input=source, check=True, capture_output=True,
-        )
+        done = subprocess.run([cc, *_CFLAGS, "-o", tmp, "-x", "c", "-"],
+                              input=source, capture_output=True)
+        if done.returncode != 0:
+            raise OSError(f"{cc} exited {done.returncode}: "
+                          + done.stderr.decode(errors="replace").strip())
         os.replace(tmp, target)
     finally:
         if os.path.exists(tmp):
@@ -95,13 +100,9 @@ def _library() -> ctypes.CDLL | None:
             # not built yet, or removed by a build of another source
             _build(source, target)
             lib = ctypes.CDLL(str(target))
-    except (OSError, subprocess.CalledProcessError) as exc:
-        detail = getattr(exc, "stderr", b"") or b""
-        warnings.warn(
-            f"permshape: compiled kernels unavailable, using pure Python ({exc}) "
-            + detail.decode(errors="replace"),
-            RuntimeWarning, stacklevel=2,
-        )
+    except OSError as exc:
+        warnings.warn(f"permshape: compiled kernels unavailable, using pure Python ({exc})",
+                      RuntimeWarning, stacklevel=2)
         return None
     for name, (argtypes, restype) in _SIGNATURES.items():
         fn = getattr(lib, name)

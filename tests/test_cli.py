@@ -334,27 +334,51 @@ def test_bad_input_fails_loudly(capsys, tmp_path, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def fresh_python(code, **env):
+    """stdout of ``code`` run in a fresh interpreter that imports permshape
+    from this checkout, with ``env`` added to an environment that lacks
+    OPENBLAS_NUM_THREADS: importing permshape set it in this process."""
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    environ.update(PYTHONPATH=str(Path(cli.__file__).parents[1]), **env)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=environ, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes about a second to import and scipy.special about 0.3 s;
     # only the samplers suite and uniform-involution draws need them
     code = ("import sys, permshape.cli; "
             "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False False"
+    assert fresh_python(code) == "False False"
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():
     # concurrent.futures.process loads multiprocessing, about 30 ms of every
     # start-up; only run_experiment with workers > 1 needs it
     code = "import sys, permshape.cli; print('multiprocessing' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert fresh_python(code) == "False"
+
+
+def test_cli_import_leaves_subprocess_unloaded():
+    # only a kernel build on a cold cache runs the compiler
+    code = "import sys, permshape.cli; print('subprocess' in sys.modules)"
+    assert fresh_python(code) == "False"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no /proc/self/task")
+def test_cli_import_starts_no_blas_thread():
+    # permshape makes no BLAS call; an OpenBLAS pool thread would spin for
+    # about 0.12 s of CPU at every start
+    code = ("import os, permshape.cli; "
+            "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))")
+    assert fresh_python(code) == "1 1"
+
+
+def test_cli_import_keeps_an_explicit_blas_thread_count():
+    code = "import os, permshape.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert fresh_python(code, OPENBLAS_NUM_THREADS="2") == "2"
 
 
 def test_repeated_calls_leave_no_cyclic_garbage(capsys):

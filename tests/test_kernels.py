@@ -1,5 +1,7 @@
 import itertools
+import math
 import os
+import shutil
 import subprocess
 import sys
 from bisect import bisect_left
@@ -285,6 +287,30 @@ def test_run_trial_makes_one_monotone_pass(monkeypatch, measurements):
         assert (rec.lambda1, rec.ell) == (rsk.lis(p), rsk.lds(p))
 
 
+# the longest permutations the closed-form cycle tests draw: the pure-Python
+# scan takes about a second a million points
+LONG_N = 10**6 if BACKEND == "c" else 10**4
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, LONG_N), st.integers(0, LONG_N))
+@example(LONG_N, 1)
+@example(LONG_N, LONG_N // 2)
+@example(LONG_N - 1, 0)
+@example(1, 0)
+def test_cycle_scan_closed_forms(n, k):
+    # on the backend that runs: the shift i -> i + k mod n has gcd(n, k)
+    # cycles of length n / gcd(n, k), the reversal floor(n/2) 2-cycles and
+    # n mod 2 fixed points, and the identity n fixed points
+    points = np.arange(n, dtype=np.int64)
+    cycles = math.gcd(n, k)
+    length = n // cycles
+    assert cycle_scan((points + k) % n) == (cycles, cycles * (length == 1),
+                                            cycles * (length == 2))
+    assert cycle_scan(points[::-1]) == (n // 2 + n % 2, n % 2, n // 2)
+    assert cycle_scan(points) == (n, n, 0)
+
+
 @pytest.mark.parametrize("word", [[], [1], [3, 1, 2]])
 def test_row_limit_must_be_positive(word):
     # on the backend that runs, and on the pure-Python reference
@@ -391,6 +417,22 @@ def test_build_removes_the_libraries_of_other_sources(tmp_path, monkeypatch):
     backend, library = done.stdout.split()
     assert (backend, done.stderr) == ("c", "")
     assert [str(p) for p in cache.iterdir()] == [library] != [str(built[0])]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_failed_build_warns_with_the_compiler_errors(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    broken = tmp_path / "broken.c"
+    broken.write_text("int ps_broken( {\n")
+    monkeypatch.setattr(_kernels, "_SOURCE", broken)
+    _kernels._library.cache_clear()
+    try:
+        with pytest.warns(RuntimeWarning, match="pure Python") as caught:
+            assert _kernels.BACKEND == "python"
+        assert "error" in str(caught[0].message)
+        assert list((tmp_path / "permshape").iterdir()) == []
+    finally:
+        _kernels._library.cache_clear()
 
 
 def test_fallback_without_compiler(tmp_path, monkeypatch):
