@@ -347,11 +347,21 @@ def fresh_python(code, **env):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about a second to import and scipy.special about 0.3 s;
-    # only the samplers suite and uniform-involution draws need them
+    # scipy.special takes about 0.3 s to import; only the samplers suite and
+    # uniform-involution draws need it. scipy.stats is never loaded.
     code = ("import sys, permshape.cli; "
             "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
     assert fresh_python(code) == "False False"
+
+
+def test_samplers_suite_loads_scipy_special_but_not_scipy_stats():
+    # the chi-square critical values come from scipy.special.gammaincinv;
+    # scipy.stats would add about 47 MB and 0.75 s to the process
+    code = ("import contextlib, io, sys, permshape.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['verify', '--suite', 'samplers', '--draws', '10', '--seed', '2'])\n"
+            "print(code, 'scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
+    assert fresh_python(code) == "0 False True"
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():

@@ -2,7 +2,8 @@
 and the config keys, the CLI's regime flags, the verify suites and their
 size flags, the measurement table and the record columns, the rescalings and
 the measurements, the pilot regimes and the pilot manifest, and the
-benchmark tracer's targets. One module writes JSON."""
+benchmark tracer's targets. One module writes JSON, and none imports
+scipy.stats."""
 
 import dataclasses
 import importlib
@@ -89,6 +90,17 @@ def test_json_is_formatted_only_by_json_text():
     dumping = [path.name for path in scripts
                if path.name != "experiments.py" and "json.dumps(" in path.read_text()]
     assert dumping == []
+
+
+def test_scipy_stats_is_imported_nowhere():
+    # scipy.stats costs about 47 MB and 0.75 s a process; the samplers
+    # suite takes its chi-square quantiles from scipy.special
+    scripts = [*(ROOT / "src" / "permshape").rglob("*.py"), *(ROOT / "demos").rglob("*.py")]
+    assert len(scripts) > 10
+    statement = re.compile(r"^\s*(import|from) scipy\.stats\b|^\s*from scipy import .*\bstats\b",
+                           re.MULTILINE)
+    importing = [path.name for path in scripts if statement.search(path.read_text())]
+    assert importing == []
 
 
 def test_tracer_targets_are_package_functions():

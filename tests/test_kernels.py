@@ -87,7 +87,9 @@ class TestCompiledMatchesReference:
     @example(("random", 1, 0))
     @example(("increasing", 10_000, 0))
     @example(("decreasing", 10_000, 0))
+    @example(("decreasing", 2000, 0))
     def test_all_kernels(self, spec):
+        kind, n, _ = spec
         perm = _zero_based(*spec)
         word = perm + 1
         assert lis_length(word) == _lis_py(word.tolist())
@@ -95,7 +97,14 @@ class TestCompiledMatchesReference:
         assert lis_lds_lengths(word) == (_lis_py(word.tolist()), _lis_py(word[::-1].tolist()))
         shape = insertion_shape(word)
         assert shape.dtype == np.int64
-        assert shape.tolist() == _shape_py(word.tolist()).tolist()
+        # a monotone word has a one-row or one-column shape; the reference
+        # peel costs n^2 / 2 bisects on a decreasing word (5 s at n = 1e4),
+        # so it checks monotone words only up to 2000 letters
+        closed_form = {"increasing": [n] if n else [], "decreasing": [1] * n}
+        if kind in closed_form:
+            assert shape.tolist() == closed_form[kind]
+        if kind == "random" or n <= 2000:
+            assert shape.tolist() == _shape_py(word.tolist()).tolist()
         # the package hands the kernels the 0-based array: same relative order
         assert lis_lds_lengths(perm) == lis_lds_lengths(word)
         assert insertion_shape(perm).tolist() == shape.tolist()

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from permshape import verify
@@ -38,6 +40,18 @@ class TestSuites:
         report = suite_samplers(draws=4000, seed=1)
         assert report["ok"], report["families"]
         assert len(report["families"]) == 6
+
+    def test_samplers_critical_values_are_chi2_ppf(self):
+        from scipy.stats import chi2
+
+        # degrees of freedom: the support size of each family's law, less one
+        dof = {"uniform": 23, "uniform_involution": 9, "fpf_involution": 2, "n_cycle": 5,
+               "uniform_in_cycle_type": 2, "composite": 5}
+        families = suite_samplers(draws=10, seed=2)["families"]
+        assert [f["family"] for f in families] == list(dof)
+        for family in families:
+            expected = float(chi2.ppf(1.0 - verify.SAMPLERS_ALPHA, dof[family["family"]]))
+            assert math.isclose(family["crit"], expected, rel_tol=1e-12), family
 
     def test_run_suite_dispatch(self):
         assert run_suite("convention", seed=3)["suite"] == "convention"
