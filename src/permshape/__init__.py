@@ -32,7 +32,6 @@ from .oracles import (
     GreeneReport,
     check_fixed_point_bounds,
     check_profile_distance_bound,
-    greene_bruteforce,
     greene_report,
 )
 from .perm import (

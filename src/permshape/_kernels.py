@@ -254,8 +254,6 @@ def lis_lds_lengths(values: np.ndarray) -> tuple[int, int]:
     one pass over the word, the decreasing one on ~x."""
     _check_word(values)
     n = values.shape[0]
-    if n == 0:
-        return 0, 0
     lib = _library()
     if lib is None:
         xs = values.tolist()
@@ -286,8 +284,6 @@ def insertion_shape(values: np.ndarray, max_rows: int | None = None) -> np.ndarr
     _check_word(values)
     _check_max_rows(max_rows)
     n = values.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
     lib = _library()
     if lib is None:
         return _shape_py(values.tolist(), max_rows)

@@ -176,10 +176,6 @@ def run_trial(regime: RegimeSpec, n: int, trial_index: int, seed: int,
                        **values, wall_time=time.perf_counter() - t0)
 
 
-def _run_trial_star(args) -> TrialRecord:
-    return run_trial(*args)
-
-
 def run_experiment(cfg: ExperimentConfig,
                    workers: int = 1) -> tuple[list[TrialRecord], SummaryStats]:
     """Run the full trial ladder.
@@ -204,7 +200,7 @@ def run_experiment(cfg: ExperimentConfig,
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_trial_star, tasks, chunksize=8))
+            records = list(pool.map(run_trial, *zip(*tasks), chunksize=8))
     return records, summarize(records)
 
 

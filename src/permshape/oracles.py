@@ -1,12 +1,12 @@
 """Brute-force ground truth, independent of the fast paths it checks.
 
-``greene_bruteforce`` recovers the partial sums of the Schensted shape from
+``greene_report`` recovers the partial sums of the Schensted shape from
 first principles: it scans all position subsets and keeps, for each i, the
 largest subset whose restricted word has no decreasing subsequence of length
 i + 1. That characterization (a word decomposes into at most i increasing
 subsequences iff its longest decreasing subsequence has length at most i) is
-the oracle's single mathematical step and is itself validated against
-``max_union_of_increasing``, an explicit backtracking enumeration of unions.
+the oracle's single mathematical step. ``max_union_of_increasing`` is its
+independent check: an explicit backtracking enumeration of unions.
 
 The subset scan runs compiled (``_kernels.greene_invariants``), with its
 own bisection, so it shares no search code with the patience kernels it
@@ -44,22 +44,11 @@ def greene_report(p: Permutation) -> GreeneReport:
     return GreeneReport(*greene_invariants(p.zero_based))
 
 
-def greene_bruteforce(p: Permutation, i: int, decreasing: bool = False) -> int:
-    """Largest union of i increasing (or decreasing) subsequences of p."""
-    if i < 1:
-        raise ValueError("family index i must be at least 1")
-    if p.n == 0:
-        return 0
-    report = greene_report(p)
-    family = report.decreasing_invariants if decreasing else report.increasing_invariants
-    return family[min(i, p.n) - 1]
-
-
 def max_union_of_increasing(p: Permutation, i: int) -> int:
     """Independent route: enumerate explicit unions of <= i increasing
     subsequences by backtracking pile assignment (no Dilworth step).
 
-    Exponential; intended for cross-validating greene_bruteforce at n <= 8.
+    Exponential; intended for cross-validating greene_report at n <= 8.
     """
     word = p.zero_based.tolist()
     n = p.n

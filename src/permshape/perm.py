@@ -57,10 +57,7 @@ class Permutation:
     @classmethod
     def from_text(cls, text: str) -> "Permutation":
         """Parse whitespace-separated 1-based one-line notation, e.g. "5 3 2 1 4 6"."""
-        stripped = text.strip()
-        if not stripped:
-            return cls.identity(0)
-        return cls([int(tok) for tok in stripped.split()])
+        return cls([int(tok) for tok in text.split()])
 
     def to_text(self) -> str:
         return " ".join(str(v) for v in self.word)

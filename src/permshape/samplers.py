@@ -264,8 +264,6 @@ def sample_fpf_involution(n: int, rng: np.random.Generator) -> Permutation:
 
 def _sample_derangement(n: int, rng: np.random.Generator) -> Permutation:
     """Uniform fixed-point-free permutation, by rejection (about e tries)."""
-    if n == 0:
-        return Permutation.identity(0)
     if n == 1:
         raise ValueError("no derangement of size 1 exists")
     idx = np.arange(n)
@@ -298,9 +296,8 @@ def _sample_composite(spec: RegimeSpec, n: int, rng: np.random.Generator) -> Per
     sample_core, size_ok = CORES[spec.core]
     m = spec.fix_count(n)
     if not size_ok(n - m):
+        # a core refuses only k = 1 or an odd k, so the step lands on a size it takes
         m = m - 1 if m > 0 else m + 1
-    if not 0 <= m <= n or not size_ok(n - m):
-        raise ValueError(f"no valid fixed-point count near target for n={n}")
     fixed = rng.choice(n, size=m, replace=False) if m else np.empty(0, dtype=np.int64)
     return plant_fixed_points(fixed, sample_core(n - m, rng))
 

@@ -14,8 +14,11 @@ L(t) == t (mod 2) at integer t.
 
 The alternative *unit-cell coordinates* draw each cell as a unit square
 before rotating, so kinks sit at multiples of sqrt(2)/2 and both axes are
-compressed by sqrt(2): L_cell(x) = L(x * sqrt(2)) / sqrt(2). Both scaled
-evaluations used by the limit statements,
+compressed by sqrt(2): L_cell(x) = L(x * sqrt(2)) / sqrt(2). The unit-cell
+route does not use that map: ``height_unit_cells`` reads L_cell off the
+cells as the upper envelope of |x| and of one tent per row, the top of the
+rectangle the row spans with the rows above it. Both scaled evaluations
+used by the limit statements,
 
     F_n(s) = L(2 s sqrt(n)) / (2 sqrt(n))          (integer convention)
     G_n(s) = L_cell(s sqrt(2 n)) / sqrt(2 n)       (unit-cell convention)
@@ -33,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .diagram import YoungDiagram, column_lengths
+from .diagram import YoungDiagram
 
 SQRT2 = math.sqrt(2.0)
 
@@ -42,25 +45,17 @@ SQRT2 = math.sqrt(2.0)
 
 
 def height_profile(d: YoungDiagram, ts: np.ndarray) -> np.ndarray:
-    """Exact L(t) at integer t, vectorized."""
+    """Exact L(t) at integer t, vectorized.
+
+    Row i has a cell on diagonal t iff lambda_i - i >= t and i >= 1 - t.
+    lambda_i - i strictly decreases in i, so the rows with lambda_i - i >= t
+    are the first K(t), and diagonal t holds max(0, K(t) + min(t, 0)) cells.
+    """
     ts = np.asarray(ts, dtype=np.int64)
-    out = np.abs(ts)
     parts = d.parts_array()
-    if parts.size == 0:
-        return out
-    i = np.arange(1, parts.size + 1, dtype=np.int64)
-    diag = parts - i  # strictly decreasing in i
-    pos = ts >= 0
-    if pos.any():
-        # count of rows with parts[i] - i >= t
-        out[pos] += 2 * np.searchsorted(-diag, -ts[pos], side="right")
-    neg = ~pos
-    if neg.any():
-        conj = column_lengths(parts)
-        j = np.arange(1, conj.size + 1, dtype=np.int64)
-        cdiag = conj - j
-        out[neg] += 2 * np.searchsorted(-cdiag, ts[neg], side="right")
-    return out
+    diag = parts - np.arange(1, parts.size + 1, dtype=np.int64)
+    k = np.searchsorted(-diag, -ts, side="right")
+    return np.abs(ts) + 2 * np.maximum(0, k + np.minimum(ts, 0))
 
 
 def height_interp(d: YoungDiagram, x: float | np.ndarray) -> float | np.ndarray:
@@ -76,8 +71,18 @@ def height_interp(d: YoungDiagram, x: float | np.ndarray) -> float | np.ndarray:
 
 
 def height_unit_cells(d: YoungDiagram, x: float | np.ndarray) -> float | np.ndarray:
-    """Profile in unit-cell coordinates (kinks at multiples of sqrt(2)/2)."""
-    return height_interp(d, np.multiply(x, SQRT2)) / SQRT2
+    """Profile in unit-cell coordinates (kinks at multiples of sqrt(2)/2),
+    from the cells: the upper envelope of |x| and of a tent of slope 1
+    under each row's last cell, whose top corner sits at
+    ((lambda_i - i) / sqrt(2), (lambda_i + i) / sqrt(2)). A tent dips below
+    |x| outside its row's span, so the envelope needs no cut-off. x is a
+    float, giving a float, or an array, giving an array."""
+    xs = np.asarray(x, dtype=np.float64)
+    parts = d.parts_array()
+    i = np.arange(1, parts.size + 1, dtype=np.int64)
+    tents = (parts + i) / SQRT2 - np.abs(xs[..., None] - (parts - i) / SQRT2)
+    out = np.maximum(np.abs(xs), tents.max(axis=-1, initial=-np.inf))
+    return float(out) if out.ndim == 0 else out
 
 
 def scaled_height(d: YoungDiagram, n: int, s: float | np.ndarray) -> float | np.ndarray:
@@ -180,8 +185,7 @@ def _max_profile_gap(a: YoungDiagram, b: YoungDiagram) -> int:
     T_neg = max(a.num_rows, b.num_rows)
     T_pos = max(a.part(1), b.part(1))
     t = np.arange(-T_neg, T_pos + 1, dtype=np.int64)
-    gap = np.abs(height_profile(a, t) - height_profile(b, t))
-    return int(gap.max()) if gap.size else 0
+    return int(np.abs(height_profile(a, t) - height_profile(b, t)).max())
 
 
 def sup_profile_distance(a: YoungDiagram, b: YoungDiagram) -> float:
@@ -206,8 +210,7 @@ def _tail_sum_maxima(a: YoungDiagram, b: YoungDiagram) -> np.ndarray:
     suf_max = np.maximum.accumulate(prefix[::-1])[::-1]
     suf_min = np.minimum.accumulate(prefix[::-1])[::-1]
     ks = np.zeros(L + 1, dtype=np.int64)
-    if L > 0:
-        ks[:-1] = np.maximum(suf_max[1:] - prefix[:-1], prefix[:-1] - suf_min[1:])
+    ks[:-1] = np.maximum(suf_max[1:] - prefix[:-1], prefix[:-1] - suf_min[1:])
     return ks
 
 

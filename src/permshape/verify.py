@@ -56,12 +56,9 @@ def _report(suite: str, done: list[CheckResult], **extra) -> dict:
             "failures": failures}
 
 
-def _partial_sums(parts: tuple[int, ...], upto: int) -> list[int]:
-    out, acc = [], 0
-    for i in range(upto):
-        acc += parts[i] if i < len(parts) else 0
-        out.append(acc)
-    return out
+def _partial_sums(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The first n partial sums of parts, whose trailing parts are zero."""
+    return tuple(itertools.accumulate(parts + (0,) * (n - len(parts))))
 
 
 def suite_greene(seed: int = 0) -> dict:
@@ -72,9 +69,9 @@ def suite_greene(seed: int = 0) -> dict:
     def check(p: Permutation) -> CheckResult:
         shape = schensted_shape(p)
         report = greene_report(p)
-        if tuple(_partial_sums(shape.parts, p.n)) != report.increasing_invariants:
+        if _partial_sums(shape.parts, p.n) != report.increasing_invariants:
             return CheckResult(False, {"sigma": p.to_text(), "family": "increasing"})
-        if tuple(_partial_sums(shape.conjugate().parts, p.n)) != report.decreasing_invariants:
+        if _partial_sums(shape.conjugate().parts, p.n) != report.decreasing_invariants:
             return CheckResult(False, {"sigma": p.to_text(), "family": "decreasing"})
         return CheckResult(True)
 

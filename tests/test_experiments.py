@@ -194,6 +194,8 @@ class TestConfig:
             ExperimentConfig(regime=reg, n_ladder=(10,), trials=0, seed=0)
         with pytest.raises(ValueError):
             ExperimentConfig(regime=reg, n_ladder=(10,), trials=1, seed=0, measurements=("nope",))
+        with pytest.raises(ValueError, match="ladder sizes must be at least 1"):
+            ExperimentConfig(regime=reg, n_ladder=(0, 10), trials=1, seed=0)
 
 
 SWEEP = {
@@ -272,6 +274,10 @@ class TestRunExperiment:
         assert csv1 == csv2
         assert sum1.to_json() == sum2.to_json()
 
+    def test_workers_must_be_positive(self):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_experiment(self.cfg(), workers=0)
+
     def test_worker_count_invariance(self):
         cfg = self.cfg()
         rec1, sum1 = run_experiment(cfg, workers=1)
@@ -297,6 +303,9 @@ class TestRunExperiment:
             csv_path.write_text(lines[0] + "\n" + bad_row + "\n")
             with pytest.raises(ValueError):
                 read_records_csv(csv_path)
+        csv_path.write_text(lines[0].replace("ell", "ell_") + "\n" + lines[1] + "\n")
+        with pytest.raises(ValueError, match="unrecognized records CSV header"):
+            read_records_csv(csv_path)
 
     def test_summary_order_independent(self):
         cfg = self.cfg()

@@ -330,6 +330,20 @@ def test_row_limit_must_be_positive(word):
 
 
 @pytest.mark.parametrize("backend", ["c", "python"])
+def test_empty_word(monkeypatch, backend):
+    # the kernels' general path covers n = 0: no pile, no row
+    if backend == "python":
+        monkeypatch.setattr(_kernels, "_library", lambda: None)
+    elif BACKEND != "c":
+        pytest.skip("compiled kernels unavailable")
+    empty = np.empty(0, dtype=np.int64)
+    assert lis_lds_lengths(empty) == (0, 0)
+    for max_rows in (None, 1, 5):
+        shape = insertion_shape(empty, max_rows)
+        assert shape.dtype == np.int64 and shape.shape == (0,)
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
 @pytest.mark.parametrize("word", [np.array([0.2, 0.5]), np.array([1.7, 0.2]),
                                   np.array([True, False]),
                                   np.array([2**63, 1], dtype=np.uint64)],

@@ -2,11 +2,11 @@ import itertools
 
 import pytest
 
+from permshape import oracles
 from permshape.diagram import YoungDiagram
 from permshape.oracles import (
     check_fixed_point_bounds,
     check_profile_distance_bound,
-    greene_bruteforce,
     greene_report,
     max_union_of_increasing,
 )
@@ -16,28 +16,20 @@ from permshape.samplers import derive_rng, sample_uniform
 from permshape.verify import _five_sampler_draws
 
 
-class TestGreeneBruteforce:
+class TestGreeneReport:
     def test_worked_example(self):
-        p = Permutation([5, 3, 2, 1, 4, 6])
-        assert greene_bruteforce(p, 1) == 3
-        assert greene_bruteforce(p, 2) == 4  # lambda1 + lambda2 of (3,1,1,1)
+        inc = greene_report(Permutation([5, 3, 2, 1, 4, 6])).increasing_invariants
+        assert inc[0] == 3
+        assert inc[1] == 4  # lambda1 + lambda2 of (3,1,1,1)
 
     def test_identity(self):
-        p = Permutation.identity(5)
-        for i in range(1, 6):
-            assert greene_bruteforce(p, i) == 5
+        assert greene_report(Permutation.identity(5)).increasing_invariants == (5,) * 5
 
     def test_decreasing_family(self):
-        p = Permutation([5, 3, 2, 1, 4, 6])
+        dec = greene_report(Permutation([5, 3, 2, 1, 4, 6])).decreasing_invariants
         # conjugate of (3,1,1,1) is (4,1,1)
-        assert greene_bruteforce(p, 1, decreasing=True) == 4
-        assert greene_bruteforce(p, 2, decreasing=True) == 5
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            greene_bruteforce(Permutation.identity(17), 1)
-        with pytest.raises(ValueError):
-            greene_bruteforce(Permutation.identity(3), 0)
+        assert dec[0] == 4
+        assert dec[1] == 5
 
     def test_exhaustive_small_against_shape(self):
         for n in range(0, 6):
@@ -94,6 +86,20 @@ class TestFixedPointBounds:
             res = check_fixed_point_bounds(p)
             assert res.ok, res.witness
 
+    @pytest.mark.parametrize("word, witness", [
+        ("1", {"inequality": "first_row_bounds", "shape_sigma": "", "shape_reduced": "",
+               "fixed_points": 1, "lambda1": 0}),
+        ("2 1 5 4 3", {"inequality": "partial_sum_bounds", "shape_sigma": "2,2",
+                       "shape_reduced": "2", "fixed_points": 1, "index": 2}),
+    ])
+    def test_a_lost_row_is_named(self, monkeypatch, word, witness):
+        # a shape routine that drops each shape's last row breaks the bounds
+        monkeypatch.setattr(oracles, "schensted_shape",
+                            lambda p: YoungDiagram(schensted_shape(p).parts[:-1]))
+        res = check_fixed_point_bounds(Permutation.from_text(word))
+        assert not res.ok
+        assert res.witness == {"sigma": word, **witness}
+
 
 class TestProfileDistanceBoundCheck:
     def test_identical(self):
@@ -105,6 +111,15 @@ class TestProfileDistanceBoundCheck:
         res = check_profile_distance_bound(YoungDiagram((1,)), YoungDiagram(()))
         assert res.ok
         assert res.witness["slack"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_failure_reports_both_sides(self, monkeypatch):
+        monkeypatch.setattr(oracles, "bound_dominates_distance", lambda a, b: False)
+        a, b = YoungDiagram((3, 1)), YoungDiagram((2, 2))
+        res = check_profile_distance_bound(a, b)
+        assert not res.ok
+        assert res.witness == {"a": "3,1", "b": "2,2",
+                               "distance": oracles.sup_profile_distance(a, b),
+                               "bound": oracles.profile_distance_bound(a, b)}
 
     def test_random_fuzz(self):
         rng = derive_rng(43)

@@ -45,6 +45,7 @@ class TestPermutation:
         p = Permutation.from_text("5 3 2 1 4 6")
         assert p.to_text() == "5 3 2 1 4 6"
         assert Permutation.from_text("") == Permutation.identity(0)
+        assert Permutation.from_text(" \n") == Permutation.identity(0)
 
     def test_call_is_one_based(self):
         p = Permutation([5, 3, 2, 1, 4, 6])

@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -41,6 +41,15 @@ def regime_kwargs(draw):
     flipped = draw(st.sets(st.sampled_from(sorted(values)), max_size=1))
     given_keys = reads ^ flipped
     return {"ensemble": ensemble, **{k: v for k, v in values.items() if k in given_keys}}
+
+
+# fix_rule -> a strategy for each parameter it reads, over its valid range
+FIX_RULE_PARAMS = {
+    "constant": {"c": st.integers(0, 50).map(float)},
+    "theta_log": {"theta": st.floats(0.01, 10.0)},
+    "power": {"beta": st.floats(0.01, 0.99), "c": st.floats(0.0, 10.0)},
+    "linear": {"p": st.floats(0.0, 1.0)},
+}
 
 
 def assert_uniform_over_cells(counts, n_cells, total, alpha=1e-3):
@@ -250,6 +259,25 @@ class TestSampleRegime:
             for n in (3, 17, 64, 333):
                 cs = cycle_stats(sample_regime(spec, n, rng))
                 assert abs(cs.fixed_points - spec.fix_count(n)) <= 1
+
+    def test_derangement_core_of_size_zero(self):
+        # rng.permutation(0) draws nothing: the empty core leaves the stream as it was
+        rng = derive_rng(22)
+        state = rng.bit_generator.state
+        assert CORES["uniform_derangement"][0](0, rng) == Permutation.identity(0)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("fix_rule", sorted(FIX_RULES))
+    @pytest.mark.parametrize("core", sorted(CORES))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 40))
+    def test_composite_draws_never_raise(self, core, fix_rule, data, n):
+        # the +-1 step off the target always lands on a core size the core allows
+        params = {key: data.draw(s, label=key) for key, s in FIX_RULE_PARAMS[fix_rule].items()}
+        spec = RegimeSpec(ensemble="composite", core=core, fix_rule=fix_rule, **params)
+        p = sample_regime(spec, n, derive_rng(data.draw(st.integers(0, 2**32), label="seed")))
+        assert p.n == n
+        assert abs(cycle_stats(p).fixed_points - spec.fix_count(n)) <= 1
 
     def test_uniform_in_cycle_type_regime(self):
         spec = RegimeSpec(ensemble="uniform_in_cycle_type", cycle_type=(2, 2))

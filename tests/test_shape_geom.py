@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -274,9 +274,11 @@ class TestConventionReconciliation:
             for route in (height_interp, height_unit_cells):
                 assert route(d, xs).tolist() == [route(d, float(x)) for x in xs]
 
-    def test_unit_cell_evaluator_is_scaled_integer_profile(self):
-        d = YoungDiagram((7, 5, 2, 1, 1))
-        for x in np.linspace(-8, 8, 97):
-            assert height_unit_cells(d, x) == pytest.approx(
-                height_interp(d, x * SQRT2) / SQRT2, abs=1e-12
-            )
+    @given(partitions)
+    @example(YoungDiagram((7, 5, 2, 1, 1)))
+    def test_unit_cell_evaluator_is_scaled_integer_profile(self, d):
+        # the cell envelope against the boundary staircase and the integer route
+        xs = np.linspace(-(d.num_rows + 3), d.part(1) + 3, 97) / SQRT2
+        got = height_unit_cells(d, xs)
+        assert np.allclose(got, corner_profile(d, xs * SQRT2) / SQRT2, rtol=0, atol=1e-12)
+        assert np.allclose(got, height_interp(d, xs * SQRT2) / SQRT2, rtol=0, atol=1e-12)

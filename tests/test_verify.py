@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
-from permshape import verify
+from permshape import samplers, shape_geom, verify
 from permshape.diagram import YoungDiagram
-from permshape.oracles import CheckResult
+from permshape.oracles import CheckResult, GreeneReport
 from permshape.verify import (
     run_suite,
     suite_convention,
@@ -57,6 +58,49 @@ class TestSuites:
         assert run_suite("convention", seed=3)["suite"] == "convention"
         with pytest.raises(ValueError):
             run_suite("nonsense")
+
+    @pytest.mark.parametrize("suite, size", [("fixpoint", "draws"), ("samplers", "draws"),
+                                             ("profile-bound", "pairs")])
+    def test_run_suite_rejects_an_empty_run(self, suite, size):
+        with pytest.raises(ValueError, match=f"{size} must be at least 1"):
+            run_suite(suite, **{size: 0})
+
+
+def test_convention_catches_a_wrong_diagonal(monkeypatch):
+    # two cells too many on diagonal -1 in the integer profile: the unit-cell
+    # route reads the cells themselves, so the two routes part
+    height_profile = shape_geom.height_profile
+    monkeypatch.setattr(shape_geom, "height_profile",
+                        lambda d, ts: height_profile(d, ts) + 2 * (np.asarray(ts) == -1))
+    report = suite_convention(seed=3)
+    assert report["ok"] is False
+    assert report["worst_gap"] > 0.1
+
+
+def test_greene_names_the_decreasing_family(monkeypatch):
+    greene_report = verify.greene_report
+
+    def one_too_many_decreasing(p):
+        report = greene_report(p)
+        return GreeneReport(report.increasing_invariants,
+                            tuple(x + 1 for x in report.decreasing_invariants))
+
+    monkeypatch.setattr(verify, "greene_report", one_too_many_decreasing)
+    report = suite_greene()
+    assert report["ok"] is False
+    assert report["failures"][0] == {"sigma": "1", "family": "decreasing"}
+    assert {w["family"] for w in report["failures"]} == {"decreasing"}
+
+
+def test_samplers_flag_a_draw_outside_the_support(monkeypatch):
+    # an n-cycle sampler that leaks a fixed point draws outside its law's support
+    monkeypatch.setitem(samplers.ENSEMBLES, "n_cycle", (
+        (), lambda spec, n, rng: samplers.sample_in_cycle_type((n - 1, 1), rng)))
+    report = suite_samplers(draws=4000, seed=1)
+    assert report["ok"] is False
+    assert len(report["families"]) == 6
+    bad = [f for f in report["families"] if not f["ok"]]
+    assert [(f["family"], f["stat"]) for f in bad] == [("n_cycle", math.inf)]
 
 
 def test_suites_stop_at_the_fifth_failure_and_count_what_they_checked(monkeypatch):
