@@ -24,7 +24,7 @@ from permshape import (
 )
 from permshape.experiments import csv_text
 from permshape.samplers import derive_rng, sample_fpf_involution
-from permshape.shape_geom import profile_rows, scaled_rows
+from permshape.shape_geom import profile_rows, scaled_kinks
 
 OUT = Path(__file__).resolve().parent
 
@@ -59,7 +59,7 @@ shape = schensted_shape(sigma)
 dist = scaled_sup_distance(shape, n, 0)
 print(f"one fixed-point-free involution, n={n}: sup distance to the limit curve = {dist:.4f}")
 csv = OUT / "scaled_profile_fpf.csv"
-csv.write_text(csv_text(("s", "F", "Phi"), scaled_rows(shape, n, 0)))
+csv.write_text(csv_text(("s", "F", "Phi"), zip(*scaled_kinks(shape, n, 0))))
 print(f"wrote {csv} (columns: s, rescaled profile, limit curve)")
 
 try:

@@ -180,11 +180,12 @@ def _shape_py(values, max_rows=None):
     return np.asarray(row_lengths, dtype=np.int64)
 
 
-def _cycle_scan_py(zero_based):
-    n = len(zero_based)
-    seen = bytearray(n)
-    num_cycles = fixed = two = 0
-    for start in range(n):
+def cycle_lengths(zero_based) -> list[int]:
+    """The cycle lengths of a 0-based permutation (any sequence of ints),
+    each cycle counted from its smallest point, in the order of those."""
+    seen = bytearray(len(zero_based))
+    lengths = []
+    for start in range(len(zero_based)):
         if seen[start]:
             continue
         length = 0
@@ -193,12 +194,13 @@ def _cycle_scan_py(zero_based):
             seen[j] = 1
             j = int(zero_based[j])
             length += 1
-        num_cycles += 1
-        if length == 1:
-            fixed += 1
-        elif length == 2:
-            two += 1
-    return num_cycles, fixed, two
+        lengths.append(length)
+    return lengths
+
+
+def _cycle_scan_py(zero_based):
+    lengths = cycle_lengths(zero_based)
+    return len(lengths), lengths.count(1), lengths.count(2)
 
 
 def _greene_py(word):

@@ -44,7 +44,7 @@ from .samplers import (
 from .shape_geom import (
     profile_distance_bound,
     profile_rows,
-    scaled_rows,
+    scaled_kinks,
     scaled_sup_distance,
     sup_profile_distance,
 )
@@ -129,7 +129,7 @@ def cmd_profile(args) -> int:
     d = YoungDiagram.from_text(args.diagram)
     if args.n is not None:
         m = args.m if args.m is not None else 0
-        sys.stdout.write(csv_text(("s", "F", "Phi"), scaled_rows(d, args.n, m)))
+        sys.stdout.write(csv_text(("s", "F", "Phi"), zip(*scaled_kinks(d, args.n, m))))
     else:
         sys.stdout.write(csv_text(("t", "L"), profile_rows(d)))
     return 0

@@ -66,10 +66,6 @@ class TrialRecord:
         """The record's cells in records.csv, its schema version first."""
         return (CSV_SCHEMA_VERSION, *(getattr(self, name) for name in RECORD_FIELDS))
 
-    def csv_row(self) -> str:
-        """The record's line of records.csv, without its newline."""
-        return csv_text(self.cells(), ()).rstrip("\n")
-
 
 # the columns of records.csv after schema_version; wall_time stays in memory
 RECORD_FIELDS = tuple(f.name for f in fields(TrialRecord) if f.name != "wall_time")

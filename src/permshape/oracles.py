@@ -127,7 +127,7 @@ def check_fixed_point_bounds(p: Permutation) -> CheckResult:
         data.update(kw)
         return CheckResult(False, data)
 
-    if p.n > 0 and not (m <= a1 <= m + b1):
+    if not (m <= a1 <= m + b1):
         return fail("first_row_bounds", lambda1=a1)
     upper = max(a.num_rows, b.num_rows) + 2
     sum_a = a1

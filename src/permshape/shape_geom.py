@@ -23,10 +23,16 @@ used by the limit statements,
     F_n(s) = L(2 s sqrt(n)) / (2 sqrt(n))          (integer convention)
     G_n(s) = L_cell(s sqrt(2 n)) / sqrt(2 n)       (unit-cell convention)
 
-are the same function of s under that map; ``scaled_height`` and
-``scaled_height_unit`` implement the two routes independently so the
-reconciliation can be tested numerically rather than assumed. Both take a
-float s, giving a float, or an array of s, giving an array.
+are the same function of s under that map. ``scaled_kinks`` gives F_n on
+its kinks, the values every scaled distance and profile dump is made from;
+``scaled_height_unit`` evaluates G_n at any s, so the reconciliation is
+tested rather than assumed. Checking it on the kinks alone is complete.
+Both functions are piecewise linear with kinks only at integer t = 2 s
+sqrt(n): F_n by construction, and G_n because the sides of the row tents
+(slopes +-1 through the integer points t / sqrt(2)) cross each other and
+|x| only at x = t / sqrt(2). Both equal |s| outside the window
+[-(rows + ceil(2 sqrt(n))), lambda_1 + ceil(2 sqrt(n))] of t, so agreement
+at every kink of that window is agreement everywhere.
 """
 
 from __future__ import annotations
@@ -58,18 +64,6 @@ def height_profile(d: YoungDiagram, ts: np.ndarray) -> np.ndarray:
     return np.abs(ts) + 2 * np.maximum(0, k + np.minimum(ts, 0))
 
 
-def height_interp(d: YoungDiagram, x: float | np.ndarray) -> float | np.ndarray:
-    """L at real x by linear interpolation between the integer kinks; x is
-    a float, giving a float, or an array, giving an array."""
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    t0 = np.floor(xs)
-    frac = xs - t0
-    t = t0.astype(np.int64)
-    L = height_profile(d, np.concatenate([t, t + 1])).astype(np.float64)
-    out = L[: t.size] * (1.0 - frac) + L[t.size :] * frac
-    return float(out[0]) if np.ndim(x) == 0 else out
-
-
 def height_unit_cells(d: YoungDiagram, x: float | np.ndarray) -> float | np.ndarray:
     """Profile in unit-cell coordinates (kinks at multiples of sqrt(2)/2),
     from the cells: the upper envelope of |x| and of a tent of slope 1
@@ -85,15 +79,10 @@ def height_unit_cells(d: YoungDiagram, x: float | np.ndarray) -> float | np.ndar
     return float(out) if out.ndim == 0 else out
 
 
-def scaled_height(d: YoungDiagram, n: int, s: float | np.ndarray) -> float | np.ndarray:
-    """F_n(s) = L(2 s sqrt(n)) / (2 sqrt(n)) in integer coordinates."""
-    c = 2.0 * math.sqrt(n)
-    return height_interp(d, np.multiply(s, c)) / c
-
-
 def scaled_height_unit(d: YoungDiagram, n: int,
                        s: float | np.ndarray) -> float | np.ndarray:
-    """Same rescaled profile evaluated through unit-cell coordinates."""
+    """G_n(s), the rescaled profile through unit-cell coordinates; s is a
+    float, giving a float, or an array, giving an array."""
     c = math.sqrt(2.0 * n)
     return height_unit_cells(d, np.multiply(s, c)) / c
 
@@ -150,10 +139,12 @@ def _check_scaling(d: YoungDiagram, n: int, m: int) -> None:
         raise ValueError(f"fixed-point count m={m} outside [0, {n}]")
 
 
-def _scaled_kinks(d: YoungDiagram, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def scaled_kinks(d: YoungDiagram, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(s, F_n(s), limit_curve(s, m/n)) as arrays on the profile kinks
     2 s sqrt(n) = t for the integers t in [-(rows + W), lambda_1 + W],
-    W = ceil(2 sqrt(n)), outside which both functions equal |s|."""
+    W = ceil(2 sqrt(n)), outside which both functions equal |s|. Every
+    scaled value the package reports comes from here: ``scaled_sup_distance``
+    takes the largest |F - Phi| and ``permshape profile --n`` prints the rows."""
     _check_scaling(d, n, m)
     c = 2.0 * math.sqrt(n)
     w = math.ceil(c)
@@ -166,14 +157,13 @@ def scaled_sup_distance(d: YoungDiagram, n: int, m: int) -> float:
     """Sup-norm gap between the rescaled profile of d and the limit curve.
 
     Computes sup over s of |F_n(s) - limit_curve(s, m/n)| as the maximum over
-    the kinks of ``_scaled_kinks``, the rows ``scaled_rows`` gives. Outside
-    their window both functions equal |s| exactly. Between two kinks F_n has
-    slope +1 or -1 and the limit curve, being 1-Lipschitz, a slope in
-    [-1, 1], so their difference is monotone on each segment and its largest
-    absolute value sits at a kink: the kink scan is the exact sup up to
-    rounding.
+    the kinks of ``scaled_kinks``. Outside their window both functions equal
+    |s| exactly. Between two kinks F_n has slope +1 or -1 and the limit
+    curve, being 1-Lipschitz, a slope in [-1, 1], so their difference is
+    monotone on each segment and its largest absolute value sits at a kink:
+    the kink scan is the exact sup up to rounding.
     """
-    _, f, phi = _scaled_kinks(d, n, m)
+    _, f, phi = scaled_kinks(d, n, m)
     return float(np.max(np.abs(f - phi)))
 
 
@@ -250,9 +240,3 @@ def profile_rows(d: YoungDiagram) -> Iterator[tuple[int, int]]:
     """(t, L(t)) rows over the support window, one integer t per row."""
     t = np.arange(-(d.num_rows + 1), d.part(1) + 2, dtype=np.int64)
     return zip(t.tolist(), height_profile(d, t).tolist())
-
-
-def scaled_rows(d: YoungDiagram, n: int, m: int) -> Iterator[tuple[float, float, float]]:
-    """(s, F_n(s), limit_curve(s, m/n)) rows on the kinks that
-    ``scaled_sup_distance`` scans. The arguments are checked at the call."""
-    return zip(*(a.tolist() for a in _scaled_kinks(d, n, m)))

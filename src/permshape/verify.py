@@ -15,6 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ._kernels import cycle_lengths
 from .diagram import YoungDiagram
 from .oracles import (
     CheckResult,
@@ -25,7 +26,7 @@ from .oracles import (
 from .perm import Permutation
 from .rsk import schensted_shape
 from .samplers import RegimeSpec, derive_rng, sample_regime, sample_uniform
-from .shape_geom import scaled_height, scaled_height_unit
+from .shape_geom import scaled_height_unit, scaled_kinks
 
 # suite -> (name of its function here, the size keyword it takes or None).
 # The function is looked up by name when the suite runs, so a rebinding of
@@ -133,34 +134,22 @@ def suite_profile_bound(pairs: int = 10_000, seed: int = 0) -> dict:
 
 
 def suite_convention(seed: int = 0) -> dict:
-    """The two scaled profile evaluations agree through the coordinate map,
-    to 1e-12, at 100 values of s on each of 100 shapes of uniform draws."""
+    """The kink values of F_n that every scaled distance is made from agree
+    with the unit-cell route G_n, to 1e-12, at every kink of the window of
+    each of 100 shapes of uniform draws. Both are piecewise linear with
+    kinks only there, so agreement on the kinks is agreement everywhere."""
     rng = derive_rng(seed, 4)
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(1, 2000))
         d = schensted_shape(sample_uniform(n, rng))
-        width = max(d.part(1), d.num_rows) / (2.0 * np.sqrt(n)) + 1.5
-        s = rng.uniform(-width, width, size=100)
-        gap = np.abs(scaled_height(d, n, s) - scaled_height_unit(d, n, s))
-        worst = max(worst, float(gap.max()))
+        s, f, _ = scaled_kinks(d, n, 0)
+        worst = max(worst, float(np.max(np.abs(f - scaled_height_unit(d, n, s)))))
     return {"suite": "convention", "ok": worst <= 1e-12, "worst_gap": worst, "tol": 1e-12}
 
 
 # false-alarm rate of each family's chi-square test in the samplers suite
 SAMPLERS_ALPHA = 1e-3
-
-
-def _cycle_type(word: tuple[int, ...]) -> tuple[int, ...]:
-    """Cycle lengths of a 0-based word, largest first."""
-    lengths, left = [], set(range(len(word)))
-    while left:
-        start = i = left.pop()
-        lengths.append(1)
-        while (i := word[i]) != start:
-            left.remove(i)
-            lengths[-1] += 1
-    return tuple(sorted(lengths, reverse=True))
 
 
 def suite_samplers(draws: int = 100_000, seed: int = 0) -> dict:
@@ -191,7 +180,8 @@ def suite_samplers(draws: int = 100_000, seed: int = 0) -> dict:
         (RegimeSpec("composite", core="fpf_involution", fix_rule="linear", p=0.5), 4,
          {(2, 1, 1)}),
     ):
-        support = [w for w in itertools.permutations(range(n)) if _cycle_type(w) in cycle_types]
+        support = [w for w in itertools.permutations(range(n))
+                   if tuple(sorted(cycle_lengths(w), reverse=True)) in cycle_types]
         rng = derive_rng(seed, 5, len(results))
         drawn = Counter(tuple(sample_regime(spec, n, rng).zero_based.tolist())
                         for _ in range(draws))

@@ -20,6 +20,7 @@ from permshape.experiments import (
     load_pilot_manifest,
     rescale_statistic,
     run_experiment,
+    write_outputs,
 )
 from permshape.rsk import lis, schensted_shape
 from permshape.samplers import RegimeSpec, derive_rng, sample_uniform
@@ -164,10 +165,10 @@ def test_criterion_9_determinism(tmp_path):
     runs = []
     for workers in (1, 2, 3):
         records, summary = run_experiment(cfg, workers=workers)
-        csv_sorted = "\n".join(sorted(r.csv_row() for r in records))
-        runs.append((csv_sorted, summary.to_json()))
+        written = write_outputs(records, summary, tmp_path / f"workers_{workers}")
+        runs.append(tuple(path.read_bytes() for path in written))
     csv_match = runs[0][0] == runs[1][0] == runs[2][0]
     json_match = runs[0][1] == runs[1][1] == runs[2][1]
     ok = csv_match and json_match
     report("criterion-9 determinism", ok,
-           f"byte-identical sorted CSV and summary JSON across workers 1/2/3: {ok}")
+           f"byte-identical records.csv and summary.json across workers 1/2/3: {ok}")

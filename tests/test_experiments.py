@@ -38,6 +38,11 @@ def make_record(n=100, m=0, ell=None, lambda1=None, lambda2=None):
     )
 
 
+def written_bytes(records, summary, out_dir) -> tuple[bytes, bytes]:
+    """The bytes of the records.csv and summary.json that write_outputs writes."""
+    return tuple(path.read_bytes() for path in write_outputs(records, summary, out_dir))
+
+
 class TestRescaleStatistic:
     def test_tw2_centered_at_zero(self):
         n, m = 169, 0
@@ -267,24 +272,18 @@ class TestRunExperiment:
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = self.cfg()
-        rec1, sum1 = run_experiment(cfg)
-        rec2, sum2 = run_experiment(cfg)
-        csv1 = "\n".join(r.csv_row() for r in rec1)
-        csv2 = "\n".join(r.csv_row() for r in rec2)
-        assert csv1 == csv2
-        assert sum1.to_json() == sum2.to_json()
+        first = written_bytes(*run_experiment(cfg), tmp_path / "first")
+        assert written_bytes(*run_experiment(cfg), tmp_path / "second") == first
 
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError, match="workers must be at least 1"):
             run_experiment(self.cfg(), workers=0)
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, tmp_path):
         cfg = self.cfg()
-        rec1, sum1 = run_experiment(cfg, workers=1)
-        rec2, sum2 = run_experiment(cfg, workers=2)
         # pool.map yields in submission order, so even the row order agrees
-        assert [r.csv_row() for r in rec1] == [r.csv_row() for r in rec2]
-        assert sum1.to_json() == sum2.to_json()
+        one = written_bytes(*run_experiment(cfg, workers=1), tmp_path / "one")
+        assert written_bytes(*run_experiment(cfg, workers=2), tmp_path / "two") == one
 
     def test_csv_write_and_read_back(self, tmp_path):
         records, summary = run_experiment(self.cfg())
@@ -296,7 +295,7 @@ class TestRunExperiment:
         )
         assert len(lines) == 1 + len(records)
         back = read_records_csv(csv_path)
-        assert [r.csv_row() for r in back] == [r.csv_row() for r in records]
+        assert written_bytes(back, summary, tmp_path / "back")[0] == csv_path.read_bytes()
         doc = json.loads(json_path.read_text())
         assert doc["schema_version"] == 1
         for bad_row in ("1,30,0,0", "2" + lines[1][1:]):

@@ -12,16 +12,14 @@ from permshape.samplers import derive_rng, sample_uniform
 from permshape.shape_geom import (
     SQRT2,
     bound_dominates_distance,
-    height_interp,
     height_profile,
     height_unit_cells,
     limit_curve,
     omega,
     profile_distance_bound,
     profile_rows,
-    scaled_height,
     scaled_height_unit,
-    scaled_rows,
+    scaled_kinks,
     scaled_sup_distance,
     sup_profile_distance,
 )
@@ -81,14 +79,6 @@ class TestHeightProfile:
         assert ((L - ts) % 2 == 0).all()
         assert int(excess.sum()) == 2 * d.n  # every cell once per diagonal
         assert (np.abs(np.diff(L)) == 1).all()
-
-    def test_interp_on_random_reals(self):
-        d = YoungDiagram((7, 5, 2, 1, 1))
-        rng = np.random.default_rng(11)
-        xs = rng.uniform(-12, 12, size=200)
-        expected = corner_profile(d, xs)
-        got = np.array([height_interp(d, x) for x in xs])
-        assert np.allclose(got, expected, atol=1e-12)
 
     @given(partitions, st.integers(-20, 20))
     def test_unit_cell_parity(self, d, i):
@@ -167,7 +157,7 @@ class TestScaledSupDistance:
     def test_single_box_sup_is_at_zero(self):
         d = YoungDiagram((1,))
         ss = np.linspace(-3, 3, 2001)
-        gaps = [abs(scaled_height(d, 1, s) - limit_curve(s, 0.0)) for s in ss]
+        gaps = [abs(scaled_height_unit(d, 1, s) - limit_curve(s, 0.0)) for s in ss]
         assert max(gaps) <= scaled_sup_distance(d, 1, 0) + 1e-12
 
     def test_scan_never_underestimates_dense_scan(self):
@@ -180,17 +170,22 @@ class TestScaledSupDistance:
             d = schensted_shape(sample_uniform(n, rng))
             m = int(rng.integers(0, n + 1))
             reported = scaled_sup_distance(d, n, m)
-            dense = np.max(np.abs(scaled_height(d, n, s) - limit_curve(s, m / n)))
+            dense = np.max(np.abs(scaled_height_unit(d, n, s) - limit_curve(s, m / n)))
             assert reported >= dense - 1e-12
 
-    def test_is_the_maximum_over_scaled_rows(self):
-        # the distance scans exactly the rows the profile dump prints, bit for bit
+    def test_is_the_maximum_over_scaled_kinks(self):
+        # the distance scans exactly the rows the profile dump prints, bit for
+        # bit, and both curves are back on |s| at the two ends of the window
         rng = derive_rng(18)
         for _ in range(40):
             n = int(rng.integers(1, 500))
             d = schensted_shape(sample_uniform(n, rng))
             for m in (0, int(rng.integers(0, n + 1)), n):
-                gaps = [abs(f - phi) for _, f, phi in scaled_rows(d, n, m)]
+                s, f, phi = scaled_kinks(d, n, m)
+                ends = np.abs(s[[0, -1]])
+                assert np.array_equal(f[[0, -1]], ends)
+                assert np.allclose(phi[[0, -1]], ends, rtol=0, atol=1e-12)
+                gaps = [abs(fk - pk) for _, fk, pk in zip(s, f, phi)]
                 assert scaled_sup_distance(d, n, m) == max(gaps)
 
     def test_preconditions(self):
@@ -250,14 +245,18 @@ class TestDistanceBound:
 
 class TestConventionReconciliation:
     def test_two_scalings_agree(self):
+        # on the kinks, and between them: interpolating the kink values
+        # gives the unit-cell route at any s, as both are linear there
         rng = derive_rng(23)
         worst = 0.0
         for _ in range(30):
             n = int(rng.integers(1, 1500))
             d = schensted_shape(sample_uniform(n, rng))
-            width = max(d.part(1), d.num_rows) / (2 * math.sqrt(n)) + 1.5
-            for s in rng.uniform(-width, width, size=40):
-                worst = max(worst, abs(scaled_height(d, n, s) - scaled_height_unit(d, n, s)))
+            s, f, _ = scaled_kinks(d, n, 0)
+            worst = max(worst, np.max(np.abs(f - scaled_height_unit(d, n, s))))
+            between = rng.uniform(s[0], s[-1], size=40)
+            gap = np.interp(between, s, f) - scaled_height_unit(d, n, between)
+            worst = max(worst, np.max(np.abs(gap)))
         assert worst <= 1e-12
 
     def test_array_of_s_matches_scalar_calls(self):
@@ -266,19 +265,16 @@ class TestConventionReconciliation:
         for n in (1, 7, 300):
             d = schensted_shape(sample_uniform(n, rng))
             ss = rng.uniform(-3.0, 3.0, size=50)
-            for route in (scaled_height, scaled_height_unit):
-                scalar = [route(d, n, float(s)) for s in ss]
-                assert all(type(v) is float for v in scalar)
-                assert route(d, n, ss).tolist() == scalar
+            scalar = [scaled_height_unit(d, n, float(s)) for s in ss]
+            assert all(type(v) is float for v in scalar)
+            assert scaled_height_unit(d, n, ss).tolist() == scalar
             xs = ss * n
-            for route in (height_interp, height_unit_cells):
-                assert route(d, xs).tolist() == [route(d, float(x)) for x in xs]
+            assert height_unit_cells(d, xs).tolist() == [height_unit_cells(d, float(x)) for x in xs]
 
     @given(partitions)
     @example(YoungDiagram((7, 5, 2, 1, 1)))
     def test_unit_cell_evaluator_is_scaled_integer_profile(self, d):
-        # the cell envelope against the boundary staircase and the integer route
+        # the cell envelope against the boundary staircase
         xs = np.linspace(-(d.num_rows + 3), d.part(1) + 3, 97) / SQRT2
         got = height_unit_cells(d, xs)
         assert np.allclose(got, corner_profile(d, xs * SQRT2) / SQRT2, rtol=0, atol=1e-12)
-        assert np.allclose(got, height_interp(d, xs * SQRT2) / SQRT2, rtol=0, atol=1e-12)

@@ -77,6 +77,22 @@ def test_convention_catches_a_wrong_diagonal(monkeypatch):
     assert report["worst_gap"] > 0.1
 
 
+def test_convention_catches_a_profile_read_one_kink_off(monkeypatch):
+    # F read at t + 1 in place of t, only where the suite reads the kinks:
+    # the distance a record holds is made from the same values
+    scaled_kinks = shape_geom.scaled_kinks
+
+    def one_kink_off(d, n, m):
+        s, _, phi = scaled_kinks(d, n, m)
+        c = 2.0 * math.sqrt(n)
+        return s, shape_geom.height_profile(d, np.rint(s * c).astype(np.int64) + 1) / c, phi
+
+    monkeypatch.setattr(verify, "scaled_kinks", one_kink_off)
+    report = suite_convention(seed=3)
+    assert report["ok"] is False
+    assert report["worst_gap"] > 0.01
+
+
 def test_greene_names_the_decreasing_family(monkeypatch):
     greene_report = verify.greene_report
 
