@@ -306,9 +306,7 @@ def cycle_scan(zero_based: np.ndarray) -> tuple[int, int, int]:
     """(number of cycles, fixed points, 2-cycles) of a 0-based permutation array."""
     _check_word(zero_based)
     n = zero_based.shape[0]
-    if n == 0:
-        return 0, 0, 0
-    if zero_based.min() < 0 or zero_based.max() >= n:
+    if n and (zero_based.min() < 0 or zero_based.max() >= n):
         raise ValueError("cycle_scan needs images in [0, n)")
     lib = _library()
     if lib is None:

@@ -150,15 +150,8 @@ def check_fixed_point_bounds(p: Permutation) -> CheckResult:
 
 def check_profile_distance_bound(a: YoungDiagram, b: YoungDiagram) -> CheckResult:
     """Exact check that the partition bound dominates the profile distance."""
-    ok = bound_dominates_distance(a, b)
-    if ok:
-        return CheckResult(True, {"slack": profile_distance_bound(a, b) - sup_profile_distance(a, b)})
-    return CheckResult(
-        False,
-        {
-            "a": a.to_text(),
-            "b": b.to_text(),
-            "distance": sup_profile_distance(a, b),
-            "bound": profile_distance_bound(a, b),
-        },
-    )
+    distance, bound = sup_profile_distance(a, b), profile_distance_bound(a, b)
+    if bound_dominates_distance(a, b):
+        return CheckResult(True, {"slack": bound - distance})
+    return CheckResult(False, {"a": a.to_text(), "b": b.to_text(), "distance": distance,
+                               "bound": bound})

@@ -40,11 +40,6 @@ def int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
-# config key -> how its value is read
-REGIME_KEYS = {"ensemble": str, "core": str, "fix_rule": str, "theta": float,
-               "beta": float, "p": float, "c": float, "cycle_type": int_list}
-
-
 def parse_key_values(text: str) -> dict[str, str]:
     """The ``key = value`` lines of a config text; ``#`` starts a comment.
 
@@ -92,14 +87,13 @@ class RegimeSpec:
     """Which ensemble to draw from, and for composite ensembles how many
     fixed points to plant and what structure to put on the rest.
 
-    fix_rule maps n to a target fixed-point count by its entry in
-    ``FIX_RULES``. The target is clamped to [0, n], then rounded down, and
-    may be adjusted by +-1 when the core needs it (``CORES`` gives the core
-    sizes each core allows). The realized count is visible on the sampled
-    permutation itself.
+    fix_rule maps n to a fixed-point count by its entry in ``FIX_RULES``,
+    and ``fix_count(n)`` is the count a draw plants (see there).
 
-    Exactly the keys the regime reads (``keys()``) are given; every other
-    key stays None.
+    Exactly the keys the regime reads are set, each to a value its
+    ``REGIME_KEYS`` row accepts; every other key stays None. The regime
+    reads ensemble, the keys its ensemble's entry reads and, in turn, the
+    keys the entries of those choices read.
     """
 
     ensemble: str
@@ -119,51 +113,43 @@ class RegimeSpec:
             except TypeError:
                 raise ValueError(f"cycle_type needs integer parts, got {self.cycle_type}") from None
             object.__setattr__(self, "cycle_type", parts)
-        if self.ensemble not in ENSEMBLES:
-            raise ValueError(f"unknown ensemble {self.ensemble!r}")
-        for key in ENSEMBLES[self.ensemble][0]:
-            value, choices = getattr(self, key), REGIME_CHOICES.get(key)
-            if not value or (choices and value not in choices):
-                among = f" in {tuple(choices)}" if choices else ""
-                raise ValueError(f"{self.ensemble} regime needs a {key}{among}")
-        keys = self.keys()
-        rule = f" with fix_rule {self.fix_rule}" if "fix_rule" in keys else ""
-        unread = sorted(k for k in REGIME_KEYS if k not in keys and getattr(self, k) is not None)
-        if unread:
-            raise ValueError(f"ensemble {self.ensemble}{rule} does not read {', '.join(unread)}")
-        for key in keys:
-            if getattr(self, key) is None:
-                raise ValueError(f"ensemble {self.ensemble}{rule} needs {key}")
-        if self.theta is not None and not 0.0 < self.theta < math.inf:
-            raise ValueError("theta must be positive and finite")
-        if self.beta is not None and not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
-        if self.p is not None and not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-        if self.c is not None and not 0.0 <= self.c < math.inf:
-            raise ValueError("c must be non-negative and finite")
-        parts = self.cycle_type or ()
-        if any(a < 1 for a in parts) or any(a < b for a, b in zip(parts, parts[1:])):
-            raise ValueError(f"cycle_type needs positive, weakly decreasing parts, got {parts}")
+        # one walk in REGIME_KEYS order: a key is read once a choice before it
+        # reads it; a message names the ensemble and each choice that reads keys
+        reads, named = {"ensemble"}, {"ensemble": self.ensemble}
+        for key, (_, valid, accepted) in REGIME_KEYS.items():
+            value = getattr(self, key)
+            if (key in reads) != (value is not None):
+                subject = " with ".join(f"{k} {v}" for k, v in named.items())
+                raise ValueError(f"{subject} {'needs' if key in reads else 'does not read'} {key}")
+            if value is None:
+                continue
+            if not valid(value):
+                raise ValueError(f"{key} must be {accepted}, got {value!r}")
+            if key in REGIME_CHOICES:
+                widened = REGIME_CHOICES[key][value][0]
+                reads.update(widened)
+                if widened:
+                    named[key] = value
         for key in FIX_RULES[self.fix_rule][2] if self.fix_rule else ():
             if getattr(self, key) % 1:
                 raise ValueError(f"fix_rule {self.fix_rule} needs a whole number {key}, "
                                  f"got {getattr(self, key)}")
 
     def fix_count(self, n: int) -> int:
-        """Target fixed-point count before parity adjustment: the rule's
-        target clamped to [0, n] (so an infinite one too), then rounded down."""
+        """The fixed points a draw at size n plants: the rule's target clamped
+        to [0, n] (so an infinite one too), rounded down, then moved by one
+        (down, or up from 0) when the core cannot live on the rest."""
         if self.fix_rule not in FIX_RULES:
             raise ValueError("regime has no fix_rule")
-        return math.floor(max(0, min(n, FIX_RULES[self.fix_rule][1](self, n))))
+        m = math.floor(max(0, min(n, FIX_RULES[self.fix_rule][1](self, n))))
+        if CORES[self.core][2](n - m):
+            return m
+        # a core refuses only k = 1 or an odd k, so the step lands on a size it takes
+        return m - 1 if m > 0 else m + 1
 
     def keys(self) -> tuple[str, ...]:
-        """The config keys this regime reads: the ensemble, the keys the
-        ensemble reads and, when one of them is fix_rule, the rule's."""
-        reads = ENSEMBLES[self.ensemble][0]
-        if "fix_rule" in reads:
-            reads += FIX_RULES[self.fix_rule][0]
-        return ("ensemble",) + reads
+        """The config keys this regime reads: the ones it sets."""
+        return tuple(key for key in REGIME_KEYS if getattr(self, key) is not None)
 
     def to_text(self) -> str:
         """Key-value block, embeddable in an experiment config file: the
@@ -180,7 +166,8 @@ class RegimeSpec:
     def from_mapping(cls, kv: Mapping[str, str]) -> "RegimeSpec":
         """The regime the ``key = value`` settings name; the ensemble
         defaults to uniform."""
-        return cls(**parse_values({"ensemble": "uniform", **kv}, REGIME_KEYS))
+        readers = {key: read for key, (read, *_) in REGIME_KEYS.items()}
+        return cls(**parse_values({"ensemble": "uniform", **kv}, readers))
 
     @classmethod
     def from_text(cls, text: str) -> "RegimeSpec":
@@ -288,28 +275,23 @@ def _sample_given_cycle_type(spec: RegimeSpec, n: int, rng: np.random.Generator)
 
 
 def _sample_composite(spec: RegimeSpec, n: int, rng: np.random.Generator) -> Permutation:
-    """m fixed points on a uniform m-subset and an independent core on the
-    complement, relabeled order-preservingly. Both choices are exchangeable,
-    so the law is conjugacy invariant. m is the fix_rule target adjusted by
-    at most 1 when the core demands it (decrement preferred; increment only
-    from m = 0)."""
-    sample_core, size_ok = CORES[spec.core]
+    """``spec.fix_count(n)`` fixed points on a uniform subset and an
+    independent core on the complement, relabeled order-preservingly. Both
+    choices are exchangeable, so the law is conjugacy invariant."""
     m = spec.fix_count(n)
-    if not size_ok(n - m):
-        # a core refuses only k = 1 or an odd k, so the step lands on a size it takes
-        m = m - 1 if m > 0 else m + 1
     fixed = rng.choice(n, size=m, replace=False) if m else np.empty(0, dtype=np.int64)
-    return plant_fixed_points(fixed, sample_core(n - m, rng))
+    return plant_fixed_points(fixed, CORES[spec.core][1](n - m, rng))
 
 
 # sample_in_cycle_type is called by its module-global name at draw time,
 # never stored in a table, so a rebinding of it (the benchmark's tracer) is
-# seen. core -> (its sampler on k elements, whether it can live on k elements)
+# seen. core -> (the keys it reads, its sampler on k elements, whether it
+# can live on k elements)
 CORES = {
     # a lone leftover element would be a fixed point, not a core
-    "n_cycle": (_sample_n_cycle, lambda k: k != 1),
-    "fpf_involution": (sample_fpf_involution, lambda k: k % 2 == 0),
-    "uniform_derangement": (_sample_derangement, lambda k: k != 1),
+    "n_cycle": ((), _sample_n_cycle, lambda k: k != 1),
+    "fpf_involution": ((), sample_fpf_involution, lambda k: k % 2 == 0),
+    "uniform_derangement": ((), _sample_derangement, lambda k: k != 1),
 }
 # ensemble -> (the keys it reads besides ensemble, its sampler (spec, n, rng))
 ENSEMBLES = {
@@ -320,8 +302,23 @@ ENSEMBLES = {
     "uniform_in_cycle_type": (("cycle_type",), _sample_given_cycle_type),
     "composite": (("core", "fix_rule"), _sample_composite),
 }
-# regime key -> the names it may take
+# regime key -> the table whose entries are the values it may take
 REGIME_CHOICES = {"ensemble": ENSEMBLES, "core": CORES, "fix_rule": FIX_RULES}
+# config key -> (how its text is read, whether a value is valid, the valid
+# values in words). RegimeSpec checks a regime in this order, so a choice key
+# comes before every key its entries read. RegimeSpec's fields come in this
+# order too.
+REGIME_KEYS = {
+    **{key: (str, table.__contains__, "one of " + ", ".join(table))
+       for key, table in REGIME_CHOICES.items()},
+    "theta": (float, lambda v: 0.0 < v < math.inf, "positive and finite"),
+    "beta": (float, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "p": (float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "c": (float, lambda v: 0.0 <= v < math.inf, "non-negative and finite"),
+    "cycle_type": (int_list, lambda parts: bool(parts) and min(parts) >= 1
+                   and list(parts) == sorted(parts, reverse=True),
+                   "nonempty, positive and weakly decreasing"),
+}
 
 
 def sample_regime(spec: RegimeSpec, n: int, rng: np.random.Generator) -> Permutation:

@@ -2,14 +2,16 @@
 and the config keys, the CLI's regime flags, the verify suites and their
 size flags, the measurement table and the record columns, the rescalings and
 the measurements, the pilot regimes and the pilot manifest, and the
-benchmark tracer's targets. One module writes JSON, and none imports
-scipy.stats."""
+benchmark tracer's targets. One module writes JSON, none imports
+scipy.stats, and the test settings let a failing property test fail alone."""
 
 import dataclasses
 import importlib
 import importlib.util
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,7 +25,7 @@ from permshape.experiments import (
     RESCALINGS,
     load_pilot_manifest,
 )
-from permshape.samplers import ENSEMBLES, FIX_RULES, REGIME_CHOICES, REGIME_KEYS, RegimeSpec
+from permshape.samplers import REGIME_CHOICES, REGIME_KEYS, RegimeSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -33,9 +35,13 @@ def test_table_parameters_are_regime_keys_and_spec_fields():
     fields = {f.name for f in dataclasses.fields(RegimeSpec)}
     assert set(REGIME_KEYS) == fields
     assert set(REGIME_CHOICES) <= set(REGIME_KEYS)
-    for table in (ENSEMBLES, FIX_RULES):
+    # RegimeSpec walks REGIME_KEYS in order, so a key an entry reads comes
+    # after the choice key that names the entry
+    order = list(REGIME_KEYS)
+    for choice, table in REGIME_CHOICES.items():
         for name, (reads, *_) in table.items():
             assert set(reads) <= set(REGIME_KEYS), name
+            assert all(order.index(choice) < order.index(key) for key in reads), name
 
 
 def test_regime_fields_after_ensemble_are_the_regime_keys_and_default_to_none():
@@ -111,3 +117,18 @@ def test_tracer_targets_are_package_functions():
     for name in tracer.TARGETS:
         module, function = name.split(".")
         assert callable(getattr(importlib.import_module(f"permshape.{module}"), function, None)), name
+
+
+def test_a_failing_property_test_fails_alone(tmp_path):
+    # with warnings as errors, hypothesis' failure report must not end the
+    # session; its patch files and database land in tmp_path
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(x):\n    assert x < 0\n\n\n"
+        "def test_passes():\n    pass\n")
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+                           "test_two.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout

@@ -338,6 +338,7 @@ def test_empty_word(monkeypatch, backend):
         pytest.skip("compiled kernels unavailable")
     empty = np.empty(0, dtype=np.int64)
     assert lis_lds_lengths(empty) == (0, 0)
+    assert cycle_scan(empty) == (0, 0, 0)
     for max_rows in (None, 1, 5):
         shape = insertion_shape(empty, max_rows)
         assert shape.dtype == np.int64 and shape.shape == (0,)

@@ -11,6 +11,8 @@ from permshape.samplers import (
     CORES,
     ENSEMBLES,
     FIX_RULES,
+    REGIME_CHOICES,
+    REGIME_KEYS,
     RegimeSpec,
     derive_rng,
     parse_key_values,
@@ -26,21 +28,21 @@ from permshape.samplers import (
 def regime_kwargs(draw):
     """Keyword sets near a valid regime: the keys the tables say it reads,
     with at most one key flipped between given and left out."""
-    ensemble = draw(st.sampled_from(sorted(ENSEMBLES)))
-    fix_rule = draw(st.sampled_from(sorted(FIX_RULES)))
     values = {
+        "ensemble": draw(st.sampled_from(sorted(ENSEMBLES))),
         "core": draw(st.sampled_from(sorted(CORES))),
-        "fix_rule": fix_rule,
+        "fix_rule": draw(st.sampled_from(sorted(FIX_RULES))),
         **{key: draw(st.floats(0.0, 3.0)) for key in ("theta", "beta", "p", "c")},
         "cycle_type": draw(st.lists(st.integers(1, 4), max_size=4)
                            .map(lambda parts: tuple(sorted(parts, reverse=True)))),
     }
-    reads = set(ENSEMBLES[ensemble][0])
-    if "fix_rule" in reads:
-        reads |= set(FIX_RULES[fix_rule][0])
-    flipped = draw(st.sets(st.sampled_from(sorted(values)), max_size=1))
+    reads = {"ensemble"}
+    for key in REGIME_KEYS:
+        if key in reads and key in REGIME_CHOICES:
+            reads |= set(REGIME_CHOICES[key][values[key]][0])
+    flipped = draw(st.sets(st.sampled_from(sorted(set(values) - {"ensemble"})), max_size=1))
     given_keys = reads ^ flipped
-    return {"ensemble": ensemble, **{k: v for k, v in values.items() if k in given_keys}}
+    return {k: v for k, v in values.items() if k in given_keys}
 
 
 # fix_rule -> a strategy for each parameter it reads, over its valid range
@@ -213,8 +215,7 @@ class TestSampleRegime:
         for n in (10, 11, 57, 100):
             p = sample_regime(spec, n, rng)
             cs = cycle_stats(p)
-            m = spec.fix_count(n)
-            assert abs(cs.fixed_points - m) <= 1
+            assert cs.fixed_points == spec.fix_count(n)
             assert cs.fixed_points_of_square == n  # involutions square to identity
 
     def test_theta_log_fix_count(self):
@@ -249,8 +250,7 @@ class TestSampleRegime:
         rng = derive_rng(19)
         for n in (5, 20, 101):
             p = sample_regime(spec, n, rng)
-            cs = cycle_stats(p)
-            assert abs(cs.fixed_points - spec.fix_count(n)) <= 1
+            assert cycle_stats(p).fixed_points == spec.fix_count(n)
 
     def test_measured_fix_count_close_to_rule(self):
         rng = derive_rng(20)
@@ -258,13 +258,13 @@ class TestSampleRegime:
             spec = RegimeSpec(ensemble="composite", core=core, fix_rule="power", beta=0.6, c=1.5)
             for n in (3, 17, 64, 333):
                 cs = cycle_stats(sample_regime(spec, n, rng))
-                assert abs(cs.fixed_points - spec.fix_count(n)) <= 1
+                assert cs.fixed_points == spec.fix_count(n)
 
     def test_derangement_core_of_size_zero(self):
         # rng.permutation(0) draws nothing: the empty core leaves the stream as it was
         rng = derive_rng(22)
         state = rng.bit_generator.state
-        assert CORES["uniform_derangement"][0](0, rng) == Permutation.identity(0)
+        assert CORES["uniform_derangement"][1](0, rng) == Permutation.identity(0)
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("fix_rule", sorted(FIX_RULES))
@@ -272,12 +272,13 @@ class TestSampleRegime:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n=st.integers(0, 40))
     def test_composite_draws_never_raise(self, core, fix_rule, data, n):
-        # the +-1 step off the target always lands on a core size the core allows
+        # the +-1 step off the target always lands on a core size the core
+        # allows, and the draw plants the count fix_count names
         params = {key: data.draw(s, label=key) for key, s in FIX_RULE_PARAMS[fix_rule].items()}
         spec = RegimeSpec(ensemble="composite", core=core, fix_rule=fix_rule, **params)
         p = sample_regime(spec, n, derive_rng(data.draw(st.integers(0, 2**32), label="seed")))
         assert p.n == n
-        assert abs(cycle_stats(p).fixed_points - spec.fix_count(n)) <= 1
+        assert cycle_stats(p).fixed_points == spec.fix_count(n)
 
     def test_uniform_in_cycle_type_regime(self):
         spec = RegimeSpec(ensemble="uniform_in_cycle_type", cycle_type=(2, 2))
@@ -342,6 +343,17 @@ class TestRegimeSpec:
         with pytest.raises(ValueError, match="with fix_rule constant does not read theta$"):
             RegimeSpec(ensemble="composite", core="n_cycle", fix_rule="constant", c=2, theta=7)
 
+    def test_a_key_a_core_reads_is_required_and_written(self, monkeypatch):
+        # a core entry's reads widen the regime as an ensemble's or a rule's do
+        monkeypatch.setitem(CORES, "theta_cycle", (("theta",), *CORES["n_cycle"][1:]))
+        regime = {"ensemble": "composite", "core": "theta_cycle", "fix_rule": "constant", "c": 1}
+        with pytest.raises(ValueError, match="with core theta_cycle with fix_rule constant "
+                                             "needs theta$"):
+            RegimeSpec(**regime)
+        spec = RegimeSpec(**regime, theta=2.0)
+        assert spec.keys() == ("ensemble", "core", "fix_rule", "theta", "c")
+        assert RegimeSpec.from_text(spec.to_text()) == spec
+
     @pytest.mark.parametrize("fix_rule, given_params, missing", [
         ("constant", {}, "c"),
         ("theta_log", {}, "theta"),
@@ -400,3 +412,9 @@ class TestRegimeSpec:
                           beta=0.5).fix_count(100) == 100
         assert RegimeSpec(ensemble="composite", core="n_cycle", fix_rule="theta_log",
                           theta=1e308).fix_count(100) == 100
+        # then moved by one when the core cannot live on the rest: down, or up from 0
+        fpf = {"ensemble": "composite", "core": "fpf_involution", "fix_rule": "constant"}
+        assert RegimeSpec(**fpf, c=4).fix_count(9) == 3
+        assert RegimeSpec(**fpf, c=0).fix_count(7) == 1
+        assert RegimeSpec(ensemble="composite", core="n_cycle", fix_rule="constant",
+                          c=4).fix_count(5) == 3
