@@ -132,19 +132,6 @@ def info() -> dict[str, str | int | None]:
     return {"backend": "c", "library": lib._name, "band_width": _constant(lib, "ps_band_width")}
 
 
-def _lis_py(values):
-    from bisect import bisect_left
-
-    tops: list[int] = []
-    for x in values:
-        j = bisect_left(tops, x)
-        if j == len(tops):
-            tops.append(x)
-        else:
-            tops[j] = x
-    return len(tops)
-
-
 def _check_word(values: np.ndarray) -> None:
     """Reject a word that the compiled kernels' int64 view would change: a
     dtype that is not integer, or a uint64 value of 2**63 or more."""
@@ -258,8 +245,9 @@ def lis_lds_lengths(values: np.ndarray) -> tuple[int, int]:
     n = values.shape[0]
     lib = _library()
     if lib is None:
+        # the first row of the reference peel, for the word and its reverse
         xs = values.tolist()
-        return _lis_py(xs), _lis_py(xs[::-1])
+        return sum(_shape_py(xs, 1).tolist()), sum(_shape_py(xs[::-1], 1).tolist())
     v = np.ascontiguousarray(values, dtype=np.int64)
     scratch = np.empty(2 + 2 * n, dtype=np.int64)
     lib.ps_lis_lds(v.ctypes.data, n, scratch.ctypes.data)

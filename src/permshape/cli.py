@@ -51,16 +51,12 @@ from .shape_geom import (
 from .verify import SUITES, run_suite
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports what argparse rejects as any other bad input is reported:
     one ``error:`` line and exit code 1, not argparse's usage text and 2."""
 
     def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def count(text: str) -> int:
@@ -125,7 +121,7 @@ def cmd_shape(args) -> int:
 
 def cmd_profile(args) -> int:
     if args.m is not None and args.n is None:
-        raise UsageError("profile takes --m only with --n")
+        raise ValueError("profile takes --m only with --n")
     d = YoungDiagram.from_text(args.diagram)
     if args.n is not None:
         m = args.m if args.m is not None else 0
@@ -139,14 +135,14 @@ def cmd_distance(args) -> int:
     d = YoungDiagram.from_text(args.diagram)
     if args.other is not None:
         if args.n is not None or args.m is not None:
-            raise UsageError("distance takes either --other or --n/--m, not both")
+            raise ValueError("distance takes either --other or --n/--m, not both")
         other = YoungDiagram.from_text(args.other)
         dist = sup_profile_distance(d, other)
         bound = profile_distance_bound(d, other)
         print(f"{dist!r} {bound!r}")
         return 0
     if args.n is None:
-        raise UsageError("distance needs either --other or --n/--m")
+        raise ValueError("distance needs either --other or --n/--m")
     m = args.m if args.m is not None else 0
     print(repr(scaled_sup_distance(d, args.n, m)))
     return 0
@@ -177,7 +173,7 @@ def cmd_verify(args) -> int:
             continue
         if keyword != size_keyword:
             takes = f"--{size_keyword}" if size_keyword else "no size flag"
-            raise UsageError(f"suite {args.suite} takes {takes}, not --{keyword}")
+            raise ValueError(f"suite {args.suite} takes {takes}, not --{keyword}")
         kwargs[keyword] = value
     seed = _ensure_seed(args)
     report = run_suite(args.suite, seed=seed, **kwargs)
@@ -272,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -57,16 +57,11 @@ class YoungDiagram:
 
     def conjugate(self) -> "YoungDiagram":
         """Transpose: column lengths become row lengths."""
-        return YoungDiagram.from_parts(column_lengths(self.parts_array()))
+        parts = self.parts_array()
+        j = np.arange(1, parts.max(initial=0) + 1, dtype=np.int64)
+        # column j holds the rows of length >= j, vectorized over j
+        return YoungDiagram.from_parts(np.searchsorted(-parts, -j, side="right"))
 
     def __repr__(self) -> str:
         return f"YoungDiagram(({', '.join(str(p) for p in self.parts)}))"
 
-
-def column_lengths(parts: np.ndarray) -> np.ndarray:
-    """Column lengths of the diagram with these weakly decreasing parts."""
-    if parts.size == 0:
-        return np.empty(0, dtype=np.int64)
-    j = np.arange(1, parts[0] + 1, dtype=np.int64)
-    # number of rows with length >= j, vectorized over j
-    return np.searchsorted(-parts, -j, side="right").astype(np.int64)

@@ -4,8 +4,8 @@ Trials are independent tasks; each derives its own random stream from
 (seed, n, trial_index), so results are a pure function of the config no
 matter how trials are scheduled. Aggregation sorts before reducing, which
 makes summaries bit-identical under any record ordering and any worker
-count. TrialRecord CSVs carry only deterministic fields (wall time stays on
-the in-memory record).
+count. A TrialRecord is exactly its records.csv row, so it holds only
+deterministic fields.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import functools
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -60,15 +59,14 @@ class TrialRecord:
     ell: int | None = None
     lambda1: int | None = None
     lambda2: int | None = None
-    wall_time: float = 0.0
 
     def cells(self) -> tuple:
         """The record's cells in records.csv, its schema version first."""
         return (CSV_SCHEMA_VERSION, *(getattr(self, name) for name in RECORD_FIELDS))
 
 
-# the columns of records.csv after schema_version; wall_time stays in memory
-RECORD_FIELDS = tuple(f.name for f in fields(TrialRecord) if f.name != "wall_time")
+# the columns of records.csv after schema_version
+RECORD_FIELDS = tuple(f.name for f in fields(TrialRecord))
 CSV_COLUMNS = ("schema_version",) + RECORD_FIELDS
 CSV_HEADER = ",".join(CSV_COLUMNS)
 # config key -> how its value is read; the other keys name the regime
@@ -159,7 +157,6 @@ def run_trial(regime: RegimeSpec, n: int, trial_index: int, seed: int,
     reads. A peel that returns fewer rows than it asked for is the whole
     shape, which gives lambda1 (its first row) and ell (its row count) free.
     """
-    t0 = time.perf_counter()
     p = sample_regime(regime, n, derive_rng(seed, n, trial_index))
     cs = cycle_stats(p)
     k = max((MEASURES[m][0] for m in measurements), default=0)
@@ -169,7 +166,7 @@ def run_trial(regime: RegimeSpec, n: int, trial_index: int, seed: int,
     values = {m: MEASURES[m][1](shape, pair, n, cs.fixed_points) for m in measurements}
     return TrialRecord(n=n, trial_index=trial_index, fix_count=cs.fixed_points,
                        num_cycles=cs.num_cycles, fixed_points_of_square=cs.fixed_points_of_square,
-                       **values, wall_time=time.perf_counter() - t0)
+                       **values)
 
 
 def run_experiment(cfg: ExperimentConfig,

@@ -103,48 +103,41 @@ class CheckResult:
 def check_fixed_point_bounds(p: Permutation) -> CheckResult:
     """Check the shape inequalities relating p to its fixed-point-free part.
 
-    With m fixed points, shape a = shape(p), shape b = shape(remainder):
-      1. m <= a_1 <= m + b_1
-      2. for i >= 2: m + sum(b_1..b_{i-1}) <= sum(a_1..a_i) <= m + sum(b_1..b_i)
-      3. max over j >= 2 of |sum_{k=2..j} (a_k - b_k)| <= b_1
-      4. rows(b) <= rows(a) <= rows(b) + 1
-    Returns the first violated inequality with its indices, or pass.
+    With m fixed points, shape a = shape(p), shape b = shape(remainder),
+    A_i = a_1 + ... + a_i and B_i = b_1 + ... + b_i (B_0 = 0), the check is
+    one interlacing:
+      m + B_{i-1} <= A_i <= m + B_i for every i >= 1,
+    whose i = 1 case is m <= a_1 <= m + b_1. Two further bounds follow from
+    it on any pair of partitions, so they are not checked apart:
+      3. max over j >= 2 of |sum_{k=2..j} (a_k - b_k)| <= b_1. The sum is
+         (A_j - B_j) - (a_1 - b_1), with A_j - B_j in [m - b_j, m] and
+         a_1 - b_1 in [m - b_1, m], so it lies in [-b_j, b_1], and b_j <= b_1.
+      4. rows(b) <= rows(a) <= rows(b) + 1. An i past both shapes gives
+         |a| = m + |b|; i = rows(b) + 1 then gives A_i >= |a|, so
+         rows(a) <= rows(b) + 1; i = rows(a) gives |a| <= m + B_i, so
+         B_i = |b| and rows(b) <= rows(a) (rows(a) = 0 forces |b| = 0).
+    Past max(rows) + 1 the condition repeats, so i stops there. Returns the
+    first i that fails (``first_row_bounds`` at i = 1, else
+    ``partial_sum_bounds``), or pass.
     """
     fixed, reduced = remove_fixed_points(p)
     m = fixed.shape[0]
     a = schensted_shape(p)
     b = schensted_shape(reduced)
-    a1, b1 = a.part(1), b.part(1)
-
-    def fail(name: str, **kw) -> CheckResult:
-        data = {
-            "inequality": name,
-            "sigma": p.to_text(),
-            "shape_sigma": a.to_text(),
-            "shape_reduced": b.to_text(),
-            "fixed_points": m,
-        }
-        data.update(kw)
-        return CheckResult(False, data)
-
-    if not (m <= a1 <= m + b1):
-        return fail("first_row_bounds", lambda1=a1)
-    upper = max(a.num_rows, b.num_rows) + 2
-    sum_a = a1
-    sum_b_prev = 0  # sum of first i-1 parts of b
-    tail = 0  # running sum_{k=2..i} (a_k - b_k)
-    max_abs_tail = 0
-    for i in range(2, upper + 1):
+    sum_a = sum_b = 0  # A_i and B_{i-1} at the test
+    for i in range(1, max(a.num_rows, b.num_rows) + 2):
         sum_a += a.part(i)
-        sum_b_prev += b.part(i - 1)
-        if not (m + sum_b_prev <= sum_a <= m + sum_b_prev + b.part(i)):
-            return fail("partial_sum_bounds", index=i)
-        tail += a.part(i) - b.part(i)
-        max_abs_tail = max(max_abs_tail, abs(tail))
-    if max_abs_tail > b1:
-        return fail("tail_sum_bound", max_abs_tail=max_abs_tail)
-    if not (b.num_rows <= a.num_rows <= b.num_rows + 1):
-        return fail("row_count_bounds", rows_sigma=a.num_rows, rows_reduced=b.num_rows)
+        if not (m + sum_b <= sum_a <= m + sum_b + b.part(i)):
+            witness = {"lambda1": sum_a} if i == 1 else {"index": i}
+            return CheckResult(False, {
+                "inequality": "first_row_bounds" if i == 1 else "partial_sum_bounds",
+                "sigma": p.to_text(),
+                "shape_sigma": a.to_text(),
+                "shape_reduced": b.to_text(),
+                "fixed_points": m,
+                **witness,
+            })
+        sum_b += b.part(i)
     return CheckResult(True)
 
 

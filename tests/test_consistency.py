@@ -1,9 +1,10 @@
 """Names that one module lists and others read must agree: the regime tables
 and the config keys, the CLI's regime flags, the verify suites and their
-size flags, the measurement table and the record columns, the rescalings and
-the measurements, the pilot regimes and the pilot manifest, and the
-benchmark tracer's targets. One module writes JSON, none imports
-scipy.stats, and the test settings let a failing property test fail alone."""
+size flags, the record fields and the records.csv columns, the measurement
+table and the record columns, the rescalings and the measurements, the pilot
+regimes and the pilot manifest, and the benchmark tracer's targets. One
+module writes JSON, none imports scipy.stats, and the test settings let a
+failing property test fail alone."""
 
 import dataclasses
 import importlib
@@ -18,11 +19,13 @@ import pytest
 
 from permshape import cli, verify
 from permshape.experiments import (
+    CSV_HEADER,
     MEASUREMENTS,
     PILOT_LADDER,
     PILOT_REGIMES,
     RECORD_FIELDS,
     RESCALINGS,
+    TrialRecord,
     load_pilot_manifest,
 )
 from permshape.samplers import REGIME_CHOICES, REGIME_KEYS, RegimeSpec
@@ -71,6 +74,13 @@ def test_suites_take_their_seed_and_the_size_flag_the_cli_passes(capsys):
         assert params == {"seed"} | ({size_keyword} if size_keyword else set()), suite
         if size_keyword:
             assert f"--{size_keyword}" in flags, suite
+
+
+def test_every_record_field_is_a_records_csv_column():
+    # a field outside records.csv would hold something no output shows
+    columns = CSV_HEADER.split(",")
+    assert columns[0] == "schema_version"
+    assert [f.name for f in dataclasses.fields(TrialRecord)] == columns[1:]
 
 
 def test_measurements_are_the_record_columns_after_the_cycle_statistics():

@@ -275,6 +275,11 @@ class TestRunExperiment:
         first = written_bytes(*run_experiment(cfg), tmp_path / "first")
         assert written_bytes(*run_experiment(cfg), tmp_path / "second") == first
 
+    def test_rerun_gives_equal_records(self):
+        # a record holds no field that differs between runs of one config
+        cfg = self.cfg()
+        assert run_experiment(cfg)[0] == run_experiment(cfg)[0]
+
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError, match="workers must be at least 1"):
             run_experiment(self.cfg(), workers=0)
@@ -330,4 +335,3 @@ class TestRunExperiment:
         for r in records:
             assert r.ell >= 1 and r.lambda1 >= (r.lambda2 or 0) >= 0
             assert r.lambda1 * r.ell >= r.n  # shape fits its bounding rectangle
-            assert r.wall_time >= 0.0

@@ -70,6 +70,16 @@ class TestGreeneReport:
                 assert report.decreasing_invariants[i - 1] == max_union_of_increasing(reverse, i)
 
 
+def _partitions(size: int, largest: int | None = None):
+    """Every partition of size with parts at most largest, as a tuple."""
+    if size == 0:
+        yield ()
+        return
+    for first in range(min(size, largest or size), 0, -1):
+        for rest in _partitions(size - first, first):
+            yield (first, *rest)
+
+
 class TestFixedPointBounds:
     def test_identity(self):
         assert check_fixed_point_bounds(Permutation.identity(6)).ok
@@ -85,6 +95,24 @@ class TestFixedPointBounds:
         for p in _five_sampler_draws(400, seed=41):
             res = check_fixed_point_bounds(p)
             assert res.ok, res.witness
+
+    def test_interlacing_implies_the_tail_sum_and_row_count_bounds(self):
+        # the check tests only the interlacing m + B_{i-1} <= A_i <= m + B_i
+        # (A, B the partial sums of a, b), since these two bounds follow from it
+        shapes = [YoungDiagram(parts) for size in range(8) for parts in _partitions(size)]
+        interlacing = 0
+        for a, b in itertools.product(shapes, repeat=2):
+            rows = range(1, max(a.num_rows, b.num_rows) + 2)
+            sums_a = list(itertools.accumulate(a.part(i) for i in rows))
+            sums_b = [0, *itertools.accumulate(b.part(i) for i in rows)]
+            tails = list(itertools.accumulate(a.part(k) - b.part(k) for k in rows[1:]))
+            for m in range(5):
+                if all(m + sums_b[i - 1] <= sums_a[i - 1] <= m + sums_b[i] for i in rows):
+                    interlacing += 1
+                    assert max(map(abs, tails), default=0) <= b.part(1), (a, b, m)
+                    assert b.num_rows <= a.num_rows <= b.num_rows + 1, (a, b, m)
+        # 45 shapes, so 384 of the 10,125 triples interlace
+        assert len(shapes) == 45 and interlacing == 384
 
     @pytest.mark.parametrize("word, witness", [
         ("1", {"inequality": "first_row_bounds", "shape_sigma": "", "shape_reduced": "",
