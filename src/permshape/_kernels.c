@@ -304,8 +304,7 @@ void ps_greene(int64_t *scratch, int64_t n)
     struct greene g = {scratch, n, scratch + n, scratch + 2 * n + 1, {0}, {0}};
     for (int64_t d = 0; d <= n; d++)
         g.best_inc[d] = g.best_dec[d] = 0;
-    if (n > 0)
-        greene_extend(&g, 0, 1, 0, 0);
+    greene_extend(&g, 0, 1, 0, 0);
     for (int64_t d = 1; d <= n; d++) {
         if (g.best_inc[d] < g.best_inc[d - 1])
             g.best_inc[d] = g.best_inc[d - 1];

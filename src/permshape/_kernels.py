@@ -11,10 +11,11 @@ with a warning; they are also the reference the compiled ones are tested
 against. ``BACKEND`` names the one in use: ``"c"`` or ``"python"``, and
 ``info()`` also gives the library file and the shape kernel's band width.
 
-All kernels take plain integer numpy arrays so they stay picklable across
-worker processes; a word of another dtype, or a uint64 one past the int64
-range, is a ValueError on either backend. Each wrapper allocates one int64
-scratch array for everything its kernel writes and passes raw addresses:
+All kernels read the permutation's own int64 array (``zero_based``), a
+plain numpy array, so they stay picklable across worker processes; a word of
+any other dtype is a ValueError on either backend. ``ALL_ROWS`` is the row
+limit that peels every row. Each wrapper allocates one int64 scratch array
+for everything its kernel writes and passes raw addresses:
 that array's, and the word's only where copying a long word into the
 scratch would cost O(n). So a call on the short words of the exact suites
 costs little more than its kernel: each address lookup costs about 2 us on
@@ -27,9 +28,10 @@ import ctypes
 import functools
 import hashlib
 import os
-import shutil
+import sys
 import tempfile
 import warnings
+from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +52,8 @@ _SIGNATURES = {
 }
 # the letters ps_greene's fixed pile arrays hold (GREENE_MAX_N in _kernels.c)
 GREENE_MAX_N = 16
+# the max_rows that peels every row of the insertion shape
+ALL_ROWS = sys.maxsize
 
 
 def _build(source: bytes, target: Path) -> None:
@@ -58,24 +62,22 @@ def _build(source: bytes, target: Path) -> None:
 
     Concurrent builders each write their own temporary file, so a process
     never loads a half-written library. A process that has already loaded a
-    removed library keeps its mapping. A failed compile is an OSError that
+    removed library keeps its mapping. A missing ``cc`` is the
+    FileNotFoundError of running it, and a failed compile is an OSError that
     carries the compiler's stderr.
     """
     # imported here, not at the top: only a cold cache compiles, and the
     # import costs about 5 ms of every warm start
     import subprocess
 
-    cc = shutil.which("cc")
-    if cc is None:
-        raise FileNotFoundError("no C compiler on PATH")
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.stem, suffix=".tmp")
     os.close(fd)
     try:
-        done = subprocess.run([cc, *_CFLAGS, "-o", tmp, "-x", "c", "-"],
+        done = subprocess.run(["cc", *_CFLAGS, "-o", tmp, "-x", "c", "-"],
                               input=source, capture_output=True)
         if done.returncode != 0:
-            raise OSError(f"{cc} exited {done.returncode}: "
+            raise OSError(f"cc exited {done.returncode}: "
                           + done.stderr.decode(errors="replace").strip())
         os.replace(tmp, target)
     finally:
@@ -133,26 +135,21 @@ def info() -> dict[str, str | int | None]:
 
 
 def _check_word(values: np.ndarray) -> None:
-    """Reject a word that the compiled kernels' int64 view would change: a
-    dtype that is not integer, or a uint64 value of 2**63 or more."""
-    if values.dtype.kind not in "iu":
-        raise ValueError(f"the kernels read integer words, not dtype {values.dtype}")
-    if values.dtype == np.uint64 and values.size and values.max() >= 2**63:
-        raise ValueError("the kernels read words below 2**63")
+    """Reject a word that is not int64, the one dtype the kernels read."""
+    if values.dtype != np.int64:
+        raise ValueError(f"the kernels read int64 words, not dtype {values.dtype}")
 
 
 def _check_max_rows(max_rows):
-    if max_rows is not None and max_rows < 1:
+    if max_rows < 1:
         raise ValueError(f"max_rows must be at least 1, got {max_rows}")
 
 
-def _shape_py(values, max_rows=None):
-    from bisect import bisect_left
-
+def _shape_py(values, max_rows=ALL_ROWS):
     _check_max_rows(max_rows)
     row_lengths = []
     cur = list(values)
-    while cur and (max_rows is None or len(row_lengths) < max_rows):
+    while cur and len(row_lengths) < max_rows:
         tops: list[int] = []
         bumped: list[int] = []
         for x in cur:
@@ -193,8 +190,6 @@ def _cycle_scan_py(zero_based):
 def _greene_py(word):
     """(increasing, decreasing) Greene invariants of a word of distinct ints
     (``greene_invariants`` checks them), by the subset scan ``ps_greene`` runs."""
-    from bisect import bisect_left
-
     n = len(word)
     # best_inc[d] = largest subset size whose restricted LDS is exactly d
     best_inc = [0] * (n + 1)
@@ -232,14 +227,14 @@ def _greene_py(word):
 
 
 def lis_length(values: np.ndarray) -> int:
-    """Length of the longest strictly increasing subsequence of an int word;
+    """Length of the longest strictly increasing subsequence of an int64 word;
     repeated letters are allowed, and a repeat never extends it."""
     return lis_lds_lengths(values)[0]
 
 
 def lis_lds_lengths(values: np.ndarray) -> tuple[int, int]:
     """(longest strictly increasing, longest strictly decreasing) subsequence
-    lengths of an int word. The compiled kernel runs both patience chains in
+    lengths of an int64 word. The compiled kernel runs both patience chains in
     one pass over the word, the decreasing one on ~x."""
     _check_word(values)
     n = values.shape[0]
@@ -248,15 +243,15 @@ def lis_lds_lengths(values: np.ndarray) -> tuple[int, int]:
         # the first row of the reference peel, for the word and its reverse
         xs = values.tolist()
         return sum(_shape_py(xs, 1).tolist()), sum(_shape_py(xs[::-1], 1).tolist())
-    v = np.ascontiguousarray(values, dtype=np.int64)
+    v = np.ascontiguousarray(values)
     scratch = np.empty(2 + 2 * n, dtype=np.int64)
     lib.ps_lis_lds(v.ctypes.data, n, scratch.ctypes.data)
     ki, kd = scratch[:2].tolist()
     return ki, kd
 
 
-def insertion_shape(values: np.ndarray, max_rows: int | None = None) -> np.ndarray:
-    """Row lengths of the Schensted insertion tableau of an int word.
+def insertion_shape(values: np.ndarray, max_rows: int = ALL_ROWS) -> np.ndarray:
+    """Row lengths of the Schensted insertion tableau of an int64 word.
 
     Any int64 word is read with strict increase along the rows: a letter
     bumps the first top >= it (``bisect_left``), so a repeated letter never
@@ -277,8 +272,8 @@ def insertion_shape(values: np.ndarray, max_rows: int | None = None) -> np.ndarr
     lib = _library()
     if lib is None:
         return _shape_py(values.tolist(), max_rows)
-    limit = n if max_rows is None else min(n, max_rows)
-    v = np.ascontiguousarray(values, dtype=np.int64)
+    limit = min(n, max_rows)
+    v = np.ascontiguousarray(values)
     # the row lengths, cur (a letter and its column each), and the tops of a
     # band: its r-th row (r = 1..band) has at most n / r piles, after the
     # pad slots of its hinted search
@@ -299,7 +294,7 @@ def cycle_scan(zero_based: np.ndarray) -> tuple[int, int, int]:
     lib = _library()
     if lib is None:
         return _cycle_scan_py(zero_based)
-    v = np.ascontiguousarray(zero_based, dtype=np.int64)
+    v = np.ascontiguousarray(zero_based)
     # the three counts, then n seen bytes
     scratch = np.zeros(3 + (n + 7) // 8, dtype=np.int64)
     lib.ps_cycle_scan(v.ctypes.data, n, scratch.ctypes.data)

@@ -13,13 +13,13 @@ from __future__ import annotations
 import functools
 import json
 import math
-import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._kernels import ALL_ROWS
 from .perm import cycle_stats
 from .rsk import lis_lds, schensted_shape
 from .samplers import (
@@ -33,7 +33,6 @@ from .samplers import (
 from .shape_geom import scaled_sup_distance
 
 CSV_SCHEMA_VERSION = 1
-ALL_ROWS = sys.maxsize
 # measurement -> (leading rows of the insertion shape it reads, its value from
 # the diagram of the peeled rows, a lazy (lambda1, ell) pair, n and the
 # fixed-point count m). The profile distance reads every row; ell and lambda1

@@ -19,14 +19,14 @@ LDS depend only on the relative order of the letters.
 
 from __future__ import annotations
 
-from ._kernels import insertion_shape, lis_lds_lengths, lis_length, warm_up
+from ._kernels import ALL_ROWS, insertion_shape, lis_lds_lengths, lis_length, warm_up
 from .diagram import YoungDiagram
 from .perm import Permutation
 
 __all__ = ["schensted_shape", "lis", "lds", "lis_lds", "warm_up"]
 
 
-def schensted_shape(p: Permutation, max_rows: int | None = None) -> YoungDiagram:
+def schensted_shape(p: Permutation, max_rows: int = ALL_ROWS) -> YoungDiagram:
     """Shape of the insertion tableau of the word p(1), ..., p(n), or the
     diagram of its first min(max_rows, rows) rows."""
     return YoungDiagram.from_parts(insertion_shape(p.zero_based, max_rows=max_rows))

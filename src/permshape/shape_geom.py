@@ -122,8 +122,7 @@ def limit_curve(s, p: float):
         out = np.abs(arr)
         return float(out) if arr.ndim == 0 else out
     r = math.sqrt(1.0 - p)
-    out = r * omega(arr / r)
-    return float(out) if arr.ndim == 0 else out
+    return r * omega(arr / r)
 
 
 # -- scaled sup distance against the limit curve ---------------------------

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import permshape
 from permshape import _kernels, experiments, rsk
 from permshape._kernels import (
+    ALL_ROWS,
     BACKEND,
     _cycle_scan_py,
     _greene_py,
@@ -345,7 +346,7 @@ def test_empty_word(monkeypatch, backend):
     empty = np.empty(0, dtype=np.int64)
     assert lis_lds_lengths(empty) == (0, 0)
     assert cycle_scan(empty) == (0, 0, 0)
-    for max_rows in (None, 1, 5):
+    for max_rows in (ALL_ROWS, 1, 5):
         shape = insertion_shape(empty, max_rows)
         assert shape.dtype == np.int64 and shape.shape == (0,)
 
@@ -353,21 +354,22 @@ def test_empty_word(monkeypatch, backend):
 @pytest.mark.parametrize("backend", ["c", "python"])
 @pytest.mark.parametrize("word", [np.array([0.2, 0.5]), np.array([1.7, 0.2]),
                                   np.array([True, False]),
-                                  np.array([2**63, 1], dtype=np.uint64)],
-                         ids=["float", "float-cycle", "bool", "uint64-past-int64"])
+                                  np.array([2**63, 1], dtype=np.uint64),
+                                  np.array([2, 0, 1], dtype=np.uint64),
+                                  np.array([2, 0, 1], dtype=np.int32)],
+                         ids=["float", "float-cycle", "bool", "uint64-past-int64", "uint64",
+                              "int32"])
 def test_kernels_reject_words_an_int64_view_would_change(monkeypatch, backend, word):
-    # cast to int64, these words would read as other words on the compiled
-    # backend, so both backends refuse them
+    # cast to int64, the first four would read as other words on the compiled
+    # backend; the kernels read int64 words only, so both backends refuse
+    # every other dtype, even one whose values an int64 view would keep
     if backend == "python":
         monkeypatch.setattr(_kernels, "_library", lambda: None)
     elif BACKEND != "c":
         pytest.skip("compiled kernels unavailable")
-    for kernel in (lis_lds_lengths, insertion_shape, cycle_scan):
-        with pytest.raises(ValueError, match="kernels read"):
+    for kernel in (lis_lds_lengths, insertion_shape, cycle_scan, greene_invariants):
+        with pytest.raises(ValueError, match="kernels read int64 words"):
             kernel(word)
-    # an unsigned word within the int64 range reads as it is
-    small = np.array([2, 0, 1], dtype=np.uint64)
-    assert insertion_shape(small).tolist() == [2, 1] and cycle_scan(small) == (1, 0, 0)
 
 
 @pytest.mark.parametrize("backend", ["c", "python"])
@@ -463,6 +465,13 @@ def test_failed_build_warns_with_the_compiler_errors(tmp_path, monkeypatch):
         assert list((tmp_path / "permshape").iterdir()) == []
     finally:
         _kernels._library.cache_clear()
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_kernel_source_compiles_without_warnings():
+    done = subprocess.run(["cc", "-std=c11", "-Wall", "-Wextra", "-pedantic", "-Werror",
+                           "-fsyntax-only", str(_kernels._SOURCE)], capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_fallback_without_compiler(tmp_path, monkeypatch):

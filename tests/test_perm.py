@@ -37,6 +37,11 @@ class TestPermutation:
                 Permutation(word)
         assert Permutation(np.array([2, 1], dtype=np.uint8)) == Permutation([2, 1])
 
+    def test_rejects_nested_words(self):
+        # past the flat check, [[1, 2]] would fail only as "not a bijection"
+        with pytest.raises(ValueError, match="must be a flat sequence"):
+            Permutation([[1, 2]])
+
     def test_empty_and_identity(self):
         assert Permutation([]).n == 0
         assert Permutation.identity(4) == Permutation([1, 2, 3, 4])

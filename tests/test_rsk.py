@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,7 +7,15 @@ from hypothesis import strategies as st
 
 from permshape.diagram import YoungDiagram
 from permshape.perm import Permutation
-from permshape.rsk import lds, lis, schensted_shape
+from permshape.rsk import lds, lis, lis_lds, schensted_shape
+from permshape.samplers import CORES, ENSEMBLES, RegimeSpec, derive_rng, sample_regime
+
+# one regime for every ensemble, a composite one for every core
+SYMMETRY_REGIMES = [
+    *(RegimeSpec(name) for name in ENSEMBLES if name not in ("uniform_in_cycle_type", "composite")),
+    RegimeSpec("uniform_in_cycle_type", cycle_type=(3,) * 33333 + (1,)),
+    *(RegimeSpec("composite", core=core, fix_rule="power", beta=0.5, c=1.0) for core in CORES),
+]
 
 partitions = st.lists(st.integers(1, 12), max_size=10).map(
     lambda xs: YoungDiagram(tuple(sorted(xs, reverse=True)))
@@ -75,6 +85,23 @@ class TestSchenstedShape:
         for n in (1, 2, 17, 100, 500):
             p = Permutation.from_zero_based(rng.permutation(n))
             assert schensted_shape(p.inverse()) == schensted_shape(p)
+
+    @pytest.mark.parametrize("i", range(len(SYMMETRY_REGIMES)),
+                             ids=[f"{r.ensemble}-{r.core}" if r.core else r.ensemble
+                                  for r in SYMMETRY_REGIMES])
+    def test_symmetries_at_scale(self, i):
+        # the compiled peel meets its Python reference only at small n; at
+        # 1e5 the RS symmetries check it, its bands and window included
+        n = 100_000
+        p = sample_regime(SYMMETRY_REGIMES[i], n, derive_rng(24, i))
+        shape = schensted_shape(p)
+        assert schensted_shape(p.inverse()) == shape
+        assert lis_lds(p) == (shape.part(1), shape.num_rows)
+        # the reversal's shape has lambda1 rows, and peeling costs about
+        # sum(i * lambda_i), so it is cheap only for a short first row
+        assert shape.part(1) <= 4 * math.sqrt(n)
+        reversed_p = Permutation.from_zero_based(p.zero_based[::-1])
+        assert schensted_shape(reversed_p) == shape.conjugate()
 
 
 def _row_insertion_shape(word):
