@@ -27,6 +27,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import operator
 import os
 import sys
 import tempfile
@@ -141,6 +142,10 @@ def _check_word(values: np.ndarray) -> None:
 
 
 def _check_max_rows(max_rows):
+    try:
+        max_rows = operator.index(max_rows)
+    except TypeError:
+        raise ValueError(f"max_rows must be an integer, got {max_rows!r}") from None
     if max_rows < 1:
         raise ValueError(f"max_rows must be at least 1, got {max_rows}")
 
@@ -234,8 +239,10 @@ def lis_length(values: np.ndarray) -> int:
 
 def lis_lds_lengths(values: np.ndarray) -> tuple[int, int]:
     """(longest strictly increasing, longest strictly decreasing) subsequence
-    lengths of an int64 word. The compiled kernel runs both patience chains in
-    one pass over the word, the decreasing one on ~x."""
+    lengths of an int64 word. The compiled kernel runs four patience chains
+    in one pass: an increasing and a decreasing one (on ~x) over each half of
+    the word, the left half read forward and the right half backward, and
+    joins each pair of halves by their pile tops."""
     _check_word(values)
     n = values.shape[0]
     lib = _library()
@@ -244,7 +251,8 @@ def lis_lds_lengths(values: np.ndarray) -> tuple[int, int]:
         xs = values.tolist()
         return sum(_shape_py(xs, 1).tolist()), sum(_shape_py(xs[::-1], 1).tolist())
     v = np.ascontiguousarray(values)
-    scratch = np.empty(2 + 2 * n, dtype=np.int64)
+    # the two lengths, then the piles of the four chains, ceil(n / 2) each
+    scratch = np.empty(2 + 4 * ((n + 1) // 2), dtype=np.int64)
     lib.ps_lis_lds(v.ctypes.data, n, scratch.ctypes.data)
     ki, kd = scratch[:2].tolist()
     return ki, kd

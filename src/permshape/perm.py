@@ -17,9 +17,14 @@ from ._kernels import cycle_scan
 
 
 class Permutation:
-    """A permutation of {1..n} in one-line notation; n = 0 is the empty one."""
+    """A permutation of {1..n} in one-line notation; n = 0 is the empty one.
 
-    __slots__ = ("_zero",)
+    A sampler that lays out a cycle type states its (cycles, fixed points,
+    2-cycles) counts, which ``cycle_stats`` returns in place of a scan; a
+    permutation built from a word states none.
+    """
+
+    __slots__ = ("_zero", "_counts")
 
     def __init__(self, word: Sequence[int] | np.ndarray):
         arr = np.asarray(word)
@@ -35,19 +40,24 @@ class Permutation:
             raise ValueError("word is not a bijection of {1..n}")
         zero.flags.writeable = False
         self._zero = zero
+        self._counts = None
 
     @classmethod
-    def from_zero_based(cls, arr: np.ndarray) -> "Permutation":
+    def from_zero_based(cls, arr: np.ndarray,
+                        counts: tuple[int, int, int] | None = None) -> "Permutation":
         """Wrap a 0-based image array, without validation or a copy.
 
         The permutation takes ownership of ``arr`` and marks it read-only, so
         pass an array built for it that nothing else writes to. An array that
-        is not a contiguous int64 one is converted first.
+        is not a contiguous int64 one is converted first. ``counts``, when
+        given, are the (cycles, fixed points, 2-cycles) of the array, which
+        the caller knows from how it laid the cycles out; they are not checked.
         """
         p = cls.__new__(cls)
         zero = np.ascontiguousarray(arr, dtype=np.int64)
         zero.flags.writeable = False
         p._zero = zero
+        p._counts = counts
         return p
 
     @classmethod
@@ -124,8 +134,9 @@ class CycleStats:
 
 
 def cycle_stats(p: Permutation) -> CycleStats:
-    """Count cycles, fixed points, 2-cycles, and fixed points of the square in O(n)."""
-    num_cycles, fixed, two = cycle_scan(p.zero_based)
+    """Cycles, fixed points, 2-cycles, and fixed points of the square: the
+    counts the sampler stated, or else from an O(n) scan of the word."""
+    num_cycles, fixed, two = cycle_scan(p.zero_based) if p._counts is None else p._counts
     return CycleStats(
         n=p.n,
         num_cycles=num_cycles,
@@ -169,7 +180,7 @@ def plant_fixed_points(fixed: np.ndarray, core: Permutation) -> Permutation:
     0-based points ``fixed``, in any order, and acts as ``core`` on the
     other points, relabeled order-preservingly; the inverse of
     ``remove_fixed_points``. A point outside 0..n-1, or given twice, is an
-    error."""
+    error. When the core states its cycle counts, so does the result."""
     n = fixed.shape[0] + core.n
     if fixed.shape[0] and (fixed.min() < 0 or fixed.max() >= n):
         raise ValueError(f"fixed points outside 0..{n - 1}")
@@ -181,4 +192,9 @@ def plant_fixed_points(fixed: np.ndarray, core: Permutation) -> Permutation:
     out = np.empty(n, dtype=np.int64)
     out[fixed] = fixed
     out[rest] = rest[core.zero_based]
-    return Permutation.from_zero_based(out)
+    counts = None
+    if core._counts is not None:
+        cycles, fixed_points, two = core._counts
+        m = fixed.shape[0]
+        counts = (cycles + m, fixed_points + m, two)
+    return Permutation.from_zero_based(out, counts)

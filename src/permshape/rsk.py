@@ -7,10 +7,13 @@ its rows; with ``max_rows`` it peels only the first few, and by Greene's
 theorem lambda_1 + ... + lambda_k is the largest union of k increasing
 subsequences, which the row peeling finds exactly after k passes. ``lis_lds``
 is the cheap path when an experiment needs only the first row and the number
-of rows: one pass over the word runs the LIS and the LDS patience chains side
-by side. Each chain grows its pile count in a well-predicted branch, not by a
+of rows: one pass over the word runs four patience chains side by side, the
+LIS and the LDS of the left half read forward and of the right half read
+backward, and a join of each pair's pile tops gives the exact lengths. Each
+chain grows its pile count in a well-predicted branch, not by a
 data-dependent add, so the next search need not wait for the last one, and
-the two chains' searches overlap: the pair costs about 1.3 times one LIS.
+the four chains' searches overlap: the pair costs about 0.75 of what two
+chains over the whole word cost at n = 1e5 (0.6 at 1e4, 0.95 at 1e6).
 ``lis``/``lds`` give one of the two from that same pass.
 
 Every kernel reads the permutation's own 0-based array: the shape, LIS and

@@ -189,6 +189,7 @@ def sample_in_cycle_type(lengths: Sequence[int], rng: np.random.Generator) -> Pe
     Draws a uniform arrangement of 0..n-1 and fills cycles of the given
     lengths left to right, in the order given; every class member arises from
     the same number of arrangements, so the result is exactly uniform in the class.
+    The draw states its cycle counts, read off the lengths.
     """
     lengths = np.asarray(lengths)
     if lengths.ndim != 1 or lengths.size and (lengths.dtype.kind not in "iu" or lengths.min() < 1):
@@ -201,7 +202,8 @@ def sample_in_cycle_type(lengths: Sequence[int], rng: np.random.Generator) -> Pe
     word = np.empty(n, dtype=np.int64)
     word[arrangement[:-1]] = arrangement[1:]
     word[arrangement[ends - 1]] = arrangement[ends - lengths]
-    return Permutation.from_zero_based(word)
+    ones, twos = int(np.count_nonzero(lengths == 1)), int(np.count_nonzero(lengths == 2))
+    return Permutation.from_zero_based(word, (lengths.size, ones, twos))
 
 
 # bounded, as an entry holds n/2 + 1 floats (4 MB at n = 1e6)
@@ -236,7 +238,8 @@ def sample_fpf_involution(n: int, rng: np.random.Generator) -> Permutation:
     """Uniform fixed-point-free involution (uniform perfect matching).
 
     A uniform arrangement paired off consecutively is exactly uniform over
-    matchings: each matching has (n/2)! 2^(n/2) preimages.
+    matchings: each matching has (n/2)! 2^(n/2) preimages. The draw states
+    its cycle counts: n/2 cycles, all of them 2-cycles.
     """
     if n % 2 != 0:
         raise ValueError(f"parity: fixed-point-free involutions need even n, got {n}")
@@ -246,7 +249,7 @@ def sample_fpf_involution(n: int, rng: np.random.Generator) -> Permutation:
     b = arrangement[1::2]
     word[a] = b
     word[b] = a
-    return Permutation.from_zero_based(word)
+    return Permutation.from_zero_based(word, (n // 2, 0, n // 2))
 
 
 def _sample_derangement(n: int, rng: np.random.Generator) -> Permutation:

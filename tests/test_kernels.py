@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import shutil
@@ -41,6 +42,35 @@ compiled = pytest.mark.skipif(BACKEND != "c", reason="compiled kernels unavailab
 INT64_MIN, INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 # rows the compiled shape kernel peels in one pass
 K = _kernels.info()["band_width"]
+
+# words at the edges of the fused LIS/LDS pass, which splits a word at
+# n // 2 and joins the pile tops of its halves: every permutation of n <= 7;
+# words whose whole LIS (or LDS) lies in one half, of even and odd length;
+# equal letters on both sides of the midpoint, which the join must not chain;
+# and the extreme letters at both ends, where -x would overflow and ~x does not
+JOIN_EDGE_WORDS = [
+    *(list(w) for n in range(8) for w in itertools.permutations(range(n))),
+    [5, 6, 7, 8, 9, 4, 3, 2, 1, 0], [9, 8, 7, 6, 5, 0, 1, 2, 3, 4],
+    [5, 6, 7, 8, 9, 9, 4, 3, 2, 1, 0], [9, 8, 7, 6, 5, 0, 0, 1, 2, 3, 4],
+    [4, 3, 2, 1, 0, 5, 6, 7, 8, 9], [0, 1, 2, 3, 4, 9, 8, 7, 6, 5, 5],
+    [3, 3], [3, 3, 3], [0, 1, 2, 2, 3, 4], [0, 1, 2, 7, 2, 3, 4], [4, 3, 2, 2, 1, 0],
+    [1, 5, 5, 1], [2, 1, 2, 1], [1, 2, 1, 2, 1],
+    [INT64_MIN], [INT64_MAX], [INT64_MAX, INT64_MIN], [INT64_MIN, INT64_MAX],
+    [INT64_MIN, INT64_MAX, INT64_MIN], [INT64_MAX, INT64_MIN, INT64_MAX],
+    [INT64_MIN, INT64_MIN, INT64_MAX, INT64_MAX], [INT64_MAX, INT64_MAX, INT64_MIN, INT64_MIN],
+    [INT64_MIN, 0, 1, 2, INT64_MAX], [INT64_MAX, 2, 1, 0, INT64_MIN],
+    [INT64_MIN, 3, -1, 7, INT64_MIN], [INT64_MAX, -3, 1, -7, INT64_MAX],
+]
+
+
+def with_examples(inputs):
+    """Hypothesis examples for a one-argument property test, one per input."""
+    def decorate(test):
+        for value in inputs:
+            test = example(value)(test)
+        return test
+    return decorate
+
 
 # (kind, n, seed): a random permutation of size n, or a monotone word
 words = st.tuples(
@@ -121,10 +151,12 @@ class TestCompiledMatchesReference:
                     | st.integers(INT64_MIN, INT64_MAX), max_size=60))
     @example([INT64_MIN, INT64_MAX, INT64_MIN, 0, INT64_MAX, -1])
     @example([INT64_MAX, INT64_MAX, INT64_MIN, INT64_MIN])
+    @with_examples(JOIN_EDGE_WORDS)
     def test_arbitrary_int_words(self, xs):
         # strict increase, as bisect_left: repeated values never extend a
-        # row; the fused pass's decreasing chain runs on ~x, which does not
-        # overflow at INT64_MIN or INT64_MAX
+        # row; the fused pass's decreasing chains run on ~x, which does not
+        # overflow at INT64_MIN or INT64_MAX, and its join of the two halves
+        # is strict too
         word = np.asarray(xs, dtype=np.int64)
         assert lis_length(word) == _first_row(xs)
         assert lis_lds_lengths(word) == (_first_row(xs), _first_row(xs[::-1]))
@@ -327,13 +359,15 @@ def test_cycle_scan_closed_forms(n, k):
     assert cycle_scan(points) == (n, n, 0)
 
 
-@pytest.mark.parametrize("word", [[], [1], [3, 1, 2]])
-def test_row_limit_must_be_positive(word):
-    # on the backend that runs, and on the pure-Python reference
+@pytest.mark.parametrize("max_rows", [0, 2.5])
+@pytest.mark.parametrize("word", [[], [1], [3, 1, 2], [4, 3, 2, 1, 0]])
+def test_row_limit_must_be_positive(word, max_rows):
+    # on the backend that runs, and on the pure-Python reference; a
+    # fractional limit is no row count either
     with pytest.raises(ValueError, match="max_rows"):
-        insertion_shape(np.asarray(word, dtype=np.int64), max_rows=0)
+        insertion_shape(np.asarray(word, dtype=np.int64), max_rows=max_rows)
     with pytest.raises(ValueError, match="max_rows"):
-        _shape_py(word, max_rows=0)
+        _shape_py(word, max_rows=max_rows)
 
 
 @pytest.mark.parametrize("backend", ["c", "python"])
@@ -472,6 +506,47 @@ def test_kernel_source_compiles_without_warnings():
     done = subprocess.run(["cc", "-std=c11", "-Wall", "-Wextra", "-pedantic", "-Werror",
                            "-fsyntax-only", str(_kernels._SOURCE)], capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (0, "")
+
+
+# run in a child process on a library built with the undefined-behaviour
+# sanitizer: each compiled kernel on the join's edge words, against the
+# pure-Python references; a fault aborts the child
+UBSAN_SCRIPT = """
+import ctypes, json, sys
+import numpy as np
+from permshape import _kernels
+lib = ctypes.CDLL(sys.argv[1])
+for name, (argtypes, restype) in _kernels._SIGNATURES.items():
+    fn = getattr(lib, name)
+    fn.argtypes, fn.restype = argtypes, restype
+_kernels._library = lambda: lib
+first_row = lambda ys: sum(_kernels._shape_py(ys, 1).tolist())
+for xs in json.load(sys.stdin):
+    word = np.asarray(xs, dtype=np.int64)
+    assert _kernels.lis_lds_lengths(word) == (first_row(xs), first_row(xs[::-1])), xs
+    assert _kernels.insertion_shape(word).tolist() == _kernels._shape_py(xs).tolist(), xs
+    if sorted(xs) == list(range(len(xs))):
+        assert _kernels.cycle_scan(word) == _kernels._cycle_scan_py(xs), xs
+    if len(set(xs)) == len(xs) and len(xs) <= 5:
+        assert _kernels.greene_invariants(word) == _kernels._greene_py(xs), xs
+print("ok")
+"""
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_kernels_run_clean_under_the_undefined_behaviour_sanitizer(tmp_path):
+    # guards the order reversal ~x (-x overflows on INT64_MIN) and the
+    # indices of the fused pass's join; the child aborts on the first fault
+    library = tmp_path / "kernels-ubsan.so"
+    built = subprocess.run(["cc", "-O1", "-fsanitize=undefined", "-fno-sanitize-recover=all",
+                            "-shared", "-fPIC", "-o", str(library), str(_kernels._SOURCE)],
+                           capture_output=True, text=True)
+    assert (built.returncode, built.stderr) == (0, "")
+    env = dict(os.environ, PYTHONPATH=str(Path(permshape.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", UBSAN_SCRIPT, str(library)],
+                          input=json.dumps(JOIN_EDGE_WORDS), env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
 
 
 def test_fallback_without_compiler(tmp_path, monkeypatch):

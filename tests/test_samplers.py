@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
+from test_golden import CASES, TRIALS
 
+from permshape._kernels import cycle_scan
 from permshape.perm import Permutation, cycle_stats, square
 from permshape.samplers import (
     CORES,
@@ -52,6 +54,14 @@ FIX_RULE_PARAMS = {
     "power": {"beta": st.floats(0.01, 0.99), "c": st.floats(0.0, 10.0)},
     "linear": {"p": st.floats(0.0, 1.0)},
 }
+
+
+def scanned_stats(p):
+    """cycle_stats(p), checked against a scan of the word: a draw may state
+    its counts, and then they must be the ones its word has."""
+    cs = cycle_stats(p)
+    assert (cs.num_cycles, cs.fixed_points, cs.two_cycles) == cycle_scan(p.zero_based)
+    return cs
 
 
 def assert_uniform_over_cells(counts, n_cells, total, alpha=1e-3):
@@ -141,7 +151,7 @@ class TestSampleInCycleType:
         # the lengths may come in any order
         rng = derive_rng(5)
         for _ in range(20):
-            cs = cycle_stats(sample_in_cycle_type(lengths, rng))
+            cs = scanned_stats(sample_in_cycle_type(lengths, rng))
             assert cs.n == 7 and cs.num_cycles == 3
             assert cs.fixed_points == 1 and cs.two_cycles == 1
 
@@ -195,7 +205,7 @@ class TestSampleFpfInvolution:
     def test_structure(self):
         rng = derive_rng(11)
         for n in (2, 10, 100):
-            cs = cycle_stats(sample_fpf_involution(n, rng))
+            cs = scanned_stats(sample_fpf_involution(n, rng))
             assert cs.fixed_points == 0 and cs.two_cycles == n // 2
 
     def test_parity_error(self):
@@ -206,7 +216,7 @@ class TestSampleFpfInvolution:
 class TestSampleRegime:
     def test_pure_n_cycle(self):
         spec = RegimeSpec(ensemble="n_cycle")
-        cs = cycle_stats(sample_regime(spec, 50, derive_rng(13)))
+        cs = scanned_stats(sample_regime(spec, 50, derive_rng(13)))
         assert cs.num_cycles == 1 and cs.fixed_points == 0
 
     def test_composite_fpf_half(self):
@@ -214,7 +224,7 @@ class TestSampleRegime:
         rng = derive_rng(14)
         for n in (10, 11, 57, 100):
             p = sample_regime(spec, n, rng)
-            cs = cycle_stats(p)
+            cs = scanned_stats(p)
             assert cs.fixed_points == spec.fix_count(n)
             assert cs.fixed_points_of_square == n  # involutions square to identity
 
@@ -222,25 +232,25 @@ class TestSampleRegime:
         # floor(1000 / ln 1000) = 144, and the core is one long cycle
         spec = RegimeSpec(ensemble="composite", core="n_cycle", fix_rule="theta_log", theta=1.0)
         assert spec.fix_count(1000) == 144
-        cs = cycle_stats(sample_regime(spec, 1000, derive_rng(15)))
+        cs = scanned_stats(sample_regime(spec, 1000, derive_rng(15)))
         assert cs.fixed_points == 144
         assert cs.num_cycles - cs.fixed_points == 1
 
     def test_parity_repair_from_zero(self):
         # odd n with an fpf core and target m=0 must bump m up to 1
         spec = RegimeSpec(ensemble="composite", core="fpf_involution", fix_rule="constant", c=0)
-        cs = cycle_stats(sample_regime(spec, 7, derive_rng(16)))
+        cs = scanned_stats(sample_regime(spec, 7, derive_rng(16)))
         assert cs.fixed_points == 1
         assert cs.fixed_points_of_square == 7
 
     def test_parity_repair_decrements(self):
         spec = RegimeSpec(ensemble="composite", core="fpf_involution", fix_rule="constant", c=4)
-        cs = cycle_stats(sample_regime(spec, 9, derive_rng(17)))
+        cs = scanned_stats(sample_regime(spec, 9, derive_rng(17)))
         assert cs.fixed_points == 3  # 9 - 4 is odd, so m drops to 3
 
     def test_lone_element_core_repair(self):
         spec = RegimeSpec(ensemble="composite", core="n_cycle", fix_rule="constant", c=4)
-        cs = cycle_stats(sample_regime(spec, 5, derive_rng(18)))
+        cs = scanned_stats(sample_regime(spec, 5, derive_rng(18)))
         assert cs.fixed_points == 3  # core of size 1 would be a fixed point
 
     def test_derangement_core(self):
@@ -250,14 +260,14 @@ class TestSampleRegime:
         rng = derive_rng(19)
         for n in (5, 20, 101):
             p = sample_regime(spec, n, rng)
-            assert cycle_stats(p).fixed_points == spec.fix_count(n)
+            assert scanned_stats(p).fixed_points == spec.fix_count(n)
 
     def test_measured_fix_count_close_to_rule(self):
         rng = derive_rng(20)
         for core in ("n_cycle", "fpf_involution", "uniform_derangement"):
             spec = RegimeSpec(ensemble="composite", core=core, fix_rule="power", beta=0.6, c=1.5)
             for n in (3, 17, 64, 333):
-                cs = cycle_stats(sample_regime(spec, n, rng))
+                cs = scanned_stats(sample_regime(spec, n, rng))
                 assert cs.fixed_points == spec.fix_count(n)
 
     def test_derangement_core_of_size_zero(self):
@@ -278,14 +288,41 @@ class TestSampleRegime:
         spec = RegimeSpec(ensemble="composite", core=core, fix_rule=fix_rule, **params)
         p = sample_regime(spec, n, derive_rng(data.draw(st.integers(0, 2**32), label="seed")))
         assert p.n == n
-        assert cycle_stats(p).fixed_points == spec.fix_count(n)
+        assert scanned_stats(p).fixed_points == spec.fix_count(n)
 
     def test_uniform_in_cycle_type_regime(self):
         spec = RegimeSpec(ensemble="uniform_in_cycle_type", cycle_type=(2, 2))
-        cs = cycle_stats(sample_regime(spec, 4, derive_rng(21)))
+        cs = scanned_stats(sample_regime(spec, 4, derive_rng(21)))
         assert cs.two_cycles == 2
         with pytest.raises(ValueError):
             sample_regime(spec, 5, derive_rng(21))
+
+
+# the ensembles, and the cores of composite ones, whose draws lay out a cycle
+# type and so state its counts
+STATING_ENSEMBLES = {"uniform_involution", "fpf_involution", "n_cycle", "uniform_in_cycle_type"}
+STATING_CORES = {"n_cycle", "fpf_involution"}
+
+
+@pytest.mark.parametrize("label", CASES)
+def test_stated_counts_match_the_scan(label):
+    # every ensemble and core x fix-rule pair at the golden draws' sizes
+    spec, sizes = CASES[label]
+    states = spec.ensemble in STATING_ENSEMBLES or spec.core in STATING_CORES
+    for n in sizes:
+        for trial in range(TRIALS):
+            try:
+                p = sample_regime(spec, n, derive_rng(7, n, trial))
+            except ValueError:
+                continue
+            assert (p._counts is not None) == states
+            scanned_stats(p)
+
+
+@pytest.mark.parametrize("core", sorted(CORES))
+def test_stated_counts_match_the_scan_at_a_million(core):
+    spec = RegimeSpec(ensemble="composite", core=core, fix_rule="power", beta=0.5, c=1.0)
+    scanned_stats(sample_regime(spec, 10**6, derive_rng(23)))
 
 
 class TestRegimeSpec:
