@@ -3,7 +3,10 @@
  * and the Greene subset scan. Each keeps the integer semantics of the
  * pure-Python reference next to it (strict increase, i.e. bisect_left). The
  * caller allocates one scratch array per call for everything a kernel
- * writes, so no function here can fail.
+ * writes, so no function here can fail. The shape and the Greene scan are
+ * entered by batch: one call loops the kernel over many words, given as
+ * their letters back to back and count + 1 offsets, and a single word is a
+ * batch of one.
  *
  * Why a patience step grows the pile count in a branch: the next search
  * starts from the pile count, so with k += (j == k) every search waits for
@@ -186,13 +189,12 @@ static inline void place(struct letter *cur, struct row *row, int hinted)
 }
 
 /* Lengths of the first max_rows rows (all of them, when there are fewer) of
- * the insertion tableau of values[0..n), written to scratch[0..); returns
+ * the insertion tableau of values[0..n), written to row_lengths[0..); returns
  * how many were written. Row r evolves by patience with replacement, and
  * the letters bumped out of row r, in bump order, are the insertion stream
  * for row r+1, so the rows come out in order and the peeling can stop early.
- * scratch: the row lengths, min(n, max_rows) slots; then cur, n letters of
- * two slots; then tops: for r = 1..min(max_rows, SHAPE_BAND), HINT_WINDOW
- * pad slots and n / r slots.
+ * work: cur, n letters of two slots; then tops: for r = 1..min(max_rows,
+ * SHAPE_BAND), HINT_WINDOW pad slots and n / r slots.
  *
  * Each pass peels a band of min(SHAPE_BAND, rows still wanted) rows from
  * the m letters in cur. All their queues share cur in place: a row writes
@@ -203,12 +205,18 @@ static inline void place(struct letter *cur, struct row *row, int hinted)
  * the bottom up, so a row never reads a letter queued in the same step.
  * Row r of a band is the (r+1)-th row of the tableau of the band's input,
  * so it has at most m / (r+1) piles: that is its segment of tops. Every
- * band but the first places its letters by the hinted search. */
-int64_t ps_shape(const int64_t *values, int64_t n, int64_t max_rows, int64_t *scratch)
+ * band but the first places its letters by the hinted search.
+ *
+ * Not inlined: gcc -O2 then compiles the peel as it compiled the one-word
+ * entry it replaces, all but the prologue alike, where inlined into the
+ * batch loop its full shapes at n = 1000..16000 ran about 1% slower on a
+ * 2-vCPU Xeon. */
+__attribute__((noinline))
+static int64_t peel_shape(const int64_t *values, int64_t n, int64_t max_rows,
+                          int64_t *row_lengths, int64_t *work)
 {
-    int64_t limit = max_rows < n ? max_rows : n;
-    int64_t *row_lengths = scratch, *tops = scratch + limit + 2 * n;
-    struct letter *cur = (struct letter *)(scratch + limit);
+    int64_t *tops = work + 2 * n;
+    struct letter *cur = (struct letter *)work;
     int64_t nrows = 0;
     int64_t m = n;
     for (int64_t i = 0; i < n; i++)
@@ -242,6 +250,31 @@ int64_t ps_shape(const int64_t *values, int64_t n, int64_t max_rows, int64_t *sc
     return nrows;
 }
 
+/* Shapes of a batch of count words, word w being letters[offsets[w] ..
+ * offsets[w + 1]): the first min(max_rows, rows) row lengths of each word,
+ * one word after another, and each word's row count. Returns the largest
+ * row count. scratch: the count + 1 offsets on entry; then the row counts,
+ * count slots; then the row lengths, room slots (the sum over the words of
+ * min(max_rows, length) bounds them); then the work space of peel_shape()
+ * for the longest word, which every word reuses. */
+int64_t ps_shape_batch(const int64_t *letters, int64_t count, int64_t max_rows, int64_t room,
+                       int64_t *scratch)
+{
+    const int64_t *offsets = scratch;
+    int64_t *nrows = scratch + count + 1, *rows = nrows + count, *work = rows + room;
+    int64_t widest = 0;
+    for (int64_t w = 0; w < count; w++) {
+        int64_t n = offsets[w + 1] - offsets[w];
+        /* a band never spans more rows than the word has letters, so the
+         * word's tops fit the scratch of the longest word */
+        nrows[w] = peel_shape(letters + offsets[w], n, max_rows < n ? max_rows : n, rows, work);
+        rows += nrows[w];
+        if (nrows[w] > widest)
+            widest = nrows[w];
+    }
+    return widest;
+}
+
 /* Cycle counts of the 0-based permutation perm[0..n): scratch[0] cycles,
  * scratch[1] fixed points, scratch[2] 2-cycles. scratch: 3 + ceil(n / 8)
  * zeroed slots, the counts, then one seen byte per letter. */
@@ -269,7 +302,7 @@ void ps_cycle_scan(const int64_t *perm, int64_t n, int64_t *scratch)
     out[2] = two;
 }
 
-/* Largest letter count ps_greene scans: its pile arrays are fixed. */
+/* Largest letter count greene_scan reads: its pile arrays are fixed. */
 #define GREENE_MAX_N 16
 
 /* First index i in [0, k) with tops[i] >= x, or k when there is none. A
@@ -325,26 +358,46 @@ static void greene_extend(struct greene *g, int64_t start, int64_t size,
     }
 }
 
-/* Greene invariants of a word of n <= GREENE_MAX_N distinct letters, which
- * greene_invariants checks (a repeat would count weakly monotone unions):
- * the largest union of i increasing (decreasing) subsequences, i = 1..n. A
- * word splits into at most d increasing subsequences iff its LDS is at most
- * d, so the i-th increasing invariant is the largest subset whose LDS is at
- * most i; the scan visits every nonempty subset once, as its prefix plus one
+/* Greene invariants of a word of n <= GREENE_MAX_N letters: the largest
+ * union of i increasing (decreasing) subsequences, written to best_inc[i]
+ * (best_dec[i]) for i = 1..width, width >= n; past n they stay n. A word
+ * splits into at most d increasing subsequences iff its LDS is at most d, so
+ * the i-th increasing invariant is the largest subset whose LDS is at most
+ * i; the scan visits every nonempty subset once, as its prefix plus one
  * later position, and keeps the largest size for each LDS (LIS) length.
- * scratch: 3n + 2 slots, the word in [0, n) on entry; on return the
- * increasing invariants are in [n + 1, 2n + 1) and the decreasing ones in
- * [2n + 2, 3n + 2). */
-void ps_greene(int64_t *scratch, int64_t n)
+ * best_inc[0] is 1 when the word repeats a letter, which greene_invariants
+ * rejects (the scan would count weakly monotone unions), and 0 otherwise.
+ * best_inc and best_dec: width + 1 slots each. */
+static void greene_scan(const int64_t *word, int64_t n, int64_t width, int64_t *best_inc,
+                        int64_t *best_dec)
 {
-    struct greene g = {scratch, n, scratch + n, scratch + 2 * n + 1, {0}, {0}};
-    for (int64_t d = 0; d <= n; d++)
-        g.best_inc[d] = g.best_dec[d] = 0;
+    struct greene g = {word, n, best_inc, best_dec, {0}, {0}};
+    for (int64_t d = 0; d <= width; d++)
+        best_inc[d] = best_dec[d] = 0;
     greene_extend(&g, 0, 1, 0, 0);
-    for (int64_t d = 1; d <= n; d++) {
-        if (g.best_inc[d] < g.best_inc[d - 1])
-            g.best_inc[d] = g.best_inc[d - 1];
-        if (g.best_dec[d] < g.best_dec[d - 1])
-            g.best_dec[d] = g.best_dec[d - 1];
+    for (int64_t d = 1; d <= width; d++) {
+        if (best_inc[d] < best_inc[d - 1])
+            best_inc[d] = best_inc[d - 1];
+        if (best_dec[d] < best_dec[d - 1])
+            best_dec[d] = best_dec[d - 1];
+    }
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t j = 0; j < i; j++)
+            best_inc[0] |= word[i] == word[j];
+}
+
+/* Greene invariants of a batch of count words, word w being
+ * letters[offsets[w] .. offsets[w + 1]), each of at most width letters.
+ * scratch: the count + 1 offsets on entry, then for each word the increasing
+ * and then the decreasing invariants, width + 1 slots each: slot i holds the
+ * i-th invariant, i = 1..width, and slot 0 of the increasing ones flags a
+ * repeated letter. */
+void ps_greene_batch(const int64_t *letters, int64_t count, int64_t width, int64_t *scratch)
+{
+    const int64_t *offsets = scratch;
+    int64_t *table = scratch + count + 1;
+    for (int64_t w = 0; w < count; w++) {
+        int64_t *best = table + 2 * w * (width + 1);
+        greene_scan(letters + offsets[w], offsets[w + 1] - offsets[w], width, best, best + width + 1);
     }
 }

@@ -65,3 +65,12 @@ class YoungDiagram:
     def __repr__(self) -> str:
         return f"YoungDiagram(({', '.join(str(p) for p in self.parts)}))"
 
+
+def widen(parts: np.ndarray, width: int) -> np.ndarray:
+    """A (rows, k) table of zero-padded parts, k <= width, padded with zero
+    parts to width columns."""
+    if parts.shape[1] == width:
+        return parts
+    out = np.zeros((parts.shape[0], width), dtype=np.int64)
+    out[:, :parts.shape[1]] = parts
+    return out

@@ -195,15 +195,21 @@ def sample_in_cycle_type(lengths: Sequence[int], rng: np.random.Generator) -> Pe
     if lengths.ndim != 1 or lengths.size and (lengths.dtype.kind not in "iu" or lengths.min() < 1):
         raise ValueError(f"cycle lengths must be positive integers, got {lengths.tolist()}")
     lengths = lengths.astype(np.int64, copy=False)
-    n = int(lengths.sum())
+    ones, twos = int(np.count_nonzero(lengths == 1)), int(np.count_nonzero(lengths == 2))
+    return _lay_out_cycles(lengths, int(lengths.sum()), (lengths.size, ones, twos), rng)
+
+
+def _lay_out_cycles(lengths: np.ndarray, n: int, counts: tuple[int, int, int],
+                    rng: np.random.Generator) -> Permutation:
+    """The draw of ``sample_in_cycle_type`` for checked int64 ``lengths`` that
+    sum to n, stating ``counts``, the (cycles, 1s, 2s) of the lengths."""
     arrangement = rng.permutation(n)
     ends = np.cumsum(lengths)
     # each element maps to the next in the arrangement, a cycle's last to its first
     word = np.empty(n, dtype=np.int64)
     word[arrangement[:-1]] = arrangement[1:]
     word[arrangement[ends - 1]] = arrangement[ends - lengths]
-    ones, twos = int(np.count_nonzero(lengths == 1)), int(np.count_nonzero(lengths == 2))
-    return Permutation.from_zero_based(word, (lengths.size, ones, twos))
+    return Permutation.from_zero_based(word, counts)
 
 
 # bounded, as an entry holds n/2 + 1 floats (4 MB at n = 1e6)
@@ -227,11 +233,13 @@ def sample_uniform_involution(n: int, rng: np.random.Generator) -> Permutation:
 
     The number k of 2-cycles is drawn with weight n! / (k! 2^k (n-2k)!),
     computed as log-weights and normalized exactly by summation; the draw
-    is an inverse-CDF lookup, no rejection.
+    is an inverse-CDF lookup, no rejection. The draw states its cycle
+    counts: n - k cycles, n - 2k fixed points and k 2-cycles.
     """
     cdf = _involution_cdf(n)
     k = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-    return sample_in_cycle_type(np.repeat([2, 1], [k, n - 2 * k]), rng)
+    return _lay_out_cycles(np.repeat(np.array([2, 1], dtype=np.int64), [k, n - 2 * k]), n,
+                           (n - k, n - 2 * k, k), rng)
 
 
 def sample_fpf_involution(n: int, rng: np.random.Generator) -> Permutation:
@@ -268,7 +276,9 @@ def _sample_derangement(n: int, rng: np.random.Generator) -> Permutation:
 
 def _sample_n_cycle(n: int, rng: np.random.Generator) -> Permutation:
     """Uniform over the n-cycles (the empty permutation at n = 0)."""
-    return sample_in_cycle_type((n,) if n else (), rng)
+    if n == 0:
+        return _lay_out_cycles(np.empty(0, dtype=np.int64), 0, (0, 0, 0), rng)
+    return _lay_out_cycles(np.array([n], dtype=np.int64), n, (1, int(n == 1), int(n == 2)), rng)
 
 
 def _sample_given_cycle_type(spec: RegimeSpec, n: int, rng: np.random.Generator) -> Permutation:
@@ -288,8 +298,10 @@ def _sample_composite(spec: RegimeSpec, n: int, rng: np.random.Generator) -> Per
 
 # sample_in_cycle_type is called by its module-global name at draw time,
 # never stored in a table, so a rebinding of it (the benchmark's tracer) is
-# seen. core -> (the keys it reads, its sampler on k elements, whether it
-# can live on k elements)
+# seen; n-cycles and uniform involutions know their counts in closed form
+# and lay their cycles out through _lay_out_cycles, not through it.
+# core -> (the keys it reads, its sampler on k elements, whether it can live
+# on k elements)
 CORES = {
     # a lone leftover element would be a fixed point, not a core
     "n_cycle": ((), _sample_n_cycle, lambda k: k != 1),

@@ -42,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .diagram import YoungDiagram
+from .diagram import YoungDiagram, widen
 
 SQRT2 = math.sqrt(2.0)
 
@@ -167,14 +167,48 @@ def scaled_sup_distance(d: YoungDiagram, n: int, m: int) -> float:
 
 
 # -- pairwise profile distance and its partition bound ---------------------
+#
+# Each pairwise function takes a batch of pairs, as two (pairs, width) arrays
+# of parts padded with zeros (as ``insertion_shape_batch`` gives them), and
+# the function of one pair of diagrams is a batch of one.
 
 
-def _max_profile_gap(a: YoungDiagram, b: YoungDiagram) -> int:
-    """max over integer t of |L_a(t) - L_b(t)| (exact integer)."""
-    T_neg = max(a.num_rows, b.num_rows)
-    T_pos = max(a.part(1), b.part(1))
-    t = np.arange(-T_neg, T_pos + 1, dtype=np.int64)
-    return int(np.abs(height_profile(a, t) - height_profile(b, t)).max())
+def _pair(a: YoungDiagram, b: YoungDiagram) -> tuple[np.ndarray, np.ndarray]:
+    """One pair of diagrams as a batch of one."""
+    return a.parts_array()[None], b.parts_array()[None]
+
+
+def _common_width(a_parts: np.ndarray, b_parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both part tables padded with zero parts to the wider one's width."""
+    width = max(a_parts.shape[1], b_parts.shape[1])
+    return widen(a_parts, width), widen(b_parts, width)
+
+
+def _max_profile_gap_batch(a_parts: np.ndarray, b_parts: np.ndarray) -> np.ndarray:
+    """max over integer t of |L_a(t) - L_b(t)| for each pair (exact integers).
+
+    Row i (1-based) has a cell on every diagonal t with 1 - i <= t <= a_i - i,
+    so with the rows of both diagrams padded to one count W the diagonal
+    counts differ by c_a(t) - c_b(t) = N_b(t) - N_a(t), N(t) the rows with
+    a_i - i + 1 <= t: the rows' 1 - i ends cancel, zero rows included. So
+    L_a - L_b = 2 (N_b - N_a), a running sum over a histogram of those ends
+    on the diagonals 1 - W .. max a_1 of the batch.
+    """
+    a, b = _common_width(a_parts, b_parts)
+    count, width = a.shape
+    ends_a = a - np.arange(width)  # a_i - i + 1, from 1 - W up
+    ends_b = b - np.arange(width)
+    low = 1 - width
+    span = int(max(ends_a.max(initial=low), ends_b.max(initial=low))) - low + 1
+    cells = (np.arange(count) * span - low)[:, None]
+    hist = (np.bincount((ends_b + cells).ravel(), minlength=count * span)
+            - np.bincount((ends_a + cells).ravel(), minlength=count * span))
+    return 2 * np.abs(np.cumsum(hist.reshape(count, span), axis=1)).max(axis=1, initial=0)
+
+
+def sup_profile_distance_batch(a_parts: np.ndarray, b_parts: np.ndarray) -> np.ndarray:
+    """``sup_profile_distance`` of each pair of a batch."""
+    return _max_profile_gap_batch(a_parts, b_parts) / SQRT2
 
 
 def sup_profile_distance(a: YoungDiagram, b: YoungDiagram) -> float:
@@ -184,23 +218,33 @@ def sup_profile_distance(a: YoungDiagram, b: YoungDiagram) -> float:
     so the sup over the reals is attained at an integer; dividing the integer
     maximum by sqrt(2) lands in unit-cell units.
     """
-    return _max_profile_gap(a, b) / SQRT2
+    return float(sup_profile_distance_batch(*_pair(a, b))[0])
 
 
-def _tail_sum_maxima(a: YoungDiagram, b: YoungDiagram) -> np.ndarray:
-    """K_l = max_{m >= l+1} |sum_{k=l+1..m} (a_k - b_k)| for l = 0..L."""
-    L = max(a.num_rows, b.num_rows)
-    diff = np.zeros(L + 1, dtype=np.int64)
-    pa, pb = a.parts_array(), b.parts_array()
-    diff[1 : 1 + pa.size] += pa
-    diff[1 : 1 + pb.size] -= pb
-    prefix = np.cumsum(diff)  # prefix[m] = sum_{k<=m}(a_k - b_k), prefix[0] = 0
-    # suffix extrema of prefix over m >= l+1 (beyond L the sums are constant)
-    suf_max = np.maximum.accumulate(prefix[::-1])[::-1]
-    suf_min = np.minimum.accumulate(prefix[::-1])[::-1]
-    ks = np.zeros(L + 1, dtype=np.int64)
-    ks[:-1] = np.maximum(suf_max[1:] - prefix[:-1], prefix[:-1] - suf_min[1:])
+def _tail_sum_maxima_batch(a_parts: np.ndarray, b_parts: np.ndarray) -> np.ndarray:
+    """K_l = max_{m >= l+1} |sum_{k=l+1..m} (a_k - b_k)| for l = 0..W, each
+    pair a row; W is the common width, and K_l = 0 from the longer
+    diagram's row count on."""
+    a, b = _common_width(a_parts, b_parts)
+    count, width = a.shape
+    # prefix[:, m] = sum_{k<=m}(a_k - b_k), prefix[:, 0] = 0
+    prefix = np.zeros((count, width + 1), dtype=np.int64)
+    np.cumsum(a - b, axis=1, out=prefix[:, 1:])
+    # suffix extrema of prefix over m >= l+1 (beyond W the sums are constant)
+    suf_max = np.maximum.accumulate(prefix[:, ::-1], axis=1)[:, ::-1]
+    suf_min = np.minimum.accumulate(prefix[:, ::-1], axis=1)[:, ::-1]
+    ks = np.zeros((count, width + 1), dtype=np.int64)
+    ks[:, :-1] = np.maximum(suf_max[:, 1:] - prefix[:, :-1], prefix[:, :-1] - suf_min[:, 1:])
     return ks
+
+
+def profile_distance_bound_batch(a_parts: np.ndarray, b_parts: np.ndarray) -> np.ndarray:
+    """``profile_distance_bound`` of each pair of a batch. An l past the
+    longer diagram has K_l = 0 and a larger sqrt(2) l, so the padding never
+    lowers the minimum."""
+    ks = _tail_sum_maxima_batch(a_parts, b_parts)
+    ls = np.arange(ks.shape[1], dtype=np.float64)
+    return np.min(2.0 * np.sqrt(ks.astype(np.float64)) + SQRT2 * ls, axis=1)
 
 
 def profile_distance_bound(a: YoungDiagram, b: YoungDiagram) -> float:
@@ -210,9 +254,17 @@ def profile_distance_bound(a: YoungDiagram, b: YoungDiagram) -> float:
     Dominates sup_profile_distance for every pair of diagrams; trailing
     zero parts are included, and l beyond the longer diagram never helps.
     """
-    ks = _tail_sum_maxima(a, b)
-    ls = np.arange(ks.shape[0], dtype=np.float64)
-    return float(np.min(2.0 * np.sqrt(ks.astype(np.float64)) + SQRT2 * ls))
+    return float(profile_distance_bound_batch(*_pair(a, b))[0])
+
+
+def bound_dominates_distance_batch(a_parts: np.ndarray, b_parts: np.ndarray) -> np.ndarray:
+    """``bound_dominates_distance`` of each pair of a batch. Past the longer
+    diagram K_l = 0, and M - 2l > 0 there only if it is at that diagram's
+    row count too, so the padding never changes a verdict."""
+    m_gap = _max_profile_gap_batch(a_parts, b_parts)[:, None]
+    ks = _tail_sum_maxima_batch(a_parts, b_parts)
+    r = m_gap - 2 * np.arange(ks.shape[1])
+    return ~((r > 0) & (r * r > 8 * ks)).any(axis=1)
 
 
 def bound_dominates_distance(a: YoungDiagram, b: YoungDiagram) -> bool:
@@ -223,13 +275,7 @@ def bound_dominates_distance(a: YoungDiagram, b: YoungDiagram) -> bool:
     Equivalent to profile_distance_bound >= sup_profile_distance with both
     sides squared and rationalized, so float ties cannot blur the verdict.
     """
-    m_gap = _max_profile_gap(a, b)
-    ks = _tail_sum_maxima(a, b)
-    for l, k in enumerate(ks):
-        r = m_gap - 2 * l
-        if r > 0 and r * r > 8 * int(k):
-            return False
-    return True
+    return bool(bound_dominates_distance_batch(*_pair(a, b))[0])
 
 
 # -- dump helpers for plotting / CLI ---------------------------------------

@@ -11,18 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._kernels import cycle_lengths
-from .diagram import YoungDiagram
-from .oracles import (
-    CheckResult,
-    check_fixed_point_bounds,
-    check_profile_distance_bound,
-    greene_report,
-)
+from ._kernels import concat_words, cycle_lengths, greene_invariants_batch, insertion_shape_batch
+from .diagram import widen
+from .oracles import BatchCheck, check_fixed_point_bounds_batch, check_profile_distance_bound_batch
 from .perm import Permutation
 from .rsk import schensted_shape
 from .samplers import RegimeSpec, derive_rng, sample_regime, sample_uniform
@@ -40,47 +35,61 @@ SUITES: dict[str, tuple[str, str | None]] = {
 }
 
 
-def _until_fifth_failure(results: Iterable[CheckResult]) -> list[CheckResult]:
-    """The results up to and including the fifth failure, where a suite stops."""
-    done, failed = [], 0
-    for res in results:
-        done.append(res)
-        failed += not res.ok
-        if failed == 5:
-            break
-    return done
+# the most items a suite checks in one batch, so that its memory stays
+# bounded at any size: a batch of profile-bound pairs holds 4096 words of up
+# to 300 letters
+BATCH = 2048
 
 
-def _report(suite: str, done: list[CheckResult], **extra) -> dict:
-    failures = [res.witness for res in done if not res.ok]
-    return {"suite": suite, "ok": not failures, "checked": len(done), **extra,
-            "failures": failures}
+def _until_fifth_failure(checks: Iterable[BatchCheck]) -> Iterator[tuple[BatchCheck, int]]:
+    """Each batch a suite checks with the number of its items checked, up to
+    and including the fifth failure, where the suite stops. A batch is let
+    go once the next one is drawn, so memory stays bounded at any size."""
+    failed = 0
+    for check in checks:
+        bad = np.flatnonzero(~check.ok)
+        if failed + bad.shape[0] >= 5:
+            yield check, int(bad[4 - failed]) + 1
+            return
+        failed += bad.shape[0]
+        yield check, check.ok.shape[0]
 
 
-def _partial_sums(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """The first n partial sums of parts, whose trailing parts are zero."""
-    return tuple(itertools.accumulate(parts + (0,) * (n - len(parts))))
+def _report(suite: str, done: Iterable[tuple[BatchCheck, int]]) -> dict:
+    """A suite's report on the batches it checked: the witnesses of the
+    failures among the items it checked, in order, and how many it checked."""
+    failures, checked = [], 0
+    for check, count in done:
+        failures += [check.witness(int(k)) for k in np.flatnonzero(~check.ok[:count])]
+        checked += count
+    return {"suite": suite, "ok": not failures, "checked": checked, "failures": failures}
 
 
 def suite_greene(seed: int = 0) -> dict:
     """Partial sums of the Schensted shape against the subset-scan oracle:
     on every permutation up to n = 6 (873 of them), then on 200 uniform
-    draws each at n = 7 and n = 8."""
-
-    def check(p: Permutation) -> CheckResult:
-        shape = schensted_shape(p)
-        report = greene_report(p)
-        if _partial_sums(shape.parts, p.n) != report.increasing_invariants:
-            return CheckResult(False, {"sigma": p.to_text(), "family": "increasing"})
-        if _partial_sums(shape.conjugate().parts, p.n) != report.decreasing_invariants:
-            return CheckResult(False, {"sigma": p.to_text(), "family": "decreasing"})
-        return CheckResult(True)
-
+    draws each at n = 7 and n = 8. All of them are peeled in one kernel
+    call and scanned in another; the partial sums of the shape and of its
+    conjugate are compared with the invariants on tables padded to n = 8,
+    where both stay n past a word's length."""
     rng = derive_rng(seed, 1)
-    exhaustive = (Permutation(word) for n in range(1, 7)
-                  for word in itertools.permutations(range(1, n + 1)))
-    drawn = (sample_uniform(n, rng) for n in (7, 8) for _ in range(200))
-    return _report("greene", _until_fifth_failure(map(check, itertools.chain(exhaustive, drawn))))
+    words = [*(row for n in range(1, 7)
+               for row in np.array(list(itertools.permutations(range(n))), dtype=np.int64)),
+             *(sample_uniform(n, rng).zero_based for n in (7, 8) for _ in range(200))]
+    letters, offsets = concat_words(words)
+    invariants = greene_invariants_batch(letters, offsets)
+    width = invariants.shape[2]
+    parts = widen(insertion_shape_batch(letters, offsets), width)
+    columns = (parts[:, :, None] > np.arange(width)).sum(axis=1)
+    increasing = (np.cumsum(parts, axis=1) != invariants[:, 0]).any(axis=1)
+    decreasing = (np.cumsum(columns, axis=1) != invariants[:, 1]).any(axis=1)
+
+    def witness(k: int) -> dict:
+        return {"sigma": Permutation.from_zero_based(words[k]).to_text(),
+                "family": "increasing" if increasing[k] else "decreasing"}
+
+    return _report("greene", _until_fifth_failure([BatchCheck(~(increasing | decreasing),
+                                                              witness)]))
 
 
 def _five_sampler_draws(count: int, seed: int):
@@ -114,23 +123,38 @@ def _random_cycle_type(n: int, rng: np.random.Generator) -> tuple[int, ...]:
 
 def suite_fixpoint(draws: int = 10_000, seed: int = 0) -> dict:
     """Fixed-point removal shape inequalities across all sampler families,
-    on draws of sizes up to 200."""
+    on draws of sizes up to 200, checked ``BATCH`` draws at a time."""
     perms = _five_sampler_draws(draws, seed)
-    return _report("fixpoint", _until_fifth_failure(map(check_fixed_point_bounds, perms)))
+    checks = (check_fixed_point_bounds_batch(*concat_words(
+        [p.zero_based for p in itertools.islice(perms, BATCH)]))
+        for _ in range(0, draws, BATCH))
+    return _report("fixpoint", _until_fifth_failure(checks))
 
 
 def suite_profile_bound(pairs: int = 10_000, seed: int = 0) -> dict:
     """Partition bound dominates the exact profile distance, in exact
-    arithmetic, on shapes of uniform draws of up to 300 cells."""
+    arithmetic, on shapes of uniform draws of up to 300 cells, peeled and
+    checked ``BATCH`` pairs at a time. ``min_slack`` is the least slack of
+    the pairs that passed, null when none did."""
     rng = derive_rng(seed, 3)
 
-    def shape() -> YoungDiagram:
-        return schensted_shape(sample_uniform(int(rng.integers(0, 301)), rng))
+    def checks():
+        for start in range(0, pairs, BATCH):
+            words = [sample_uniform(int(rng.integers(0, 301)), rng).zero_based
+                     for _ in range(2 * min(BATCH, pairs - start))]
+            shapes = insertion_shape_batch(*concat_words(words))
+            yield check_profile_distance_bound_batch(shapes[0::2], shapes[1::2])
 
-    done = _until_fifth_failure(check_profile_distance_bound(shape(), shape())
-                                for _ in range(pairs))
-    slacks = [res.witness["slack"] for res in done if res.ok]
-    return _report("profile-bound", done, min_slack=min(slacks, default=float("inf")))
+    slacks = []  # the least slack of the checked pairs that pass, a batch each
+
+    def checked():
+        for check, count in _until_fifth_failure(checks()):
+            slacks.append(check.slack[:count][check.ok[:count]].min(initial=math.inf))
+            yield check, count
+
+    report = _report("profile-bound", checked())
+    least = min(slacks, default=math.inf)
+    return {**report, "min_slack": float(least) if least < math.inf else None}
 
 
 def suite_convention(seed: int = 0) -> dict:

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import math
@@ -22,9 +23,12 @@ from permshape._kernels import (
     _cycle_scan_py,
     _greene_py,
     _shape_py,
+    concat_words,
     cycle_scan,
     greene_invariants,
+    greene_invariants_batch,
     insertion_shape,
+    insertion_shape_batch,
     lis_lds_lengths,
     lis_length,
 )
@@ -297,6 +301,143 @@ class TestCompiledMatchesReference:
         assert greene_invariants(np.asarray(xs, dtype=np.int64)) == _greene_py(xs)
 
 
+@contextlib.contextmanager
+def running(backend):
+    """The compiled kernels, or the pure-Python ones in their place."""
+    if backend == "c" and BACKEND != "c":
+        pytest.skip("compiled kernels unavailable")
+    with pytest.MonkeyPatch.context() as mp:
+        if backend == "python":
+            mp.setattr(_kernels, "_library", lambda: None)
+        yield
+
+
+def _batch(words):
+    return concat_words([np.asarray(w, dtype=np.int64) for w in words])
+
+
+def _assert_shape_batch(words, max_rows):
+    # each row of the table is the word's one-word peel and its reference,
+    # padded with zeros to the most rows of any word
+    table = insertion_shape_batch(*_batch(words), max_rows)
+    shapes = [_shape_py(w, max_rows).tolist() for w in words]
+    assert table.dtype == np.int64
+    assert table.shape == (len(words), max(map(len, shapes), default=0))
+    for w, shape, row in zip(words, shapes, table.tolist()):
+        assert row == shape + [0] * (table.shape[1] - len(shape)), w
+        assert insertion_shape(np.asarray(w, dtype=np.int64), max_rows).tolist() == shape, w
+
+
+def _assert_greene_batch(words):
+    # each word's increasing and decreasing invariants, both staying n past
+    # its n letters up to the longest word
+    table = greene_invariants_batch(*_batch(words))
+    width = max(map(len, words), default=0)
+    assert table.shape == (len(words), 2, width)
+    for w, rows in zip(words, table.tolist()):
+        pad = [len(w)] * (width - len(w))
+        inc, dec = _greene_py(w)
+        assert rows == [[*inc, *pad], [*dec, *pad]], w
+        assert greene_invariants(np.asarray(w, dtype=np.int64)) == (inc, dec), w
+
+
+ROW_LIMITS = [1, 2, 5, ALL_ROWS]
+# a ragged batch: the join's edge words with an empty word after each
+RAGGED = [w for xs in JOIN_EDGE_WORDS for w in (xs, [])]
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+@pytest.mark.parametrize("max_rows", ROW_LIMITS)
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.lists(st.integers(-4, 4) | st.sampled_from([INT64_MIN, INT64_MAX])
+                         | st.integers(INT64_MIN, INT64_MAX), max_size=40), max_size=10))
+@example([[], [3, 1, 2], [], [], [5, 4, 3, 2, 1, 0], [7]])
+def test_shape_batch_is_the_one_word_peel_of_each_word(backend, max_rows, words):
+    with running(backend):
+        _assert_shape_batch(words, max_rows)
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+@pytest.mark.parametrize("max_rows", ROW_LIMITS)
+def test_shape_batch_on_the_join_edge_words(backend, max_rows):
+    with running(backend):
+        _assert_shape_batch(RAGGED, max_rows)
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.lists(st.integers(-6, 6) | st.sampled_from([INT64_MIN, INT64_MAX]),
+                         max_size=9, unique=True), max_size=10))
+@example([[], [2, 0, 1], [], [INT64_MIN, INT64_MAX, 0, -1]])
+def test_greene_batch_is_the_one_word_scan_of_each_word(backend, words):
+    with running(backend):
+        _assert_greene_batch(words)
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_greene_batch_on_the_join_edge_words(backend):
+    # the pure-Python scan takes about 1 ms a word at n = 7, so it reads
+    # the words of up to 5 letters
+    top = 7 if backend == "c" else 5
+    with running(backend):
+        _assert_greene_batch([w for w in RAGGED if len(set(w)) == len(w) <= top])
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_batches_check_their_words_and_offsets(backend):
+    letters, offsets = _batch([[2, 0, 1], [1, 0]])
+    with running(backend):
+        for bad in (offsets[1:], offsets[:-1], offsets[::-1], offsets.astype(np.int32),
+                    np.array([0, 4, 3, 5])):
+            with pytest.raises(ValueError, match="offsets"):
+                insertion_shape_batch(letters, bad)
+            with pytest.raises(ValueError, match="offsets"):
+                greene_invariants_batch(letters, bad)
+        for kernel in (insertion_shape_batch, greene_invariants_batch):
+            with pytest.raises(ValueError, match="kernels read int64 words"):
+                kernel(letters.astype(np.float64), offsets)
+        with pytest.raises(ValueError, match="max_rows"):
+            insertion_shape_batch(letters, offsets, 0)
+        # the word with a repeat is named, wherever it sits in the batch
+        with pytest.raises(ValueError, match=r"distinct letters, got \[4, 5, 4\]"):
+            greene_invariants_batch(*_batch([[2, 0, 1], [], [4, 5, 4], [1, 0]]))
+        with pytest.raises(ValueError, match="too large"):
+            greene_invariants_batch(*_batch([[0], list(range(17))]))
+        empty = concat_words([])
+        assert insertion_shape_batch(*empty).shape == (0, 0)
+        assert greene_invariants_batch(*empty).shape == (0, 2, 0)
+
+
+def _partitions(n, largest=None):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first, *rest)
+
+
+def _standard_tableaux(parts):
+    """f_lambda, n! over the product of the hook lengths, in integers."""
+    columns = [sum(p > j for p in parts) for j in range(parts[0])] if parts else []
+    hooks = math.prod(parts[i] - j + columns[j] - i - 1
+                      for i in range(len(parts)) for j in range(parts[i]))
+    return math.factorial(sum(parts)) // hooks
+
+
+@pytest.mark.parametrize("backend, top", [("c", 8), ("python", 6)])
+def test_the_shapes_of_all_of_s_n_count_tableau_pairs(backend, top):
+    # RS is a bijection onto pairs of standard tableaux of one shape, so one
+    # batched peel of all of S_n gives each shape lambda f_lambda^2 times
+    with running(backend):
+        for n in range(top + 1):
+            words = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+            table = insertion_shape_batch(words.ravel(), np.arange(words.shape[0] + 1) * n)
+            shapes, counts = np.unique(table, axis=0, return_counts=True)
+            got = {tuple(int(p) for p in row if p): int(c) for row, c in zip(shapes, counts)}
+            assert got == {parts: _standard_tableaux(parts) ** 2 for parts in _partitions(n)}
+
+
 # measurements of one trial -> the kernel passes it makes; a trial that peels
 # does so once, through schensted_shape
 TRIAL_PASSES = {
@@ -508,10 +649,10 @@ def test_kernel_source_compiles_without_warnings():
     assert (done.returncode, done.stderr) == (0, "")
 
 
-# run in a child process on a library built with the undefined-behaviour
-# sanitizer: each compiled kernel on the join's edge words, against the
-# pure-Python references; a fault aborts the child
-UBSAN_SCRIPT = """
+# run in a child process on a library built with a sanitizer: each compiled
+# kernel on the join's edge words, against the pure-Python references; a
+# fault aborts the child
+SANITIZER_SCRIPT = """
 import ctypes, json, sys
 import numpy as np
 from permshape import _kernels
@@ -521,7 +662,8 @@ for name, (argtypes, restype) in _kernels._SIGNATURES.items():
     fn.argtypes, fn.restype = argtypes, restype
 _kernels._library = lambda: lib
 first_row = lambda ys: sum(_kernels._shape_py(ys, 1).tolist())
-for xs in json.load(sys.stdin):
+words = json.load(sys.stdin)
+for xs in words:
     word = np.asarray(xs, dtype=np.int64)
     assert _kernels.lis_lds_lengths(word) == (first_row(xs), first_row(xs[::-1])), xs
     assert _kernels.insertion_shape(word).tolist() == _kernels._shape_py(xs).tolist(), xs
@@ -529,6 +671,20 @@ for xs in json.load(sys.stdin):
         assert _kernels.cycle_scan(word) == _kernels._cycle_scan_py(xs), xs
     if len(set(xs)) == len(xs) and len(xs) <= 5:
         assert _kernels.greene_invariants(word) == _kernels._greene_py(xs), xs
+# both batch entry points, on the words as one ragged batch with an empty
+# word after each
+ragged = [w for xs in words for w in (xs, [])]
+batch = lambda ws: _kernels.concat_words([np.asarray(w, dtype=np.int64) for w in ws])
+for max_rows in (1, 2, 5, _kernels.ALL_ROWS):
+    table = _kernels.insertion_shape_batch(*batch(ragged), max_rows).tolist()
+    for xs, row in zip(ragged, table):
+        shape = _kernels._shape_py(xs, max_rows).tolist()
+        assert row == shape + [0] * (len(row) - len(shape)), xs
+distinct = [xs for xs in ragged if len(set(xs)) == len(xs) <= 5]
+table = _kernels.greene_invariants_batch(*batch(distinct)).tolist()
+for xs, rows in zip(distinct, table):
+    pad = [len(xs)] * (len(rows[0]) - len(xs))
+    assert rows == [list(part) + pad for part in _kernels._greene_py(xs)], xs
 print("ok")
 """
 
@@ -543,7 +699,27 @@ def test_kernels_run_clean_under_the_undefined_behaviour_sanitizer(tmp_path):
                            capture_output=True, text=True)
     assert (built.returncode, built.stderr) == (0, "")
     env = dict(os.environ, PYTHONPATH=str(Path(permshape.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", UBSAN_SCRIPT, str(library)],
+    done = subprocess.run([sys.executable, "-c", SANITIZER_SCRIPT, str(library)],
+                          input=json.dumps(JOIN_EDGE_WORDS), env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_kernels_stay_in_their_scratch_under_the_address_sanitizer(tmp_path):
+    # every scratch array a wrapper sizes holds all that its kernel writes:
+    # a batch's words share the work space of the longest one
+    runtime = subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True,
+                             text=True).stdout.strip()
+    if not os.path.isabs(runtime):
+        pytest.skip("no AddressSanitizer runtime")
+    library = tmp_path / "kernels-asan.so"
+    built = subprocess.run(["cc", "-O1", "-fsanitize=address", "-shared", "-fPIC", "-o",
+                            str(library), str(_kernels._SOURCE)], capture_output=True, text=True)
+    assert (built.returncode, built.stderr) == (0, "")
+    env = dict(os.environ, PYTHONPATH=str(Path(permshape.__file__).parents[1]),
+               LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0")
+    done = subprocess.run([sys.executable, "-c", SANITIZER_SCRIPT, str(library)],
                           input=json.dumps(JOIN_EDGE_WORDS), env=env, capture_output=True,
                           text=True, timeout=300)
     assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")

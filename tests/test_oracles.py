@@ -1,16 +1,19 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from permshape import oracles
+from permshape._kernels import ALL_ROWS, concat_words, insertion_shape_batch
 from permshape.diagram import YoungDiagram
 from permshape.oracles import (
     check_fixed_point_bounds,
+    check_fixed_point_bounds_batch,
     check_profile_distance_bound,
     greene_report,
     max_union_of_increasing,
 )
-from permshape.perm import Permutation
+from permshape.perm import Permutation, remove_fixed_points
 from permshape.rsk import schensted_shape
 from permshape.samplers import derive_rng, sample_uniform
 from permshape.verify import _five_sampler_draws
@@ -70,6 +73,14 @@ class TestGreeneReport:
                 assert report.decreasing_invariants[i - 1] == max_union_of_increasing(reverse, i)
 
 
+def drop_last_rows(letters, offsets, max_rows=ALL_ROWS):
+    """The batch shape peel with each shape's last row lost."""
+    shapes = insertion_shape_batch(letters, offsets, max_rows)
+    rows = np.count_nonzero(shapes, axis=1)
+    shapes[np.flatnonzero(rows), rows[rows > 0] - 1] = 0
+    return shapes
+
+
 def _partitions(size: int, largest: int | None = None):
     """Every partition of size with parts at most largest, as a tuple."""
     if size == 0:
@@ -122,11 +133,40 @@ class TestFixedPointBounds:
     ])
     def test_a_lost_row_is_named(self, monkeypatch, word, witness):
         # a shape routine that drops each shape's last row breaks the bounds
-        monkeypatch.setattr(oracles, "schensted_shape",
-                            lambda p: YoungDiagram(schensted_shape(p).parts[:-1]))
+        monkeypatch.setattr(oracles, "insertion_shape_batch", drop_last_rows)
         res = check_fixed_point_bounds(Permutation.from_text(word))
         assert not res.ok
         assert res.witness == {"sigma": word, **witness}
+
+
+    @pytest.mark.parametrize("shapes", [insertion_shape_batch, drop_last_rows],
+                             ids=["peel", "lost-row"])
+    def test_batch_finds_the_first_failing_index_of_the_loop(self, monkeypatch, shapes):
+        # the interlacing checked one i at a time, as a loop over the
+        # diagrams of the same peel, is the reference for the array pass
+        monkeypatch.setattr(oracles, "insertion_shape_batch", shapes)
+        perms = list(_five_sampler_draws(400, seed=47))
+        check = check_fixed_point_bounds_batch(*concat_words([p.zero_based for p in perms]))
+        failures = 0
+        for k, p in enumerate(perms):
+            fixed, reduced = remove_fixed_points(p)
+            a, b = (YoungDiagram.from_parts(row[row > 0]) for row in
+                    (shapes(q.zero_based, np.array([0, q.n]))[0] for q in (p, reduced)))
+            m, sum_a, sum_b, first = fixed.shape[0], 0, 0, None
+            for i in range(1, max(a.num_rows, b.num_rows) + 2):
+                sum_a += a.part(i)
+                if not m + sum_b <= sum_a <= m + sum_b + b.part(i):
+                    first = {"lambda1": sum_a} if i == 1 else {"index": i}
+                    break
+                sum_b += b.part(i)
+            witness = check.witness(k)
+            assert check.ok[k] == (first is None) == (witness is None), p
+            if first is not None:
+                failures += 1
+                assert witness == {**witness, **first, "shape_sigma": a.to_text(),
+                                   "shape_reduced": b.to_text(), "fixed_points": m}, p
+        # a lost row breaks the interlacing of 18 of these draws
+        assert failures == (18 if shapes is drop_last_rows else 0)
 
 
 class TestProfileDistanceBoundCheck:
@@ -141,7 +181,8 @@ class TestProfileDistanceBoundCheck:
         assert res.witness["slack"] == pytest.approx(0.0, abs=1e-12)
 
     def test_failure_reports_both_sides(self, monkeypatch):
-        monkeypatch.setattr(oracles, "bound_dominates_distance", lambda a, b: False)
+        monkeypatch.setattr(oracles, "bound_dominates_distance_batch",
+                            lambda a, b: np.zeros(len(a), dtype=bool))
         a, b = YoungDiagram((3, 1)), YoungDiagram((2, 2))
         res = check_profile_distance_bound(a, b)
         assert not res.ok

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from permshape._kernels import cycle_scan
 from permshape.diagram import YoungDiagram
 from permshape.perm import Permutation
 from permshape.rsk import lds, lis, lis_lds, schensted_shape
@@ -15,6 +16,14 @@ SYMMETRY_REGIMES = [
     *(RegimeSpec(name) for name in ENSEMBLES if name not in ("uniform_in_cycle_type", "composite")),
     RegimeSpec("uniform_in_cycle_type", cycle_type=(3,) * 33333 + (1,)),
     *(RegimeSpec("composite", core=core, fix_rule="power", beta=0.5, c=1.0) for core in CORES),
+]
+
+# involutions: uniform ones, matchings, and matchings with fixed points planted
+INVOLUTION_REGIMES = [
+    RegimeSpec("uniform_involution"),
+    RegimeSpec("fpf_involution"),
+    RegimeSpec("composite", core="fpf_involution", fix_rule="power", beta=0.5, c=1.0),
+    RegimeSpec("composite", core="fpf_involution", fix_rule="linear", p=0.5),
 ]
 
 partitions = st.lists(st.integers(1, 12), max_size=10).map(
@@ -102,6 +111,24 @@ class TestSchenstedShape:
         assert shape.part(1) <= 4 * math.sqrt(n)
         reversed_p = Permutation.from_zero_based(p.zero_based[::-1])
         assert schensted_shape(reversed_p) == shape.conjugate()
+
+
+    @pytest.mark.parametrize("i", range(len(INVOLUTION_REGIMES)),
+                             ids=[f"{r.ensemble}-{r.fix_rule}" if r.core else r.ensemble
+                                  for r in INVOLUTION_REGIMES])
+    def test_odd_columns_count_the_fixed_points_at_scale(self, i):
+        # Schutzenberger: the shape of an involution has as many columns of
+        # odd length as the involution has fixed points (Knuth, TAOCP vol. 3,
+        # sec. 5.1.4), so a matching's columns are all even and its rows come
+        # in equal pairs; the fixed points are counted by the scan
+        n = 100_000
+        p = sample_regime(INVOLUTION_REGIMES[i], n, derive_rng(25, i))
+        shape = schensted_shape(p)
+        _, fixed, _ = cycle_scan(p.zero_based)
+        columns = np.asarray(shape.conjugate().parts)
+        assert np.count_nonzero(columns % 2) == fixed
+        if fixed == 0:
+            assert shape.num_rows % 2 == 0 and shape.parts[0::2] == shape.parts[1::2]
 
 
 def _row_insertion_shape(word):

@@ -12,16 +12,19 @@ from permshape.samplers import derive_rng, sample_uniform
 from permshape.shape_geom import (
     SQRT2,
     bound_dominates_distance,
+    bound_dominates_distance_batch,
     height_profile,
     height_unit_cells,
     limit_curve,
     omega,
     profile_distance_bound,
+    profile_distance_bound_batch,
     profile_rows,
     scaled_height_unit,
     scaled_kinks,
     scaled_sup_distance,
     sup_profile_distance,
+    sup_profile_distance_batch,
 )
 
 partitions = st.lists(st.integers(1, 15), max_size=12).map(
@@ -241,6 +244,46 @@ class TestDistanceBound:
             a = schensted_shape(sample_uniform(int(rng.integers(0, 120)), rng))
             b = schensted_shape(sample_uniform(int(rng.integers(0, 120)), rng))
             assert bound_dominates_distance(a, b)
+
+
+def _table(diagrams):
+    """Zero-padded parts, one diagram a row, as wide as the most rows."""
+    width = max((d.num_rows for d in diagrams), default=0)
+    return np.array([d.parts + (0,) * (width - d.num_rows) for d in diagrams],
+                    dtype=np.int64).reshape(len(diagrams), width)
+
+
+def _brute_gap_and_bound(a, b):
+    """The integer profile gap, from height_profile on every integer t of
+    both diagrams' reach, and the bound, from the tail sums one l at a time."""
+    t = np.arange(-max(a.num_rows, b.num_rows) - 2, max(a.part(1), b.part(1)) + 3)
+    gap = int(np.abs(height_profile(a, t) - height_profile(b, t)).max())
+    rows = max(a.num_rows, b.num_rows)
+    diffs = [a.part(k) - b.part(k) for k in range(1, rows + 1)]
+    tails = [max((abs(sum(diffs[l:m])) for m in range(l + 1, rows + 1)), default=0)
+             for l in range(rows + 1)]
+    bound = min(2.0 * math.sqrt(k) + SQRT2 * l for l, k in enumerate(tails))
+    dominates = all(gap <= 2 * l or (gap - 2 * l) ** 2 <= 8 * k for l, k in enumerate(tails))
+    return gap, bound, dominates
+
+
+class TestPairwiseBatches:
+    @given(st.lists(st.tuples(partitions, partitions), max_size=12))
+    @example([(YoungDiagram(()), YoungDiagram(())), (YoungDiagram((1,)), YoungDiagram(())),
+              (YoungDiagram((15,) * 12), YoungDiagram((1,)))])
+    def test_each_pair_of_a_batch_is_its_own_pair(self, pairs):
+        # the two tables have their own widths; every pair gets the exact
+        # values of the one-pair functions and of a brute-force route
+        a_parts, b_parts = _table([a for a, _ in pairs]), _table([b for _, b in pairs])
+        distance = sup_profile_distance_batch(a_parts, b_parts)
+        bound = profile_distance_bound_batch(a_parts, b_parts)
+        dominates = bound_dominates_distance_batch(a_parts, b_parts)
+        assert distance.shape == bound.shape == dominates.shape == (len(pairs),)
+        for k, (a, b) in enumerate(pairs):
+            gap, brute_bound, brute_dominates = _brute_gap_and_bound(a, b)
+            assert distance[k] == sup_profile_distance(a, b) == gap / SQRT2
+            assert bound[k] == profile_distance_bound(a, b) == brute_bound
+            assert dominates[k] == bound_dominates_distance(a, b) == brute_dominates
 
 
 class TestConventionReconciliation:

@@ -1,11 +1,13 @@
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from permshape import samplers, shape_geom, verify
-from permshape.diagram import YoungDiagram
-from permshape.oracles import CheckResult, GreeneReport
+from permshape import _kernels, samplers, shape_geom, verify
+from permshape.experiments import json_text
+from permshape.oracles import BatchCheck, ProfileBoundCheck
 from permshape.verify import (
     run_suite,
     suite_convention,
@@ -94,14 +96,14 @@ def test_convention_catches_a_profile_read_one_kink_off(monkeypatch):
 
 
 def test_greene_names_the_decreasing_family(monkeypatch):
-    greene_report = verify.greene_report
+    greene_invariants_batch = verify.greene_invariants_batch
 
-    def one_too_many_decreasing(p):
-        report = greene_report(p)
-        return GreeneReport(report.increasing_invariants,
-                            tuple(x + 1 for x in report.decreasing_invariants))
+    def one_too_many_decreasing(letters, offsets):
+        invariants = greene_invariants_batch(letters, offsets)
+        invariants[:, 1] += 1
+        return invariants
 
-    monkeypatch.setattr(verify, "greene_report", one_too_many_decreasing)
+    monkeypatch.setattr(verify, "greene_invariants_batch", one_too_many_decreasing)
     report = suite_greene()
     assert report["ok"] is False
     assert report["failures"][0] == {"sigma": "1", "family": "decreasing"}
@@ -119,13 +121,67 @@ def test_samplers_flag_a_draw_outside_the_support(monkeypatch):
     assert [(f["family"], f["stat"]) for f in bad] == [("n_cycle", math.inf)]
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def test_suites_stop_at_the_fifth_failure_and_count_what_they_checked(monkeypatch):
-    monkeypatch.setattr(verify, "check_profile_distance_bound",
-                        lambda a, b: CheckResult(False, {"a": a.to_text(), "b": b.to_text()}))
-    monkeypatch.setattr(verify, "check_fixed_point_bounds",
-                        lambda p: CheckResult(False, {"sigma": p.to_text()}))
+    def every_pair_fails(a_parts, b_parts):
+        return ProfileBoundCheck(np.zeros(len(a_parts), dtype=bool), lambda k: {
+            "a": ",".join(map(str, a_parts[k][a_parts[k] > 0])),
+            "b": ",".join(map(str, b_parts[k][b_parts[k] > 0]))}, np.zeros(len(a_parts)))
+
+    def every_draw_fails(letters, offsets):
+        return BatchCheck(np.zeros(len(offsets) - 1, dtype=bool), lambda k: {
+            "sigma": " ".join(map(str, letters[offsets[k]:offsets[k + 1]] + 1))})
+
+    monkeypatch.setattr(verify, "check_profile_distance_bound_batch", every_pair_fails)
+    monkeypatch.setattr(verify, "check_fixed_point_bounds_batch", every_draw_fails)
     # a first row longer than the permutation breaks every Greene partial sum
-    monkeypatch.setattr(verify, "schensted_shape", lambda p: YoungDiagram((p.n + 1,)))
+    monkeypatch.setattr(verify, "insertion_shape_batch",
+                        lambda letters, offsets: np.diff(offsets)[:, None] + 1)
     for report in (suite_profile_bound(pairs=50), suite_greene(), suite_fixpoint(draws=50)):
         assert report["checked"] == 5 and len(report["failures"]) == 5, report["suite"]
         assert report["ok"] is False
+        # the report parses as strict JSON: no pair passed, so no slack is a
+        # minimum, and min_slack is null, not Infinity
+        parsed = json.loads(json_text(report), parse_constant=_refuse_constant)
+        assert parsed.get("min_slack", None) is None
+
+
+class CountingLibrary:
+    """The compiled kernels, counting the calls made to each."""
+
+    def __init__(self, lib):
+        self._lib = lib
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        kernel = getattr(self._lib, name)
+        if not name.startswith("ps_"):
+            return kernel
+
+        def counted(*args):
+            self.calls[name] += 1
+            return kernel(*args)
+
+        return counted
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "c", reason="compiled kernels unavailable")
+@pytest.mark.parametrize("suite, sizes, calls", [
+    ("greene", [{"seed": 0}, {"seed": 1}], {"ps_shape_batch": 1, "ps_greene_batch": 1}),
+    ("fixpoint", [{"draws": 20}, {"draws": 200}], {"ps_shape_batch": 2}),
+    ("profile-bound", [{"pairs": 20}, {"pairs": 200}], {"ps_shape_batch": 1}),
+])
+def test_exact_suites_make_the_same_kernel_calls_at_any_size(monkeypatch, suite, sizes, calls):
+    # each suite peels and scans its words as one batch, so a kernel call
+    # made per word shows as a count that grows with the size (the greene
+    # suite has no size; its seed picks its draws)
+    lib = CountingLibrary(_kernels._library())
+    monkeypatch.setattr(_kernels, "_library", lambda: lib)
+    for size in sizes:
+        lib.calls.clear()
+        assert run_suite(suite, **size)["ok"]
+        assert lib.calls == calls, size
+
