@@ -41,7 +41,6 @@ from .perm import (
     cycle_stats,
     plant_fixed_points,
     remove_fixed_points,
-    square,
 )
 from .rsk import lds, lis, lis_lds, schensted_shape
 from .samplers import (

@@ -51,6 +51,23 @@
  * that n-cycle the window holds 34% of the letters rows 2 to 4 receive),
  * and with the window in it the two-row peel (lambda2) at n = 1e5 ran
  * about 45% slower.
+ *
+ * Why an involution peels half its letters: Beissinger (Discrete Math. 67,
+ * 1987, 149-163) builds the insertion tableau of an involution w of
+ * 0..n-1 from half the insertions. For k = 0..n-1 a fixed point k is
+ * inserted; for a pair i = w[k] < k, i is inserted, and k, the largest
+ * letter so far, goes at the end of the row below the row where that
+ * insertion ended. In the row peel k rides on i as a tag: a bumped letter
+ * takes the tag of the letter that bumped it, and a tagged letter that
+ * starts a pile in row r queues its tag for row r+1, where it starts a
+ * pile. Each placement still queues at most one letter. One pass that
+ * stops at the first k with w[k] out of range or w[w[k]] != k picks the
+ * peel, so most other words pay a few loads for it. On that Xeon full
+ * shapes of fpf involutions took 0.96 ms at n = 1e4 (from 1.84), 31 ms at
+ * 1e5 (from 59) and 0.96 s at 1e6 (from 1.89); with n / 2 fixed points
+ * (composite_fpf_half), 0.54 ms at 1e4 (from 0.88), 13 ms at 1e5 (from 24)
+ * and 0.39 s at 1e6 (from 0.72). An n-cycle core with n / ln n fixed
+ * points ran within 1.5% of the plain peel.
  */
 #include <stdint.h>
 
@@ -143,10 +160,15 @@ const int64_t ps_band_width = SHAPE_BAND;
 const int64_t ps_hint_window = HINT_WINDOW;
 
 /* A queued letter and the column of the row above that it was bumped out
- * of; the word's own letters carry column n, past every row. */
+ * of; the word's own letters carry column n, past every row. On the
+ * involution path the high half of col holds the letter's tag, 0 for none
+ * (a tag is the larger letter k of a pair, so k >= 1). */
 struct letter {
     int64_t x, col;
 };
+
+#define TAG_SHIFT 32
+#define COL_MASK ((INT64_C(1) << TAG_SHIFT) - 1)
 
 /* One row of a band: its piles, read head and write head in cur. The
  * HINT_WINDOW slots left of tops[0] hold INT64_MIN. */
@@ -176,15 +198,21 @@ static inline int64_t landing(const int64_t *tops, int64_t len, int64_t x, int64
 }
 
 /* The row takes the next letter of its queue, cur[rd]; the letter it bumps,
- * if any, is queued for the row below at cur[wr] with its column. */
-static inline void place(struct letter *cur, struct row *row, int hinted)
+ * if any, is queued for the row below at cur[wr] with its column. On the
+ * involution path (inv) the bumped letter takes the tag of the letter that
+ * bumped it, and a tagged letter that starts a pile queues its tag, which
+ * starts a pile in the row below. */
+static inline __attribute__((always_inline)) void place(struct letter *cur, struct row *row,
+                                                         int hinted, int inv)
 {
     struct letter in = cur[row->rd++];
-    int64_t j = landing(row->tops, row->len, in.x, in.col, hinted);
-    if (j == row->len)
+    int64_t j = landing(row->tops, row->len, in.x, inv ? in.col & COL_MASK : in.col, hinted);
+    if (j == row->len) {
         row->len++;
-    else
-        cur[row->wr++] = (struct letter){row->tops[j], j};
+        if (inv && in.col >> TAG_SHIFT)
+            cur[row->wr++] = (struct letter){in.col >> TAG_SHIFT, j};
+    } else
+        cur[row->wr++] = (struct letter){row->tops[j], inv ? j | (in.col & ~COL_MASK) : j};
     row->tops[j] = in.x;
 }
 
@@ -197,30 +225,39 @@ static inline void place(struct letter *cur, struct row *row, int hinted)
  * SHAPE_BAND), HINT_WINDOW pad slots and n / r slots.
  *
  * Each pass peels a band of min(SHAPE_BAND, rows still wanted) rows from
- * the m letters in cur. All their queues share cur in place: a row writes
- * its bumps at or below its own read head (its first letter starts a pile),
- * and reads only below the write head of the row above, so cur holds, from
- * the left, the last row's bumps (the next band's input), then each row's
+ * the m letters in cur. All their queues share cur in place: each placement
+ * queues at most one letter, at or below the row's own read head, and a row
+ * reads only below the write head of the row above, so cur holds, from the
+ * left, the last row's bumps (the next band's input), then each row's
  * unread queue, lower rows first, then the unread input. The rows step from
  * the bottom up, so a row never reads a letter queued in the same step.
- * Row r of a band is the (r+1)-th row of the tableau of the band's input,
- * so it has at most m / (r+1) piles: that is its segment of tops. Every
- * band but the first places its letters by the hinted search.
+ * Row r of a band is the (r+1)-th row of the rows not yet peeled, which
+ * hold the rem cells not yet placed, so it has at most rem / (r+1) piles:
+ * that is its segment of tops. Every band but the first places its letters
+ * by the hinted search.
  *
- * Not inlined: gcc -O2 then compiles the peel as it compiled the one-word
- * entry it replaces, all but the prologue alike, where inlined into the
- * batch loop its full shapes at n = 1000..16000 ran about 1% slower on a
- * 2-vCPU Xeon. */
-__attribute__((noinline))
-static int64_t peel_shape(const int64_t *values, int64_t n, int64_t max_rows,
-                          int64_t *row_lengths, int64_t *work)
+ * With inv set, values is an involution of 0..n-1 with n < 2^31, and row 1
+ * reads Beissinger's stream: for k = 0..n-1, a fixed point k as the letter
+ * k, and a pair i = values[k] < k as the letter i tagged with k. Row 1
+ * reads fewer than n letters and the tags join the rows below it, so the m
+ * letters a band reads do not bound its rows: that is why a band is sized
+ * by rem, which is m for the other words. */
+static inline __attribute__((always_inline)) int64_t
+peel(const int64_t *values, int64_t n, int64_t max_rows, int64_t *row_lengths, int64_t *work,
+     int inv)
 {
     int64_t *tops = work + 2 * n;
     struct letter *cur = (struct letter *)work;
     int64_t nrows = 0;
-    int64_t m = n;
-    for (int64_t i = 0; i < n; i++)
-        cur[i] = (struct letter){values[i], n};
+    int64_t m = 0, rem = n;
+    if (inv) {
+        for (int64_t k = 0; k < n; k++)
+            if (values[k] <= k)
+                cur[m++] = (struct letter){values[k], n | (values[k] < k ? k << TAG_SHIFT : 0)};
+    } else {
+        for (; m < n; m++)
+            cur[m] = (struct letter){values[m], n};
+    }
     while (m > 0 && nrows < max_rows) {
         int64_t band = max_rows - nrows < SHAPE_BAND ? max_rows - nrows : SHAPE_BAND;
         int hinted = nrows > 0;
@@ -230,7 +267,7 @@ static int64_t peel_shape(const int64_t *values, int64_t n, int64_t max_rows,
             for (int64_t i = 0; i < HINT_WINDOW; i++)
                 *seg++ = INT64_MIN;
             rows[r] = (struct row){seg, 0, 0, 0};
-            seg += m / (r + 1);
+            seg += rem / (r + 1);
         }
         /* rows above lead have read all their input; lead reads the rest of
          * its queue, and the rows below it take what is queued for them */
@@ -239,15 +276,56 @@ static int64_t peel_shape(const int64_t *values, int64_t n, int64_t max_rows,
             while (rows[lead].rd < end) {
                 for (int64_t r = band - 1; r > lead; r--)
                     if (rows[r].rd < rows[r - 1].wr)
-                        place(cur, &rows[r], hinted);
-                place(cur, &rows[lead], hinted);
+                        place(cur, &rows[r], hinted, inv);
+                place(cur, &rows[lead], hinted, inv);
             }
         }
-        for (int64_t r = 0; r < band && rows[r].len > 0; r++)
+        for (int64_t r = 0; r < band && rows[r].len > 0; r++) {
             row_lengths[nrows++] = rows[r].len;
+            rem -= rows[r].len;
+        }
         m = rows[band - 1].wr;
     }
     return nrows;
+}
+
+/* The peel compiled once for each kind of word. Not inlined: gcc -O2 then
+ * compiles the row peel as it compiled the one-word entry it replaces, all
+ * but the prologue alike, where inlined into the batch loop its full shapes
+ * at n = 1000..16000 ran about 1% slower on a 2-vCPU Xeon. */
+__attribute__((noinline))
+static int64_t peel_rows(const int64_t *values, int64_t n, int64_t max_rows,
+                         int64_t *row_lengths, int64_t *work)
+{
+    return peel(values, n, max_rows, row_lengths, work, 0);
+}
+
+__attribute__((noinline))
+static int64_t peel_involution(const int64_t *values, int64_t n, int64_t max_rows,
+                               int64_t *row_lengths, int64_t *work)
+{
+    return peel(values, n, max_rows, row_lengths, work, 1);
+}
+
+/* Whether values[0..n) is an involution of 0..n-1: every letter in range
+ * and values[values[k]] = k. Stops at the first letter that fails, so most
+ * other words cost a few loads. */
+static int is_involution(const int64_t *values, int64_t n)
+{
+    for (int64_t k = 0; k < n; k++)
+        if ((uint64_t)values[k] >= (uint64_t)n || values[values[k]] != k)
+            return 0;
+    return 1;
+}
+
+/* peel() of one word, by Beissinger's rule when the word is an involution
+ * whose letters and tags fit the halves of col. */
+static int64_t peel_shape(const int64_t *values, int64_t n, int64_t max_rows,
+                          int64_t *row_lengths, int64_t *work)
+{
+    if (n < (INT64_C(1) << 31) && is_involution(values, n))
+        return peel_involution(values, n, max_rows, row_lengths, work);
+    return peel_rows(values, n, max_rows, row_lengths, work);
 }
 
 /* Shapes of a batch of count words, word w being letters[offsets[w] ..

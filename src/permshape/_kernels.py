@@ -281,9 +281,14 @@ def insertion_shape(values: np.ndarray, max_rows: int = ALL_ROWS) -> np.ndarray:
     the band's rows overlap on the core instead of running one after
     another. Each bumped letter carries the column it left, and past the
     first band a row looks for its landing column in the few slots left of
-    that column before it searches the whole row. The shape is the same as
-    the one-row-a-pass reference ``_shape_py``. The word is a batch of one
-    for ``insertion_shape_batch``'s kernel, read in place.
+    that column before it searches the whole row. When the word is an
+    involution of 0..n-1, the compiled kernel inserts only its fixed points
+    and the smaller letter of each pair, in the order of the pairs' larger
+    letters, and puts the larger letter at the end of the row below the row
+    where that insertion ended (Beissinger's rule): about half the row
+    entries of the plain peel. The shape is the same as the
+    one-row-a-pass reference ``_shape_py``. The word is a batch of one for
+    ``insertion_shape_batch``'s kernel, read in place.
     """
     _check_word(values)
     _check_max_rows(max_rows)

@@ -114,9 +114,6 @@ class Permutation:
         inv[self._zero] = np.arange(self.n, dtype=np.int64)
         return Permutation.from_zero_based(inv)
 
-    def is_involution(self) -> bool:
-        return bool(np.array_equal(self._zero[self._zero], np.arange(self.n)))
-
 
 @dataclass(frozen=True)
 class CycleStats:
@@ -144,12 +141,6 @@ def cycle_stats(p: Permutation) -> CycleStats:
         two_cycles=two,
         fixed_points_of_square=fixed + 2 * two,
     )
-
-
-def square(p: Permutation) -> Permutation:
-    """The composition of p with itself."""
-    z = p.zero_based
-    return Permutation.from_zero_based(z[z])
 
 
 def conjugate(p: Permutation, r: Permutation) -> Permutation:

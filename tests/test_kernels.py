@@ -438,6 +438,104 @@ def test_the_shapes_of_all_of_s_n_count_tableau_pairs(backend, top):
             assert got == {parts: _standard_tableaux(parts) ** 2 for parts in _partitions(n)}
 
 
+def _involutions(n):
+    """Every involution of 0..n-1, as a list: the smallest point free so far
+    is fixed or paired with a larger free point."""
+    def extend(word, free):
+        if not free:
+            yield list(word)
+            return
+        a, rest = free[0], free[1:]
+        yield from extend(word, rest)
+        for b in rest:
+            word[a], word[b] = b, a
+            yield from extend(word, [f for f in rest if f != b])
+            word[a], word[b] = a, b
+    return extend(list(range(n)), list(range(n)))
+
+
+def _pair_up(n, fixed, order):
+    """The involution of 0..n-1 that fixes the points of ``fixed`` and pairs
+    the others as they come in ``order``; a last unpaired point is fixed."""
+    word = list(range(n))
+    rest = [x for x in order if x not in fixed]
+    for a, b in zip(rest[0::2], rest[1::2]):
+        word[a], word[b] = b, a
+    return word
+
+
+# an involution of 0..n-1 with a random set of fixed points
+involutions = st.integers(0, 400).flatmap(lambda n: st.builds(
+    _pair_up, st.just(n), st.sets(st.integers(0, max(n - 1, 0)), max_size=n),
+    st.permutations(range(n))))
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_the_shapes_of_all_involutions_count_standard_tableaux(backend):
+    # RS maps involutions bijectively onto standard tableaux (P = Q), so one
+    # batched peel of every involution of S_n, n <= 10, gives each shape
+    # lambda f_lambda times; the compiled kernel peels them by Beissinger's
+    # rule, half the insertions of the row peel
+    words = [w for n in range(11) for w in _involutions(n)]
+    assert len(words) == sum((1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496))
+    with running(backend):
+        table = insertion_shape_batch(*_batch(words))
+        got = Counter((len(w), tuple(p for p in row if p)) for w, row in zip(words, table.tolist()))
+        assert got == {(n, parts): _standard_tableaux(parts)
+                       for n in range(11) for parts in _partitions(n)}
+        for max_rows in ROW_LIMITS:
+            _assert_shape_batch(words, max_rows)
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+@settings(max_examples=40, deadline=None)
+@given(st.lists(involutions, max_size=6))
+@example([[i ^ 1 for i in range(300)], [], [i ^ 1 for i in range(299)] + [299],
+          [i ^ 1 for i in range(300)] + list(range(319, 299, -1))])
+def test_involutions_with_random_fixed_points(backend, words):
+    # the adjacent transpositions (0 1)(2 3)... have two rows of n / 2 cells:
+    # row 1 reads only n / 2 letters, and the tags fill row 2; with a
+    # reversed block after them, rows 3 and below hold cells too
+    with running(backend):
+        for max_rows in ROW_LIMITS:
+            _assert_shape_batch(words, max_rows)
+
+
+def _near_involutions(seed):
+    """Words one step from an involution of 0..n-1, which the compiled peel
+    must tell apart from one: a pair broken into a 3-cycle late in the word,
+    the 1-based word, the remainder without its fixed points in its original
+    labels, as oracles.check_fixed_point_bounds_batch peels it, and a letter
+    below 0 or at n or past it, at the start, middle or end."""
+    rng = np.random.default_rng(seed)
+    n = 200
+    order = rng.permutation(n).tolist()
+    word = np.array(_pair_up(n, set(order[:20]), order), dtype=np.int64)
+    a = np.flatnonzero(word > np.arange(n))[-1]
+    fixed = word == np.arange(n)
+    c = np.flatnonzero(fixed)[-1]
+    broken = word.copy()
+    broken[[a, word[a], c]] = word[a], c, a
+    out = [broken, word + 1, word[~fixed]]
+    for k in (0, n // 2, n - 1):
+        for bad in (-1, n, INT64_MIN, INT64_MAX):
+            w = word.copy()
+            w[k] = bad
+            out.append(w)
+    return [w.tolist() for w in out]
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+@pytest.mark.parametrize("seed", range(3))
+def test_near_involutions_take_the_row_peel(backend, seed):
+    words = _near_involutions(seed)
+    for w in words:
+        assert any(not 0 <= x < len(w) or w[x] != k for k, x in enumerate(w)), w
+    with running(backend):
+        for max_rows in ROW_LIMITS:
+            _assert_shape_batch([w for xs in words for w in (xs, [])], max_rows)
+
+
 # measurements of one trial -> the kernel passes it makes; a trial that peels
 # does so once, through schensted_shape
 TRIAL_PASSES = {
@@ -649,9 +747,23 @@ def test_kernel_source_compiles_without_warnings():
     assert (done.returncode, done.stderr) == (0, "")
 
 
+# the involution peel's edge words: involutions of n = 0, 1 and 2, the
+# adjacent transpositions, whose tags fill row 2, the reversal, an involution
+# of 40 rows, one with fixed points and its near misses, and letters out of
+# range, at either end, for the check that picks the peel
+INVOLUTION_EDGE_WORDS = [
+    [], [0], [0, 1], [1, 0],
+    [i ^ 1 for i in range(40)], list(range(39, -1, -1)),
+    _pair_up(300, set(range(0, 300, 7)), np.random.default_rng(0).permutation(300).tolist()),
+    *_near_involutions(0),
+    [-1], [1], [0, 2], [2, 1, 0, -1], [1, 0, 3], [INT64_MIN, 0], [1, 0, INT64_MAX],
+    [INT64_MAX, 1, 0], [3, 2, 1, 0, 4, 5, 2**32 + 6],
+]
+
 # run in a child process on a library built with a sanitizer: each compiled
-# kernel on the join's edge words, against the pure-Python references; a
-# fault aborts the child
+# kernel on the join's edge words, against the pure-Python references, and
+# the shape batch on the involution peel's edge words; a fault aborts the
+# child
 SANITIZER_SCRIPT = """
 import ctypes, json, sys
 import numpy as np
@@ -662,7 +774,7 @@ for name, (argtypes, restype) in _kernels._SIGNATURES.items():
     fn.argtypes, fn.restype = argtypes, restype
 _kernels._library = lambda: lib
 first_row = lambda ys: sum(_kernels._shape_py(ys, 1).tolist())
-words = json.load(sys.stdin)
+words, involutions = json.load(sys.stdin)
 for xs in words:
     word = np.asarray(xs, dtype=np.int64)
     assert _kernels.lis_lds_lengths(word) == (first_row(xs), first_row(xs[::-1])), xs
@@ -672,14 +784,15 @@ for xs in words:
     if len(set(xs)) == len(xs) and len(xs) <= 5:
         assert _kernels.greene_invariants(word) == _kernels._greene_py(xs), xs
 # both batch entry points, on the words as one ragged batch with an empty
-# word after each
+# word after each, and the shape batch on the involution edge words so
 ragged = [w for xs in words for w in (xs, [])]
 batch = lambda ws: _kernels.concat_words([np.asarray(w, dtype=np.int64) for w in ws])
-for max_rows in (1, 2, 5, _kernels.ALL_ROWS):
-    table = _kernels.insertion_shape_batch(*batch(ragged), max_rows).tolist()
-    for xs, row in zip(ragged, table):
-        shape = _kernels._shape_py(xs, max_rows).tolist()
-        assert row == shape + [0] * (len(row) - len(shape)), xs
+for ws in (ragged, [w for xs in involutions for w in (xs, [])]):
+    for max_rows in (1, 2, 5, _kernels.ALL_ROWS):
+        table = _kernels.insertion_shape_batch(*batch(ws), max_rows).tolist()
+        for xs, row in zip(ws, table):
+            shape = _kernels._shape_py(xs, max_rows).tolist()
+            assert row == shape + [0] * (len(row) - len(shape)), xs
 distinct = [xs for xs in ragged if len(set(xs)) == len(xs) <= 5]
 table = _kernels.greene_invariants_batch(*batch(distinct)).tolist()
 for xs, rows in zip(distinct, table):
@@ -700,7 +813,7 @@ def test_kernels_run_clean_under_the_undefined_behaviour_sanitizer(tmp_path):
     assert (built.returncode, built.stderr) == (0, "")
     env = dict(os.environ, PYTHONPATH=str(Path(permshape.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", SANITIZER_SCRIPT, str(library)],
-                          input=json.dumps(JOIN_EDGE_WORDS), env=env, capture_output=True,
+                          input=json.dumps([JOIN_EDGE_WORDS, INVOLUTION_EDGE_WORDS]), env=env, capture_output=True,
                           text=True, timeout=300)
     assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
 
@@ -720,7 +833,7 @@ def test_kernels_stay_in_their_scratch_under_the_address_sanitizer(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(permshape.__file__).parents[1]),
                LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0")
     done = subprocess.run([sys.executable, "-c", SANITIZER_SCRIPT, str(library)],
-                          input=json.dumps(JOIN_EDGE_WORDS), env=env, capture_output=True,
+                          input=json.dumps([JOIN_EDGE_WORDS, INVOLUTION_EDGE_WORDS]), env=env, capture_output=True,
                           text=True, timeout=300)
     assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
 

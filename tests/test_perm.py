@@ -10,7 +10,6 @@ from permshape.perm import (
     cycle_stats,
     plant_fixed_points,
     remove_fixed_points,
-    square,
 )
 
 perm_words = st.integers(0, 40).flatmap(lambda n: st.permutations(list(range(1, n + 1))))
@@ -99,7 +98,8 @@ class TestCycleStats:
         cs = cycle_stats(p)
         assert cs.fixed_points_of_square == cs.fixed_points + 2 * cs.two_cycles
         # the square really has that many fixed points
-        assert cycle_stats(square(p)).fixed_points == cs.fixed_points_of_square
+        z = p.zero_based
+        assert int((z[z] == np.arange(p.n)).sum()) == cs.fixed_points_of_square
         assert cs.fixed_points <= cs.num_cycles <= p.n
 
     @given(perm_words, perm_words)
@@ -115,21 +115,34 @@ def _clip(word, n):
 
 
 class TestSquare:
+    # the square of a 0-based permutation z is z[z]; cycle_stats counts its
+    # fixed points without forming it
     def test_identity(self):
-        assert square(Permutation.identity(3)) == Permutation.identity(3)
+        p = Permutation.identity(3)
+        z = p.zero_based
+        assert z[z].tolist() == [0, 1, 2]
+        assert cycle_stats(p).fixed_points_of_square == 3
 
     def test_involution_squares_to_identity(self):
-        assert square(Permutation([2, 1])) == Permutation.identity(2)
+        p = Permutation([2, 1])
+        z = p.zero_based
+        assert z[z].tolist() == [0, 1]
+        assert cycle_stats(p).fixed_points_of_square == 2
 
     def test_hand_composition(self):
-        assert square(Permutation([5, 3, 2, 1, 4, 6])) == Permutation([4, 2, 3, 5, 1, 6])
+        p = Permutation([5, 3, 2, 1, 4, 6])
+        z = p.zero_based
+        assert (z[z] + 1).tolist() == [4, 2, 3, 5, 1, 6]
+        # fixes 2, 3 and 6: the 2-cycle (2 3) and the fixed point 6
+        assert cycle_stats(p).fixed_points_of_square == 3
 
     @given(perm_words)
     def test_involution_powers(self, word):
+        # an involution is a permutation whose square fixes all n points
         p = Permutation(word)
-        if p.is_involution():
-            assert square(p) == Permutation.identity(p.n)
-            assert square(square(p)) == square(p)
+        z = p.zero_based
+        involution = bool((z[z] == np.arange(p.n)).all())
+        assert involution == (cycle_stats(p).fixed_points_of_square == p.n)
 
 
 class TestConjugate:
