@@ -3,7 +3,9 @@
  * and the Greene subset scan. Each keeps the integer semantics of the
  * pure-Python reference next to it (strict increase, i.e. bisect_left). The
  * caller allocates one scratch array per call for everything a kernel
- * writes, so no function here can fail. The shape and the Greene scan are
+ * writes, so no function here can fail, but for ps_cycle_layout, which
+ * allocates its own arrangement when it is too long for the stack. The
+ * shape and the Greene scan are
  * entered by batch: one call loops the kernel over many words, given as
  * their letters back to back and count + 1 offsets, and a single word is a
  * batch of one.
@@ -68,8 +70,29 @@
  * (composite_fpf_half), 0.54 ms at 1e4 (from 0.88), 13 ms at 1e5 (from 24)
  * and 0.39 s at 1e6 (from 0.72). An n-cycle core with n / ln n fixed
  * points ran within 1.5% of the plain peel.
+ *
+ * Why the cycle-type draws shuffle here: the draws are seeded and pinned,
+ * so the arrangement a class member is laid out on must be exactly numpy's
+ * Generator.permutation(n), and the generator must be left where numpy
+ * leaves it. numpy shuffles by Durstenfeld's Fisher-Yates (CACM 7(7), 1964,
+ * Algorithm 235) and draws index j <= i by masked rejection from 32-bit
+ * halves of PCG64 XSL-RR outputs (O'Neill, HMC-CS-2014-0905), the low half
+ * first and the high one buffered in the state. ps_cycle_layout does the
+ * same on numpy's own state struct, in place, so nothing is copied in or
+ * out; its loop takes one half a step, and a rejected candidate swaps a
+ * slot with itself, so the draw costs no branch. The arrangement is held
+ * as uint32_t, half the bytes numpy's int64 one takes. The cycles are laid
+ * out in a second loop of the same call, which prefetches the word slot
+ * it writes 16 elements on. On that Xeon writing the word inside the
+ * shuffle loop took 18.2 ms at n = 1e6 against 7.4 ms for the two loops,
+ * and drawing 32 indices ahead of the swaps with their slots prefetched
+ * took the shuffle alone at 1e5 from 0.44 to 0.81 ms. With the layout, a
+ * draw takes about 0.53 ms at n = 1e5 where numpy's permutation alone
+ * takes 0.85 ms.
  */
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* First index i in [0, k) with tops[i] >= x, or k when there is none. The
  * search is branchless: the range halves by a conditional move each step. */
@@ -478,4 +501,136 @@ void ps_greene_batch(const int64_t *letters, int64_t count, int64_t width, int64
         int64_t *best = table + 2 * w * (width + 1);
         greene_scan(letters + offsets[w], offsets[w + 1] - offsets[w], width, best, best + width + 1);
     }
+}
+
+/* numpy's bitgen_t (numpy/random/bitgen.h) starts with the address of its
+ * bit generator's state, which for PCG64 is a pcg64_state
+ * (numpy/random/src/pcg64/pcg64.h): the address of the generator, its
+ * 128-bit state then its 128-bit increment, and the upper half of its last
+ * output with a flag saying whether it is still unread. */
+struct np_bitgen {
+    void *state;
+};
+
+struct np_pcg64_state {
+    void *pcg;
+    int has_uint32;
+    uint32_t uinteger;
+};
+
+__extension__ typedef unsigned __int128 u128;
+
+#define PCG64_MULTIPLIER \
+    ((u128)UINT64_C(2549297995355413924) << 64 | UINT64_C(4865540595714422341))
+
+/* Slots of the arrangement ahead of the one laid out whose word slot is
+ * prefetched. */
+#define LAYOUT_AHEAD 16
+/* The longest arrangement kept on the stack; a longer one is allocated. */
+#define LAYOUT_ON_STACK 1024
+
+/* One step of PCG64 XSL-RR: the LCG step, then the xor of the state's two
+ * halves rotated right by its top six bits. */
+static inline uint64_t pcg64_next(u128 *state, u128 inc)
+{
+    *state = *state * PCG64_MULTIPLIER + inc;
+    uint64_t x = (uint64_t)(*state >> 64) ^ (uint64_t)*state;
+    unsigned rot = (unsigned)(*state >> 122);
+    return (x >> rot) | (x << (-rot & 63));
+}
+
+/* Shuffle 0..n-1 exactly as numpy's Generator.permutation(n) does with the
+ * PCG64 bit generator bitgen (a bitgen_t *), leaving its state where numpy
+ * would, then lay the cycles of runs out on the arrangement: runs holds
+ * nruns (length, count) pairs of positive lengths, whose cycles fill the
+ * arrangement left to right in the order given, and word[arr[k]] =
+ * arr[k + 1] inside a cycle, its last element mapping to its first.
+ * n <= 2^32, so every index is drawn from one 32-bit half and fits a
+ * uint32_t. The caller holds the bit generator's lock. The arrangement is
+ * the kernel's own, on the stack or allocated and freed here. Returns 0;
+ * or, with the bit generator untouched, -2 when the runs do not tile n
+ * (a length below 1, a count below 0, or lengths times counts that do not
+ * sum to n) and -1 when the arrangement cannot be allocated. */
+int64_t ps_cycle_layout(void *bitgen, const int64_t *runs, int64_t nruns, int64_t n,
+                        int64_t *word)
+{
+    int64_t total = 0;
+    for (int64_t r = 0; r < nruns; r++) {
+        int64_t len = runs[2 * r], count = runs[2 * r + 1];
+        /* count <= (n - total) / len keeps len * count from overflowing */
+        if (len < 1 || count < 0 || count > (n - total) / len)
+            return -2;
+        total += len * count;
+    }
+    if (total != n)
+        return -2;
+    uint32_t local[LAYOUT_ON_STACK + LAYOUT_AHEAD];
+    uint32_t *arr = n <= LAYOUT_ON_STACK ? local : malloc((size_t)(n + LAYOUT_AHEAD) * sizeof *arr);
+    if (arr == NULL)
+        return -1;
+    struct np_pcg64_state *st = ((struct np_bitgen *)bitgen)->state;
+    u128 pcg[2];
+    memcpy(pcg, st->pcg, sizeof pcg);
+    uint32_t upper = st->uinteger;
+    int has_upper = st->has_uint32 != 0;
+    for (int64_t k = 0; k < n + LAYOUT_AHEAD; k++)
+        arr[k] = (uint32_t)(k < n ? k : 0);
+    /* Durstenfeld's shuffle, i = n-1 down to 1, each index drawn by numpy's
+     * random_interval(i): a 32-bit half (the buffered upper one first, as
+     * next_uint32 reads them) masked to the smallest 2^k - 1 >= i, redrawn
+     * while it exceeds i. A rejected candidate swaps arr[i] with itself and
+     * leaves i as it is, so the loop has no branch on the draw. */
+    for (int64_t i = n - 1; i >= 1;) {
+        uint32_t h;
+        if (has_upper) {
+            h = upper;
+            has_upper = 0;
+        } else {
+            uint64_t r = pcg64_next(&pcg[0], pcg[1]);
+            h = (uint32_t)r;
+            upper = (uint32_t)(r >> 32);
+            has_upper = 1;
+        }
+        uint64_t v = h & (~UINT64_C(0) >> __builtin_clzll((uint64_t)i));
+        int ok = v <= (uint64_t)i;
+        int64_t j = ok ? (int64_t)v : i;
+        uint32_t x = arr[j];
+        arr[j] = arr[i];
+        arr[i] = x;
+        i -= ok;
+    }
+    memcpy(st->pcg, pcg, sizeof pcg[0]);
+    st->has_uint32 = has_upper;
+    st->uinteger = upper;
+    /* the word slots LAYOUT_AHEAD elements on are prefetched for writing;
+     * the pad past n names slot 0 */
+    int64_t start = 0;
+    for (int64_t r = 0; r < nruns; r++) {
+        int64_t len = runs[2 * r];
+        for (int64_t c = runs[2 * r + 1]; c > 0; c--, start += len) {
+            for (int64_t k = start; k < start + len; k++) {
+                __builtin_prefetch(word + arr[k + LAYOUT_AHEAD], 1);
+                word[arr[k]] = arr[k + 1 < start + len ? k + 1 : start];
+            }
+        }
+    }
+    if (arr != local)
+        free(arr);
+    return 0;
+}
+
+/* The bit generator's state as ps_cycle_layout reads it: the low and high
+ * halves of the 128-bit state, then of the increment, then has_uint32 and
+ * uinteger. out: 6 slots. */
+void ps_pcg64_peek(void *bitgen, int64_t *out)
+{
+    struct np_pcg64_state *st = ((struct np_bitgen *)bitgen)->state;
+    u128 pcg[2];
+    memcpy(pcg, st->pcg, sizeof pcg);
+    for (int k = 0; k < 2; k++) {
+        out[2 * k] = (int64_t)(uint64_t)pcg[k];
+        out[2 * k + 1] = (int64_t)(uint64_t)(pcg[k] >> 64);
+    }
+    out[4] = st->has_uint32;
+    out[5] = st->uinteger;
 }

@@ -1,5 +1,5 @@
-"""Hot loops for patience sorting, Schensted row insertion, cycle scans and
-the Greene subset scan.
+"""Hot loops for patience sorting, Schensted row insertion, cycle scans, the
+Greene subset scan, and the shuffle that cycle-type draws lay out.
 
 The fast path is the C source ``_kernels.c`` next to this module. On first
 use the system C compiler ``cc`` builds it into a per-user cache
@@ -29,6 +29,12 @@ takes about 5 us on an 8-letter word, of which the ctypes call with its
 kernel takes 0.7 us, so the exact suites, which check thousands of short
 words, peel and scan each batch in one call: the shapes of all 362,880
 words of S_9 take about 45 ms, where one call a word took 1.6 s.
+
+``lay_out_cycles`` draws a uniform member of a conjugacy class on numpy's
+own arrangement: the compiled kernel shuffles exactly as
+``Generator.permutation`` does, reading and advancing a PCG64 generator's
+state in place, and numpy's shuffle is the reference and the path of every
+other bit generator.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ import functools
 import hashlib
 import operator
 import os
+import struct
 import sys
 import tempfile
 import warnings
@@ -59,6 +66,8 @@ _SIGNATURES = {
     "ps_shape_batch": ([_ptr, _i64, _i64, _i64, _ptr], _i64),
     "ps_cycle_scan": ([_ptr, _i64, _ptr], None),
     "ps_greene_batch": ([_ptr, _i64, _i64, _ptr], None),
+    "ps_cycle_layout": ([_ptr, _ptr, _i64, _i64, _ptr], _i64),
+    "ps_pcg64_peek": ([_ptr, _ptr], None),
 }
 # the letters the Greene scan's fixed pile arrays hold (GREENE_MAX_N in _kernels.c)
 GREENE_MAX_N = 16
@@ -444,6 +453,105 @@ def _check_offsets(letters: np.ndarray, offsets) -> tuple[np.ndarray, int]:
     if offsets[0] != 0 or offsets[-1] != letters.shape[0] or (lengths < 0).any():
         raise ValueError("offsets must rise from 0 to the number of letters")
     return offsets, int(lengths.max(initial=0))
+
+
+# numpy's bitgen_t of a bit generator, the pointer its capsule holds
+_bitgen_pointer = ctypes.PYFUNCTYPE(_ptr, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _address(arr: np.ndarray) -> int:
+    """The address of a writable contiguous array's data, 0 for an empty one:
+    about 0.35 us, where ``arr.ctypes.data`` takes 0.8."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(arr)) if arr.size else 0
+
+
+def _pcg64_fields(lib: ctypes.CDLL, bit_generator: np.random.PCG64) -> list[int]:
+    """A PCG64 bit generator's state as the compiled shuffle reads it: the
+    128-bit state and increment, has_uint32 and uinteger."""
+    out = np.empty(6, dtype=np.int64)
+    lib.ps_pcg64_peek(_bitgen_pointer(bit_generator.capsule, b"BitGenerator"), _address(out))
+    lo_state, hi_state, lo_inc, hi_inc, has_uint32, uinteger = out.view(np.uint64).tolist()
+    return [hi_state << 64 | lo_state, hi_inc << 64 | lo_inc, has_uint32, uinteger]
+
+
+@functools.cache
+def _reads_pcg64(lib: ctypes.CDLL) -> bool:
+    """Whether the compiled shuffle reads numpy's PCG64 state as numpy lays it
+    out: a fresh generator with a buffered upper half, read through the
+    struct, against its ``bit_generator.state``. On a mismatch cycle-type
+    draws take numpy's own shuffle, with a warning."""
+    rng = np.random.Generator(np.random.PCG64(20240229))
+    rng.random(dtype=np.float32)
+    state = rng.bit_generator.state
+    want = [state["state"]["state"], state["state"]["inc"], state["has_uint32"], state["uinteger"]]
+    if _pcg64_fields(lib, rng.bit_generator) == want:
+        return True
+    warnings.warn("permshape: numpy's PCG64 state is not laid out as the compiled shuffle "
+                  "reads it; cycle-type draws use numpy's shuffle", RuntimeWarning, stacklevel=3)
+    return False
+
+
+@functools.cache
+def _int64_packer(count: int):
+    # a format string built per call would cost more than the packing
+    return struct.Struct(f"{count}q").pack
+
+
+def lay_out_cycles(runs, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The 0-based word of a uniform member of a conjugacy class: the cycles
+    of ``runs``, flat (length, count) pairs (a tuple of ints or an int64
+    array) of positive lengths whose lengths times counts sum to n, filled
+    left to right, in the order given, into the arrangement
+    ``rng.permutation(n)``, each element mapping to the next and a cycle's
+    last to its first.
+
+    With a PCG64 generator (exactly ``np.random.PCG64``) the compiled kernel
+    shuffles and lays out in one call, reading and advancing the generator's
+    state in place under its lock: word and state are numpy's. Its
+    arrangement is its own, freed before it returns, so the word is the one
+    n-slot array left. Other bit generators, n above 2**32 and the
+    pure-Python backend take numpy's shuffle (``_lay_out_cycles_py``), the
+    reference.
+    """
+    lib = _library()
+    bit_generator = rng.bit_generator
+    if lib is None or type(bit_generator) is not np.random.PCG64 or n > 2**32 \
+            or not _reads_pcg64(lib):
+        return _lay_out_cycles_py(runs, n, rng)
+    packed = (np.ascontiguousarray(runs, dtype=np.int64).tobytes() if isinstance(runs, np.ndarray)
+              else _int64_packer(len(runs))(*runs))
+    word = np.empty(n, dtype=np.int64)
+    with bit_generator.lock:
+        failed = lib.ps_cycle_layout(_bitgen_pointer(bit_generator.capsule, b"BitGenerator"),
+                                     packed, len(packed) // 16, n, _address(word))
+    if failed == -2:
+        _check_runs(runs, n)  # raises the ValueError that names the runs
+    if failed:
+        raise MemoryError(f"no room for the arrangement of {n} elements")
+    return word
+
+
+def _check_runs(runs, n: int) -> np.ndarray:
+    """The runs as (length, count) rows; runs that do not tile n, with a
+    length below 1, a count below 0 or a sum other than n, are a ValueError."""
+    rows = np.asarray(runs, dtype=np.int64).reshape(-1, 2)
+    if (rows[:, 0] < 1).any() or (rows[:, 1] < 0).any() \
+            or sum(length * count for length, count in rows.tolist()) != n:
+        raise ValueError(f"cycle runs {np.ravel(runs).tolist()} do not tile n={n}")
+    return rows
+
+
+def _lay_out_cycles_py(runs, n, rng):
+    # numpy's shuffle, then each element mapped to the next in the
+    # arrangement and a cycle's last to its first
+    lengths = np.repeat(*_check_runs(runs, n).T)
+    arrangement = rng.permutation(n)
+    ends = np.cumsum(lengths)
+    word = np.empty(n, dtype=np.int64)
+    word[arrangement[:-1]] = arrangement[1:]
+    word[arrangement[ends - 1]] = arrangement[ends - lengths]
+    return word
 
 
 def warm_up() -> None:

@@ -5,6 +5,13 @@ are reproducible independent of scheduling: derive one stream per trial with
 ``derive_rng(seed, *path)`` and never share streams between workers. All
 ensembles here are conjugacy invariant by construction - the cycle type is
 drawn first (or is deterministic) and the class is filled exchangeably.
+
+A draw that lays out a cycle type (n-cycles, matchings, involutions and
+``sample_in_cycle_type``) gives its cycles as (length, count) runs to
+``_kernels.lay_out_cycles``, which shuffles and lays them out in one
+compiled call that reads the PCG64 stream exactly as ``rng.permutation(n)``
+does, so every seeded draw is numpy's; other bit generators and the
+pure-Python backend take numpy's shuffle itself.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
+from ._kernels import lay_out_cycles
 from .perm import Permutation, plant_fixed_points
 
 
@@ -196,20 +204,19 @@ def sample_in_cycle_type(lengths: Sequence[int], rng: np.random.Generator) -> Pe
         raise ValueError(f"cycle lengths must be positive integers, got {lengths.tolist()}")
     lengths = lengths.astype(np.int64, copy=False)
     ones, twos = int(np.count_nonzero(lengths == 1)), int(np.count_nonzero(lengths == 2))
-    return _lay_out_cycles(lengths, int(lengths.sum()), (lengths.size, ones, twos), rng)
+    # each length a run of one cycle: a run-length code would cost more
+    # than the draw at small n
+    runs = np.ones(2 * lengths.size, dtype=np.int64)
+    runs[0::2] = lengths
+    return _lay_out_cycles(runs, int(lengths.sum()), (lengths.size, ones, twos), rng)
 
 
-def _lay_out_cycles(lengths: np.ndarray, n: int, counts: tuple[int, int, int],
+def _lay_out_cycles(runs, n: int, counts: tuple[int, int, int],
                     rng: np.random.Generator) -> Permutation:
-    """The draw of ``sample_in_cycle_type`` for checked int64 ``lengths`` that
-    sum to n, stating ``counts``, the (cycles, 1s, 2s) of the lengths."""
-    arrangement = rng.permutation(n)
-    ends = np.cumsum(lengths)
-    # each element maps to the next in the arrangement, a cycle's last to its first
-    word = np.empty(n, dtype=np.int64)
-    word[arrangement[:-1]] = arrangement[1:]
-    word[arrangement[ends - 1]] = arrangement[ends - lengths]
-    return Permutation.from_zero_based(word, counts)
+    """The draw of ``sample_in_cycle_type`` for the cycles of ``runs``, a flat
+    sequence of (length, count) pairs of positive lengths whose lengths times
+    counts sum to n, stating ``counts``, the (cycles, 1s, 2s) of those cycles."""
+    return Permutation.from_zero_based(lay_out_cycles(runs, n, rng), counts)
 
 
 # bounded, as an entry holds n/2 + 1 floats (4 MB at n = 1e6)
@@ -238,8 +245,7 @@ def sample_uniform_involution(n: int, rng: np.random.Generator) -> Permutation:
     """
     cdf = _involution_cdf(n)
     k = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-    return _lay_out_cycles(np.repeat(np.array([2, 1], dtype=np.int64), [k, n - 2 * k]), n,
-                           (n - k, n - 2 * k, k), rng)
+    return _lay_out_cycles((2, k, 1, n - 2 * k), n, (n - k, n - 2 * k, k), rng)
 
 
 def sample_fpf_involution(n: int, rng: np.random.Generator) -> Permutation:
@@ -251,13 +257,7 @@ def sample_fpf_involution(n: int, rng: np.random.Generator) -> Permutation:
     """
     if n % 2 != 0:
         raise ValueError(f"parity: fixed-point-free involutions need even n, got {n}")
-    arrangement = rng.permutation(n)
-    word = np.empty(n, dtype=np.int64)
-    a = arrangement[0::2]
-    b = arrangement[1::2]
-    word[a] = b
-    word[b] = a
-    return Permutation.from_zero_based(word, (n // 2, 0, n // 2))
+    return _lay_out_cycles((2, n // 2), n, (n // 2, 0, n // 2), rng)
 
 
 def _sample_derangement(n: int, rng: np.random.Generator) -> Permutation:
@@ -276,9 +276,7 @@ def _sample_derangement(n: int, rng: np.random.Generator) -> Permutation:
 
 def _sample_n_cycle(n: int, rng: np.random.Generator) -> Permutation:
     """Uniform over the n-cycles (the empty permutation at n = 0)."""
-    if n == 0:
-        return _lay_out_cycles(np.empty(0, dtype=np.int64), 0, (0, 0, 0), rng)
-    return _lay_out_cycles(np.array([n], dtype=np.int64), n, (1, int(n == 1), int(n == 2)), rng)
+    return _lay_out_cycles((n, 1) if n else (), n, (int(n > 0), int(n == 1), int(n == 2)), rng)
 
 
 def _sample_given_cycle_type(spec: RegimeSpec, n: int, rng: np.random.Generator) -> Permutation:
@@ -298,8 +296,9 @@ def _sample_composite(spec: RegimeSpec, n: int, rng: np.random.Generator) -> Per
 
 # sample_in_cycle_type is called by its module-global name at draw time,
 # never stored in a table, so a rebinding of it (the benchmark's tracer) is
-# seen; n-cycles and uniform involutions know their counts in closed form
-# and lay their cycles out through _lay_out_cycles, not through it.
+# seen; n-cycles, matchings and uniform involutions know their runs and
+# counts in closed form and lay their cycles out through _lay_out_cycles,
+# not through it.
 # core -> (the keys it reads, its sampler on k elements, whether it can live
 # on k elements)
 CORES = {

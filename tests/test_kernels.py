@@ -598,6 +598,135 @@ def test_cycle_scan_closed_forms(n, k):
     assert cycle_scan(points) == (n, n, 0)
 
 
+def cycle_runs(n):
+    """Run layouts of ``lay_out_cycles`` at size n, flat (length, count)
+    pairs: the n-cycle, matchings (a fixed point last at odd n), n // 3 pairs
+    then fixed points, and a random composition of n, each part a run of one."""
+    rng = np.random.default_rng(n)
+    cuts = np.sort(rng.choice(np.arange(1, n), size=min(n - 1, 6), replace=False)) if n else []
+    parts = np.diff([0, *cuts, n]).tolist() if n else []
+    k = n // 3
+    return [(n, 1) if n else (), (2, n // 2, 1, n % 2), (2, k, 1, n - 2 * k),
+            tuple(v for part in parts for v in (part, 1))]
+
+
+# the cycle types (1, 3, 1) and (5, 5, 1), out of order, as runs of one and
+# with equal lengths as one run, and a run of no cycles
+OUT_OF_ORDER = [((1, 1, 3, 1, 1, 1), 5), ((5, 1, 5, 1, 1, 1), 11), ((5, 2, 1, 1), 11),
+                ((2, 0, 1, 3), 3)]
+LAYOUTS = [(runs, n) for n in (0, 1, 2, 3, 4, 10, 1000, 10**5)
+           for runs in cycle_runs(n)] + OUT_OF_ORDER
+
+
+def assert_layout_is_numpys(runs, n, seed, pending, bit_generator=np.random.PCG64):
+    """``lay_out_cycles`` against numpy's shuffle (``_lay_out_cycles_py``):
+    the word, the state after it, and the next number drawn."""
+    rngs = [np.random.Generator(bit_generator(seed)) for _ in range(2)]
+    if pending:
+        # leaves the upper half of a 64-bit output buffered (has_uint32 = 1)
+        for rng in rngs:
+            rng.random(dtype=np.float32)
+    got = _kernels.lay_out_cycles(runs, n, rngs[0])
+    assert got.dtype == np.int64 and got.flags.writeable
+    assert got.tolist() == _kernels._lay_out_cycles_py(runs, n, rngs[1]).tolist()
+    assert _plain(rngs[0].bit_generator.state) == _plain(rngs[1].bit_generator.state)
+    assert rngs[0].random() == rngs[1].random()
+
+
+def _plain(state):
+    # a bit generator's state with its arrays (MT19937's key, Philox's
+    # counter) as lists, so that states compare with ==
+    if isinstance(state, dict):
+        return {key: _plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+@compiled
+@pytest.mark.parametrize("pending", [False, True])
+@pytest.mark.parametrize("runs, n", LAYOUTS)
+def test_cycle_layout_is_numpys_shuffle(runs, n, pending):
+    for seed in range(3 if n >= 10**5 else 10):
+        assert_layout_is_numpys(runs, n, seed, pending)
+
+
+class PCG64Subclass(np.random.PCG64):
+    pass
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
+                                           np.random.PCG64DXSM, PCG64Subclass])
+def test_other_bit_generators_take_numpys_shuffle(bit_generator):
+    # the kernel reads only the state struct of exactly np.random.PCG64
+    for runs, n in LAYOUTS:
+        for pending in (False, True):
+            assert_layout_is_numpys(runs, n, 5, pending, bit_generator)
+
+
+def test_pure_python_backend_takes_numpys_shuffle(monkeypatch):
+    monkeypatch.setattr(_kernels, "_library", lambda: None)
+    for runs, n in LAYOUTS[::3]:
+        assert_layout_is_numpys(runs, n, 7, True)
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+@pytest.mark.parametrize("n", [0, 1])
+def test_cycle_layout_of_at_most_one_element_draws_nothing(monkeypatch, backend, n):
+    if backend == "python":
+        monkeypatch.setattr(_kernels, "_library", lambda: None)
+    elif BACKEND != "c":
+        pytest.skip("compiled kernels unavailable")
+    for pending in (False, True):
+        rng = np.random.default_rng(3)
+        if pending:
+            rng.random(dtype=np.float32)
+        before = rng.bit_generator.state
+        assert _kernels.lay_out_cycles((n, 1) if n else (), n, rng).tolist() == list(range(n))
+        assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+@pytest.mark.parametrize("runs, n", [((0, 1), 0), ((2, 3), 5), ((3, 1, 0, 2), 3),
+                                     ((1, -1, 2, 1), 1), ((3, 2**62, 1, 1), 4), ((4, 1), 3)])
+def test_runs_that_do_not_tile_n_are_refused(monkeypatch, backend, runs, n):
+    # before the kernel writes anything or draws from the stream
+    if backend == "python":
+        monkeypatch.setattr(_kernels, "_library", lambda: None)
+    elif BACKEND != "c":
+        pytest.skip("compiled kernels unavailable")
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    for given in (runs, np.asarray(runs, dtype=np.int64)):
+        with pytest.raises(ValueError, match="do not tile"):
+            _kernels.lay_out_cycles(given, n, rng)
+    assert rng.bit_generator.state == before
+
+
+@compiled
+def test_a_pcg64_state_read_wrong_takes_numpys_shuffle(monkeypatch):
+    # as if numpy kept each 128-bit value high half first (its emulated
+    # 128-bit type): the guard must see it and send every draw to numpy
+    read = _kernels._pcg64_fields
+
+    def read_swapped(lib, bit_generator):
+        state, inc, *rest = read(lib, bit_generator)
+        return [(v >> 64) | (v & (2**64 - 1)) << 64 for v in (state, inc)] + rest
+
+    spec = RegimeSpec(ensemble="n_cycle")
+    draws = [sample_regime(spec, 50, derive_rng(2, t)).word.tolist() for t in range(3)]
+    assert _kernels._reads_pcg64(_kernels._library())
+    monkeypatch.setattr(_kernels, "_pcg64_fields", read_swapped)
+    _kernels._reads_pcg64.cache_clear()
+    try:
+        with pytest.warns(RuntimeWarning, match="PCG64 state"):
+            assert_layout_is_numpys((4, 1), 4, 0, False)
+        for runs, n in LAYOUTS[::2]:
+            assert_layout_is_numpys(runs, n, 9, True)
+        assert [sample_regime(spec, 50, derive_rng(2, t)).word.tolist()
+                for t in range(3)] == draws
+    finally:
+        _kernels._reads_pcg64.cache_clear()
+
+
 @pytest.mark.parametrize("max_rows", [0, 2.5])
 @pytest.mark.parametrize("word", [[], [1], [3, 1, 2], [4, 3, 2, 1, 0]])
 def test_row_limit_must_be_positive(word, max_rows):
@@ -761,9 +890,9 @@ INVOLUTION_EDGE_WORDS = [
 ]
 
 # run in a child process on a library built with a sanitizer: each compiled
-# kernel on the join's edge words, against the pure-Python references, and
-# the shape batch on the involution peel's edge words; a fault aborts the
-# child
+# kernel on the join's edge words, against the pure-Python references, the
+# shape batch on the involution peel's edge words, and the cycle layout
+# against numpy's shuffle; a fault aborts the child
 SANITIZER_SCRIPT = """
 import ctypes, json, sys
 import numpy as np
@@ -774,7 +903,7 @@ for name, (argtypes, restype) in _kernels._SIGNATURES.items():
     fn.argtypes, fn.restype = argtypes, restype
 _kernels._library = lambda: lib
 first_row = lambda ys: sum(_kernels._shape_py(ys, 1).tolist())
-words, involutions = json.load(sys.stdin)
+words, involutions, layouts = json.load(sys.stdin)
 for xs in words:
     word = np.asarray(xs, dtype=np.int64)
     assert _kernels.lis_lds_lengths(word) == (first_row(xs), first_row(xs[::-1])), xs
@@ -798,8 +927,31 @@ table = _kernels.greene_invariants_batch(*batch(distinct)).tolist()
 for xs, rows in zip(distinct, table):
     pad = [len(xs)] * (len(rows[0]) - len(xs))
     assert rows == [list(part) + pad for part in _kernels._greene_py(xs)], xs
+# the cycle layout on every run shape, with and without a buffered half,
+# against numpy's shuffle: the word, the state after it and the next number
+for runs, n in layouts:
+    for pending in (False, True):
+        rngs = [np.random.default_rng(n) for _ in range(2)]
+        if pending:
+            for rng in rngs:
+                rng.random(dtype=np.float32)
+        got = _kernels.lay_out_cycles(runs, n, rngs[0]).tolist()
+        assert got == _kernels._lay_out_cycles_py(runs, n, rngs[1]).tolist(), (runs, n)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state, (runs, n)
+        assert rngs[0].random() == rngs[1].random(), (runs, n)
+for runs, n in [((0, 1), 0), ((2, 3), 5), ((1, -1, 2, 1), 1), ((3, 2**62, 1, 1), 4)]:
+    try:
+        _kernels.lay_out_cycles(runs, n, np.random.default_rng(0))
+    except ValueError:
+        continue
+    raise AssertionError(runs)
 print("ok")
 """
+
+# the layouts the sanitized children run: n = 0 to 3, and both sides of the
+# longest arrangement the kernel keeps on its stack
+SANITIZER_LAYOUTS = [(runs, n) for n in (0, 1, 2, 3, 1000, 1024, 1025)
+                     for runs in cycle_runs(n)] + OUT_OF_ORDER
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
@@ -813,7 +965,8 @@ def test_kernels_run_clean_under_the_undefined_behaviour_sanitizer(tmp_path):
     assert (built.returncode, built.stderr) == (0, "")
     env = dict(os.environ, PYTHONPATH=str(Path(permshape.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", SANITIZER_SCRIPT, str(library)],
-                          input=json.dumps([JOIN_EDGE_WORDS, INVOLUTION_EDGE_WORDS]), env=env, capture_output=True,
+                          input=json.dumps([JOIN_EDGE_WORDS, INVOLUTION_EDGE_WORDS, SANITIZER_LAYOUTS]),
+                          env=env, capture_output=True,
                           text=True, timeout=300)
     assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
 
@@ -833,7 +986,8 @@ def test_kernels_stay_in_their_scratch_under_the_address_sanitizer(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(permshape.__file__).parents[1]),
                LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0")
     done = subprocess.run([sys.executable, "-c", SANITIZER_SCRIPT, str(library)],
-                          input=json.dumps([JOIN_EDGE_WORDS, INVOLUTION_EDGE_WORDS]), env=env, capture_output=True,
+                          input=json.dumps([JOIN_EDGE_WORDS, INVOLUTION_EDGE_WORDS, SANITIZER_LAYOUTS]),
+                          env=env, capture_output=True,
                           text=True, timeout=300)
     assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
 

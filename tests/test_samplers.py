@@ -23,6 +23,7 @@ from permshape.samplers import (
     sample_regime,
     sample_uniform,
     sample_uniform_involution,
+    _involution_cdf,
 )
 
 
@@ -297,6 +298,78 @@ class TestSampleRegime:
         assert cs.two_cycles == 2
         with pytest.raises(ValueError):
             sample_regime(spec, 5, derive_rng(21))
+
+
+# Each cycle-type draw against numpy's own shuffle: the arrangement
+# rng.permutation(n), filled with cycles of the given lengths left to right,
+# and the state the shuffle leaves. The compiled path reads the stream in
+# place, so its draw, the state after it and the next number drawn must all
+# be numpy's, also when the stream starts on a buffered 32-bit half.
+def numpy_cycle_layout(lengths, rng):
+    arrangement = rng.permutation(sum(lengths))
+    word = np.empty(arrangement.size, dtype=np.int64)
+    offset = 0
+    for length in lengths:
+        block = arrangement[offset:offset + length]
+        word[block] = np.roll(block, -1)
+        offset += length
+    return word
+
+
+def numpy_matching(n, rng):
+    # the pairing fpf involutions used before they went through the layout
+    arrangement = rng.permutation(n)
+    word = np.empty(n, dtype=np.int64)
+    a, b = arrangement[0::2], arrangement[1::2]
+    word[a], word[b] = b, a
+    return word
+
+
+def numpy_uniform_involution(n, rng):
+    cdf = _involution_cdf(n)
+    k = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+    return numpy_cycle_layout([2] * k + [1] * (n - 2 * k), rng)
+
+
+# sampler on (n, rng), and the same draw made with numpy's shuffle
+CYCLE_TYPE_DRAWS = {
+    "n_cycle": (lambda n, rng: sample_regime(RegimeSpec(ensemble="n_cycle"), n, rng),
+                lambda n, rng: numpy_cycle_layout([n] if n else [], rng)),
+    "fpf_involution": (lambda n, rng: sample_fpf_involution(n - n % 2, rng),
+                       lambda n, rng: numpy_matching(n - n % 2, rng)),
+    "uniform_involution": (sample_uniform_involution, numpy_uniform_involution),
+}
+LAYOUT_SIZES = (0, 1, 2, 3, 4, 10, 1000, 10**5)
+
+
+def assert_draws_match(draw, reference, n, seed, pending):
+    rngs = [derive_rng(seed, n) for _ in range(2)]
+    if pending:
+        # leaves the upper half of a 64-bit output buffered (has_uint32 = 1)
+        for rng in rngs:
+            rng.random(dtype=np.float32)
+    got = draw(n, rngs[0])
+    assert got.zero_based.tolist() == reference(n, rngs[1]).tolist()
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    assert rngs[0].random() == rngs[1].random()
+
+
+@pytest.mark.parametrize("pending", [False, True])
+@pytest.mark.parametrize("n", LAYOUT_SIZES)
+@pytest.mark.parametrize("sampler", CYCLE_TYPE_DRAWS)
+def test_cycle_type_draws_are_numpys_shuffle(sampler, n, pending):
+    for seed in range(3 if n >= 10**5 else 12):
+        assert_draws_match(*CYCLE_TYPE_DRAWS[sampler], n, seed, pending)
+
+
+@pytest.mark.parametrize("pending", [False, True])
+@pytest.mark.parametrize("lengths", [(1, 3, 1), (5, 5, 1), (2, 1, 4), (1,), (3, 2, 2, 1),
+                                     (1000,) * 3 + (1,) * 7 + (2,) * 500])
+def test_any_order_of_cycle_lengths_is_numpys_shuffle(lengths, pending):
+    for seed in range(12):
+        assert_draws_match(lambda n, rng: sample_in_cycle_type(lengths, rng),
+                           lambda n, rng: numpy_cycle_layout(lengths, rng), sum(lengths), seed,
+                           pending)
 
 
 # the ensembles, and the cores of composite ones, whose draws lay out a cycle

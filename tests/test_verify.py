@@ -177,11 +177,14 @@ class CountingLibrary:
 def test_exact_suites_make_the_same_kernel_calls_at_any_size(monkeypatch, suite, sizes, calls):
     # each suite peels and scans its words as one batch, so a kernel call
     # made per word shows as a count that grows with the size (the greene
-    # suite has no size; its seed picks its draws)
+    # suite has no size; its seed picks its draws). The draws themselves are
+    # not counted: a cycle-type draw lays its cycles out in one kernel call.
     lib = CountingLibrary(_kernels._library())
     monkeypatch.setattr(_kernels, "_library", lambda: lib)
     for size in sizes:
         lib.calls.clear()
         assert run_suite(suite, **size)["ok"]
-        assert lib.calls == calls, size
+        checks = {name: count for name, count in lib.calls.items()
+                  if name not in ("ps_cycle_layout", "ps_pcg64_peek")}
+        assert checks == calls, size
 
