@@ -86,9 +86,25 @@
  * it writes 16 elements on. On that Xeon writing the word inside the
  * shuffle loop took 18.2 ms at n = 1e6 against 7.4 ms for the two loops,
  * and drawing 32 indices ahead of the swaps with their slots prefetched
- * took the shuffle alone at 1e5 from 0.44 to 0.81 ms. With the layout, a
- * draw takes about 0.53 ms at n = 1e5 where numpy's permutation alone
- * takes 0.85 ms.
+ * took the shuffle alone at 1e5 from 0.44 to 0.81 ms.
+ *
+ * Why the shuffle takes its mask once a power of two: with the mask
+ * ~0 >> clz(i) worked out every step, the clz, the mask, the compare and
+ * i -= ok form one loop-carried chain through i, and that chain, not the
+ * PCG64 step, bounded the loop. The mask changes only when i drops below a
+ * power of two, so an outer loop takes it once a bucket (mask >> 1, mask]
+ * and the inner loop runs the same step on it; the draws, their order and
+ * the state written back are unchanged. On that Xeon the shuffle alone
+ * took 0.33 ms at n = 1e5 before and 0.17 ms after, 4.0 and 2.9 ms at 1e6,
+ * 60 and 50 ms at 1e7; a whole n-cycle draw takes about 0.31 ms at 1e5
+ * (from 0.54), 5.2 ms at 1e6 (from 6.6) and 89 ms at 1e7 (from 99), where
+ * numpy's permutation alone takes 0.85 ms at 1e5. Two bit-exact variants
+ * of the step were measured on the shuffle alone and left out: two
+ * interleaved LCG streams (M^2 and inc (M + 1) a step, so consecutive
+ * multiplies overlap) ran 0.17 -> 0.19 ms at 1e5; both halves of an output
+ * taken in one step (single steps where a bucket ends or a half is
+ * buffered) ran even at 1e5 and 7-9% faster at 1e6 and 1e7, too little for
+ * its second inner loop while no gated workload draws above 1e5.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -578,26 +594,31 @@ int64_t ps_cycle_layout(void *bitgen, const int64_t *runs, int64_t nruns, int64_
     /* Durstenfeld's shuffle, i = n-1 down to 1, each index drawn by numpy's
      * random_interval(i): a 32-bit half (the buffered upper one first, as
      * next_uint32 reads them) masked to the smallest 2^k - 1 >= i, redrawn
-     * while it exceeds i. A rejected candidate swaps arr[i] with itself and
-     * leaves i as it is, so the loop has no branch on the draw. */
+     * while it exceeds i. That mask is the same for every i in one bucket
+     * (mask >> 1, mask], so it is taken once a bucket, outside the inner
+     * loop. A rejected candidate swaps arr[i] with itself and leaves i as it
+     * is, so the inner loop has no branch on the draw. */
     for (int64_t i = n - 1; i >= 1;) {
-        uint32_t h;
-        if (has_upper) {
-            h = upper;
-            has_upper = 0;
-        } else {
-            uint64_t r = pcg64_next(&pcg[0], pcg[1]);
-            h = (uint32_t)r;
-            upper = (uint32_t)(r >> 32);
-            has_upper = 1;
+        uint64_t mask = ~UINT64_C(0) >> __builtin_clzll((uint64_t)i);
+        for (int64_t lo = (int64_t)(mask >> 1); i > lo;) {
+            uint32_t h;
+            if (has_upper) {
+                h = upper;
+                has_upper = 0;
+            } else {
+                uint64_t r = pcg64_next(&pcg[0], pcg[1]);
+                h = (uint32_t)r;
+                upper = (uint32_t)(r >> 32);
+                has_upper = 1;
+            }
+            uint64_t v = h & mask;
+            int ok = v <= (uint64_t)i;
+            int64_t j = ok ? (int64_t)v : i;
+            uint32_t x = arr[j];
+            arr[j] = arr[i];
+            arr[i] = x;
+            i -= ok;
         }
-        uint64_t v = h & (~UINT64_C(0) >> __builtin_clzll((uint64_t)i));
-        int ok = v <= (uint64_t)i;
-        int64_t j = ok ? (int64_t)v : i;
-        uint32_t x = arr[j];
-        arr[j] = arr[i];
-        arr[i] = x;
-        i -= ok;
     }
     memcpy(st->pcg, pcg, sizeof pcg[0]);
     st->has_uint32 = has_upper;

@@ -6,8 +6,9 @@ are reproducible independent of scheduling: derive one stream per trial with
 ensembles here are conjugacy invariant by construction - the cycle type is
 drawn first (or is deterministic) and the class is filled exchangeably.
 
-A draw that lays out a cycle type (n-cycles, matchings, involutions and
-``sample_in_cycle_type``) gives its cycles as (length, count) runs to
+A draw that lays out a cycle type (n-cycles, matchings, involutions, the
+``uniform_in_cycle_type`` regime and ``sample_in_cycle_type``) gives its
+cycles as (length, count) runs to
 ``_kernels.lay_out_cycles``, which shuffles and lays them out in one
 compiled call that reads the PCG64 stream exactly as ``rng.permutation(n)``
 does, so every seeded draw is numpy's; other bit generators and the
@@ -19,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
@@ -142,6 +144,16 @@ class RegimeSpec:
             if getattr(self, key) % 1:
                 raise ValueError(f"fix_rule {self.fix_rule} needs a whole number {key}, "
                                  f"got {getattr(self, key)}")
+        if self.cycle_type is not None:
+            # the class's (length, count) runs, size and (cycles, 1s, 2s),
+            # worked out once, not on every draw; cycle_type is weakly
+            # decreasing, so its runs lay its cycles out in the same order
+            # as one run a part
+            counts = Counter(self.cycle_type)
+            runs = tuple(v for run in counts.items() for v in run)
+            size = sum(length * count for length, count in counts.items())
+            object.__setattr__(self, "_cycle_runs", (runs, size, (len(self.cycle_type),
+                                                                   counts[1], counts[2])))
 
     def fix_count(self, n: int) -> int:
         """The fixed points a draw at size n plants: the rule's target clamped
@@ -280,9 +292,10 @@ def _sample_n_cycle(n: int, rng: np.random.Generator) -> Permutation:
 
 
 def _sample_given_cycle_type(spec: RegimeSpec, n: int, rng: np.random.Generator) -> Permutation:
-    if sum(spec.cycle_type) != n:
-        raise ValueError(f"cycle_type sums to {sum(spec.cycle_type)}, expected n={n}")
-    return sample_in_cycle_type(spec.cycle_type, rng)
+    runs, size, counts = spec._cycle_runs
+    if size != n:
+        raise ValueError(f"cycle_type sums to {size}, expected n={n}")
+    return _lay_out_cycles(runs, n, counts, rng)
 
 
 def _sample_composite(spec: RegimeSpec, n: int, rng: np.random.Generator) -> Permutation:
@@ -294,11 +307,10 @@ def _sample_composite(spec: RegimeSpec, n: int, rng: np.random.Generator) -> Per
     return plant_fixed_points(fixed, CORES[spec.core][1](n - m, rng))
 
 
-# sample_in_cycle_type is called by its module-global name at draw time,
-# never stored in a table, so a rebinding of it (the benchmark's tracer) is
-# seen; n-cycles, matchings and uniform involutions know their runs and
-# counts in closed form and lay their cycles out through _lay_out_cycles,
-# not through it.
+# n-cycles, matchings and uniform involutions know their runs and counts in
+# closed form, and a uniform_in_cycle_type spec holds its own, so every
+# cycle-type regime lays its cycles out through _lay_out_cycles; the public
+# sample_in_cycle_type, for lengths in any order, is in no table.
 # core -> (the keys it reads, its sampler on k elements, whether it can live
 # on k elements)
 CORES = {

@@ -616,6 +616,12 @@ OUT_OF_ORDER = [((1, 1, 3, 1, 1, 1), 5), ((5, 1, 5, 1, 1, 1), 11), ((5, 2, 1, 1)
                 ((2, 0, 1, 3), 3)]
 LAYOUTS = [(runs, n) for n in (0, 1, 2, 3, 4, 10, 1000, 10**5)
            for runs in cycle_runs(n)] + OUT_OF_ORDER
+# both sides of each power of two up to 2^17, where the shuffle's index mask
+# changes: the n-cycle, the matching (even n) and n // 3 pairs then fixed points
+BUCKET_EDGES = sorted({v for k in range(1, 18) for v in (2**k - 1, 2**k, 2**k + 1)})
+BUCKET_EDGE_LAYOUTS = [(runs, n) for n in BUCKET_EDGES
+                       for runs in ((n, 1), (2, n // 2), (2, n // 3, 1, n - 2 * (n // 3)))
+                       if runs != (2, n // 2) or n % 2 == 0]
 
 
 def assert_layout_is_numpys(runs, n, seed, pending, bit_generator=np.random.PCG64):
@@ -643,7 +649,7 @@ def _plain(state):
 
 @compiled
 @pytest.mark.parametrize("pending", [False, True])
-@pytest.mark.parametrize("runs, n", LAYOUTS)
+@pytest.mark.parametrize("runs, n", LAYOUTS + BUCKET_EDGE_LAYOUTS)
 def test_cycle_layout_is_numpys_shuffle(runs, n, pending):
     for seed in range(3 if n >= 10**5 else 10):
         assert_layout_is_numpys(runs, n, seed, pending)
@@ -948,9 +954,10 @@ for runs, n in [((0, 1), 0), ((2, 3), 5), ((1, -1, 2, 1), 1), ((3, 2**62, 1, 1),
 print("ok")
 """
 
-# the layouts the sanitized children run: n = 0 to 3, and both sides of the
-# longest arrangement the kernel keeps on its stack
-SANITIZER_LAYOUTS = [(runs, n) for n in (0, 1, 2, 3, 1000, 1024, 1025)
+# the layouts the sanitized children run: n = 0 to 3, the edges of the
+# shuffle's first mask buckets on the stack arrangement, and both sides of
+# the longest arrangement the kernel keeps on its stack
+SANITIZER_LAYOUTS = [(runs, n) for n in (0, 1, 2, 3, 4, 5, 7, 8, 9, 1000, 1023, 1024, 1025)
                      for runs in cycle_runs(n)] + OUT_OF_ORDER
 
 

@@ -372,6 +372,22 @@ def test_any_order_of_cycle_lengths_is_numpys_shuffle(lengths, pending):
                            pending)
 
 
+@pytest.mark.parametrize("pending", [False, True])
+@pytest.mark.parametrize("cycle_type", [(1,), (4,), (2, 2), (3, 3, 1, 1, 1), (5, 5, 2, 2, 2, 1),
+                                        (1,) * 7, (3,) * 5000 + (1,) * 15000])
+def test_class_regime_draws_as_its_parts_do(cycle_type, pending):
+    # the spec lays out its (length, count) runs, worked out once, as
+    # sample_in_cycle_type lays out the parts one by one, and states the
+    # same counts
+    spec = RegimeSpec(ensemble="uniform_in_cycle_type", cycle_type=cycle_type)
+    for seed in range(5):
+        assert_draws_match(lambda n, rng: sample_regime(spec, n, rng),
+                           lambda n, rng: sample_in_cycle_type(cycle_type, rng).zero_based,
+                           sum(cycle_type), seed, pending)
+        p = sample_regime(spec, sum(cycle_type), derive_rng(seed))
+        assert p._counts == sample_in_cycle_type(cycle_type, derive_rng(seed))._counts
+
+
 # the ensembles, and the cores of composite ones, whose draws lay out a cycle
 # type and so state its counts
 STATING_ENSEMBLES = {"uniform_involution", "fpf_involution", "n_cycle", "uniform_in_cycle_type"}
