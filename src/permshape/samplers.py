@@ -307,26 +307,41 @@ def _sample_composite(spec: RegimeSpec, n: int, rng: np.random.Generator) -> Per
     return plant_fixed_points(fixed, CORES[spec.core][1](n - m, rng))
 
 
+def _composite_draws(spec: RegimeSpec, n: int, parts: tuple[int, ...]) -> bool:
+    """Exactly ``spec.fix_count(n)`` parts are 1, and the core draws the others."""
+    m = spec.fix_count(n)
+    return parts.count(1) == m and CORES[spec.core][3](parts[:len(parts) - m])
+
+
 # n-cycles, matchings and uniform involutions know their runs and counts in
 # closed form, and a uniform_in_cycle_type spec holds its own, so every
 # cycle-type regime lays its cycles out through _lay_out_cycles; the public
-# sample_in_cycle_type, for lengths in any order, is in no table.
+# sample_in_cycle_type, for lengths in any order, is in no table. Every
+# regime is uniform on the permutations of the cycle types it draws, each
+# given as its weakly decreasing parts.
 # core -> (the keys it reads, its sampler on k elements, whether it can live
-# on k elements)
+# on k elements, whether it draws a cycle type of k)
 CORES = {
     # a lone leftover element would be a fixed point, not a core
-    "n_cycle": ((), _sample_n_cycle, lambda k: k != 1),
-    "fpf_involution": ((), sample_fpf_involution, lambda k: k % 2 == 0),
-    "uniform_derangement": ((), _sample_derangement, lambda k: k != 1),
+    "n_cycle": ((), _sample_n_cycle, lambda k: k != 1, lambda parts: len(parts) <= 1),
+    "fpf_involution": ((), sample_fpf_involution, lambda k: k % 2 == 0,
+                       lambda parts: set(parts) <= {2}),
+    "uniform_derangement": ((), _sample_derangement, lambda k: k != 1,
+                            lambda parts: 1 not in parts),
 }
-# ensemble -> (the keys it reads besides ensemble, its sampler (spec, n, rng))
+# ensemble -> (the keys it reads besides ensemble, its sampler (spec, n, rng),
+# whether it draws a cycle type at n (spec, n, parts))
 ENSEMBLES = {
-    "uniform": ((), lambda spec, n, rng: sample_uniform(n, rng)),
-    "uniform_involution": ((), lambda spec, n, rng: sample_uniform_involution(n, rng)),
-    "fpf_involution": ((), lambda spec, n, rng: sample_fpf_involution(n, rng)),
-    "n_cycle": ((), lambda spec, n, rng: _sample_n_cycle(n, rng)),
-    "uniform_in_cycle_type": (("cycle_type",), _sample_given_cycle_type),
-    "composite": (("core", "fix_rule"), _sample_composite),
+    "uniform": ((), lambda spec, n, rng: sample_uniform(n, rng), lambda spec, n, parts: True),
+    "uniform_involution": ((), lambda spec, n, rng: sample_uniform_involution(n, rng),
+                           lambda spec, n, parts: set(parts) <= {1, 2}),
+    "fpf_involution": ((), lambda spec, n, rng: sample_fpf_involution(n, rng),
+                       lambda spec, n, parts: set(parts) <= {2}),
+    "n_cycle": ((), lambda spec, n, rng: _sample_n_cycle(n, rng),
+                lambda spec, n, parts: len(parts) <= 1),
+    "uniform_in_cycle_type": (("cycle_type",), _sample_given_cycle_type,
+                              lambda spec, n, parts: parts == spec.cycle_type),
+    "composite": (("core", "fix_rule"), _sample_composite, _composite_draws),
 }
 # regime key -> the table whose entries are the values it may take
 REGIME_CHOICES = {"ensemble": ENSEMBLES, "core": CORES, "fix_rule": FIX_RULES}

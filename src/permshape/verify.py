@@ -20,7 +20,7 @@ from .diagram import widen
 from .oracles import BatchCheck, check_fixed_point_bounds_batch, check_profile_distance_bound_batch
 from .perm import Permutation
 from .rsk import schensted_shape
-from .samplers import RegimeSpec, derive_rng, sample_regime, sample_uniform
+from .samplers import ENSEMBLES, RegimeSpec, derive_rng, sample_regime, sample_uniform
 from .shape_geom import scaled_height_unit, scaled_kinks
 
 # suite -> (name of its function here, the size keyword it takes or None).
@@ -172,53 +172,52 @@ def suite_convention(seed: int = 0) -> dict:
     return {"suite": "convention", "ok": worst <= 1e-12, "worst_gap": worst, "tol": 1e-12}
 
 
-# false-alarm rate of each family's chi-square test in the samplers suite
+# false-alarm rate of each regime_chi_square test
 SAMPLERS_ALPHA = 1e-3
 
 
-def suite_samplers(draws: int = 100_000, seed: int = 0) -> dict:
-    """Every sampler family against its exact law at small sizes.
-
-    Each family is uniform on the permutations of S_n (n <= 4) whose cycle
-    type lies in a known set. One batch of draws per family is compared with
-    that law over the whole support by a one-sample chi-square test at
-    alpha = 1e-3; a draw outside the support makes the statistic infinite.
-    With six families a healthy build fails a run with probability
-    1 - (1 - 1e-3)^6, about 0.6%.
-    """
+def regime_chi_square(spec: RegimeSpec, n: int, draws: int, rng: np.random.Generator) -> dict:
+    """``draws`` draws of spec at size n against its exact law, uniform on the
+    permutations of S_n whose cycle type its regime-table row says it draws,
+    by a one-sample chi-square test over that whole support at alpha = 1e-3.
+    A draw outside the support makes the statistic infinite. A support of one
+    permutation leaves no degree of freedom: the critical value is 0, so the
+    test passes exactly when every draw is that permutation."""
     # 2 * gammaincinv(dof / 2, 1 - alpha) is the expression scipy.stats.chi2.ppf
     # evaluates (chi2_gen._ppf in scipy 1.17), so each critical value is
-    # bit-identical to chi2.ppf's for the suite's 2, 5, 9 and 23 degrees of
-    # freedom; scipy.special.chdtri differs in the last digit. Loading
-    # scipy.stats for it would add about 47 MB and 0.75 s to the process.
-    # Imported here, not at the top, as every CLI call imports this module.
+    # bit-identical to chi2.ppf's; scipy.special.chdtri differs in the last
+    # digit. Loading scipy.stats for it would add about 47 MB and 0.75 s to
+    # the process. Imported here, not at the top, as every CLI call imports
+    # this module.
     from scipy.special import gammaincinv
 
-    results = []
-    for spec, n, cycle_types in (
-        (RegimeSpec("uniform"), 4, {(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)}),
-        (RegimeSpec("uniform_involution"), 4, {(1, 1, 1, 1), (2, 1, 1), (2, 2)}),
-        (RegimeSpec("fpf_involution"), 4, {(2, 2)}),
-        (RegimeSpec("n_cycle"), 4, {(4,)}),
-        (RegimeSpec("uniform_in_cycle_type", cycle_type=(2, 1)), 3, {(2, 1)}),
-        (RegimeSpec("composite", core="fpf_involution", fix_rule="linear", p=0.5), 4,
-         {(2, 1, 1)}),
-    ):
-        support = [w for w in itertools.permutations(range(n))
-                   if tuple(sorted(cycle_lengths(w), reverse=True)) in cycle_types]
-        rng = derive_rng(seed, 5, len(results))
-        drawn = Counter(tuple(sample_regime(spec, n, rng).zero_based.tolist())
-                        for _ in range(draws))
-        observed = np.array([drawn[w] for w in support], dtype=np.float64)
-        expected = draws / len(support)
-        stat = float(np.sum((observed - expected) ** 2) / expected)
-        if observed.sum() < draws:  # a draw fell outside the support
-            stat = math.inf
-        crit = float(2.0 * gammaincinv((len(support) - 1) / 2, 1.0 - SAMPLERS_ALPHA))
-        results.append({"family": spec.ensemble, "n": n, "ok": stat <= crit, "stat": stat,
-                        "crit": crit})
-    ok = all(r["ok"] for r in results)
-    return {"suite": "samplers", "ok": ok, "draws": draws, "families": results}
+    draws_type = ENSEMBLES[spec.ensemble][2]
+    support = [w for w in itertools.permutations(range(n))
+               if draws_type(spec, n, tuple(sorted(cycle_lengths(w), reverse=True)))]
+    drawn = Counter(tuple(sample_regime(spec, n, rng).zero_based.tolist()) for _ in range(draws))
+    observed = np.array([drawn[w] for w in support], dtype=np.float64)
+    expected = draws / len(support)
+    stat = float(np.sum((observed - expected) ** 2) / expected)
+    if observed.sum() < draws:  # a draw fell outside the support
+        stat = math.inf
+    dof = len(support) - 1
+    crit = float(2.0 * gammaincinv(dof / 2, 1.0 - SAMPLERS_ALPHA)) if dof else 0.0
+    return {"family": spec.ensemble, "n": n, "ok": stat <= crit, "stat": stat, "crit": crit}
+
+
+def suite_samplers(draws: int = 100_000, seed: int = 0) -> dict:
+    """Six sampler families against their exact laws at n <= 4, by
+    ``regime_chi_square``, each on a stream of its own. With six families a
+    healthy build fails a run with probability 1 - (1 - 1e-3)^6, about 0.6%.
+    """
+    cases = ((RegimeSpec("uniform"), 4), (RegimeSpec("uniform_involution"), 4),
+             (RegimeSpec("fpf_involution"), 4), (RegimeSpec("n_cycle"), 4),
+             (RegimeSpec("uniform_in_cycle_type", cycle_type=(2, 1)), 3),
+             (RegimeSpec("composite", core="fpf_involution", fix_rule="linear", p=0.5), 4))
+    results = [regime_chi_square(spec, n, draws, derive_rng(seed, 5, case))
+               for case, (spec, n) in enumerate(cases)]
+    return {"suite": "samplers", "ok": all(r["ok"] for r in results), "draws": draws,
+            "families": results}
 
 
 def run_suite(name: str, seed: int = 0, **kwargs) -> dict:

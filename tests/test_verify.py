@@ -8,6 +8,7 @@ import pytest
 from permshape import _kernels, samplers, shape_geom, verify
 from permshape.experiments import json_text
 from permshape.oracles import BatchCheck, ProfileBoundCheck
+from permshape.perm import Permutation
 from permshape.verify import (
     run_suite,
     suite_convention,
@@ -111,14 +112,34 @@ def test_greene_names_the_decreasing_family(monkeypatch):
 
 
 def test_samplers_flag_a_draw_outside_the_support(monkeypatch):
-    # an n-cycle sampler that leaks a fixed point draws outside its law's support
+    # an n-cycle sampler that leaks a fixed point draws outside its law's
+    # support, which the row still states
+    keys, _, draws_type = samplers.ENSEMBLES["n_cycle"]
     monkeypatch.setitem(samplers.ENSEMBLES, "n_cycle", (
-        (), lambda spec, n, rng: samplers.sample_in_cycle_type((n - 1, 1), rng)))
+        keys, lambda spec, n, rng: samplers.sample_in_cycle_type((n - 1, 1), rng), draws_type))
     report = suite_samplers(draws=4000, seed=1)
     assert report["ok"] is False
     assert len(report["families"]) == 6
     bad = [f for f in report["families"] if not f["ok"]]
     assert [(f["family"], f["stat"]) for f in bad] == [("n_cycle", math.inf)]
+
+
+@pytest.mark.parametrize("spec, n", [
+    # theta n / log n >= n at n = 5, so the core is left no point
+    (samplers.RegimeSpec("composite", core="n_cycle", fix_rule="theta_log", theta=2.5), 5),
+    (samplers.RegimeSpec("uniform_in_cycle_type", cycle_type=(1, 1, 1)), 3),
+])
+def test_a_support_of_one_permutation_passes_exactly_when_every_draw_is_it(monkeypatch, spec, n):
+    # no degree of freedom: the critical value is 0, not NaN
+    report = verify.regime_chi_square(spec, n, 50, samplers.derive_rng(0))
+    assert report == {"family": spec.ensemble, "n": n, "ok": True, "stat": 0.0, "crit": 0.0}
+    json.loads(json_text(report), parse_constant=_refuse_constant)
+    # one draw of a transposition among identities fails it
+    draws = iter([Permutation.from_zero_based(np.r_[1, 0, 2:n])])
+    monkeypatch.setattr(verify, "sample_regime",
+                        lambda spec, n, rng: next(draws, Permutation.identity(n)))
+    report = verify.regime_chi_square(spec, n, 50, samplers.derive_rng(0))
+    assert (report["ok"], report["stat"], report["crit"]) == (False, math.inf, 0.0)
 
 
 def _refuse_constant(name):
