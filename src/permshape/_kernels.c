@@ -1,5 +1,5 @@
 /* Compiled kernels for permshape._kernels: the fused patience-sorting pass
- * for the LIS and LDS, banded row-peeling Schensted shape, the cycle scan,
+ * for the LIS and LDS, banded row-peeling Schensted shape, the cycle walk,
  * and the Greene subset scan. Each keeps the integer semantics of the
  * pure-Python reference next to it (strict increase, i.e. bisect_left). The
  * caller allocates one scratch array per call for everything a kernel
@@ -392,31 +392,25 @@ int64_t ps_shape_batch(const int64_t *letters, int64_t count, int64_t max_rows, 
     return widest;
 }
 
-/* Cycle counts of the 0-based permutation perm[0..n): scratch[0] cycles,
- * scratch[1] fixed points, scratch[2] 2-cycles. scratch: 3 + ceil(n / 8)
- * zeroed slots, the counts, then one seen byte per letter. */
-void ps_cycle_scan(const int64_t *perm, int64_t n, int64_t *scratch)
+/* The cycle walk of perm[0..n), letters in [0, n): writes each cycle's
+ * length to scratch[0..count), by the cycles' smallest points, and returns
+ * count. scratch: n slots, then ceil(n / 8) zeroed slots of seen bytes. A
+ * walk marks its unseen start and stops at a seen letter, so count <= n. */
+int64_t ps_cycle_scan(const int64_t *perm, int64_t n, int64_t *scratch)
 {
-    int64_t *out = scratch;
-    uint8_t *seen = (uint8_t *)(scratch + 3);
-    int64_t num_cycles = 0, fixed = 0, two = 0;
+    uint8_t *seen = (uint8_t *)(scratch + n);
+    int64_t count = 0;
     for (int64_t start = 0; start < n; start++) {
         if (seen[start])
             continue;
         int64_t length = 0;
-        int64_t j = start;
-        while (!seen[j]) {
+        for (int64_t j = start; !seen[j]; j = perm[j]) {
             seen[j] = 1;
-            j = perm[j];
             length++;
         }
-        num_cycles++;
-        fixed += (length == 1);
-        two += (length == 2);
+        scratch[count++] = length;
     }
-    out[0] = num_cycles;
-    out[1] = fixed;
-    out[2] = two;
+    return count;
 }
 
 /* Largest letter count greene_scan reads: its pile arrays are fixed. */

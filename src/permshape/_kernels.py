@@ -1,5 +1,5 @@
-"""Hot loops for patience sorting, Schensted row insertion, cycle scans, the
-Greene subset scan, and the shuffle that cycle-type draws lay out.
+"""Hot loops for patience sorting, Schensted row insertion, the cycle walk,
+the Greene subset scan, and the shuffle that cycle-type draws lay out.
 
 The fast path is the C source ``_kernels.c`` next to this module. On first
 use the system C compiler ``cc`` builds it into a per-user cache
@@ -11,9 +11,9 @@ with a warning; they are also the reference the compiled ones are tested
 against. ``BACKEND`` names the one in use: ``"c"`` or ``"python"``, and
 ``info()`` also gives the library file and the shape kernel's band width.
 
-All kernels read the permutation's own int64 array (``zero_based``), a
-plain numpy array, so they stay picklable across worker processes; a word of
-any other dtype is a ValueError on either backend. ``ALL_ROWS`` is the row
+All kernels read the permutation's own int64 array (``zero_based``), a plain
+numpy array, so they stay picklable across worker processes; any word but a
+flat int64 array is a ValueError on either backend. ``ALL_ROWS`` is the row
 limit that peels every row. Each wrapper allocates one int64 scratch array
 for everything its kernel writes and passes two raw addresses: that array's
 and the word's, which is read in place (a contiguous word is never copied).
@@ -64,7 +64,7 @@ _i64 = ctypes.c_int64
 _SIGNATURES = {
     "ps_lis_lds": ([_ptr, _i64, _ptr], None),
     "ps_shape_batch": ([_ptr, _i64, _i64, _i64, _ptr], _i64),
-    "ps_cycle_scan": ([_ptr, _i64, _ptr], None),
+    "ps_cycle_scan": ([_ptr, _i64, _ptr], _i64),
     "ps_greene_batch": ([_ptr, _i64, _i64, _ptr], None),
     "ps_cycle_layout": ([_ptr, _ptr, _i64, _i64, _ptr], _i64),
     "ps_pcg64_peek": ([_ptr, _ptr], None),
@@ -154,9 +154,10 @@ def info() -> dict[str, str | int | None]:
 
 
 def _check_word(values: np.ndarray) -> None:
-    """Reject a word that is not int64, the one dtype the kernels read."""
-    if values.dtype != np.int64:
-        raise ValueError(f"the kernels read int64 words, not dtype {values.dtype}")
+    """Reject a word that is not a flat int64 array, the one dtype the kernels read."""
+    if getattr(values, "dtype", None) != np.int64 or values.ndim != 1:
+        raise ValueError(f"the kernels read int64 words, one axis, not {np.ndim(values)}-d "
+                         f"{getattr(values, 'dtype', type(values).__name__)}")
 
 
 def _check_max_rows(max_rows):
@@ -187,27 +188,20 @@ def _shape_py(values, max_rows=ALL_ROWS):
     return np.asarray(row_lengths, dtype=np.int64)
 
 
-def cycle_lengths(zero_based) -> list[int]:
-    """The cycle lengths of a 0-based permutation (any sequence of ints),
-    each cycle counted from its smallest point, in the order of those."""
+def _cycle_lengths_py(zero_based) -> list[int]:
+    """The reference cycle walk (``cycle_lengths``) over a sequence of ints."""
     seen = bytearray(len(zero_based))
     lengths = []
     for start in range(len(zero_based)):
         if seen[start]:
             continue
-        length = 0
-        j = start
+        length, j = 0, start
         while not seen[j]:
             seen[j] = 1
             j = int(zero_based[j])
             length += 1
         lengths.append(length)
     return lengths
-
-
-def _cycle_scan_py(zero_based):
-    lengths = cycle_lengths(zero_based)
-    return len(lengths), lengths.count(1), lengths.count(2)
 
 
 def _greene_py(word):
@@ -355,21 +349,33 @@ def _peel(letters, offsets, longest, room, max_rows):
     return widest, scratch[count + 1:2 * count + 1], scratch[2 * count + 1:]
 
 
+def cycle_lengths(zero_based: np.ndarray) -> list[int]:
+    """The cycle lengths of a 0-based int64 word of letters in [0, n), in the
+    order of the cycles' smallest points; a walk ends at a letter already seen."""
+    return _cycle_walk(zero_based).tolist()
+
+
 def cycle_scan(zero_based: np.ndarray) -> tuple[int, int, int]:
-    """(number of cycles, fixed points, 2-cycles) of a 0-based permutation array."""
+    """(number of cycles, fixed points, 2-cycles), read off ``cycle_lengths``
+    binned at 1, 2 and 3 or more, so a long cycle takes no bin of its own."""
+    lengths = _cycle_walk(zero_based)
+    _, fixed, two, _ = np.bincount(np.minimum(lengths, 3), minlength=4).tolist()
+    return len(lengths), fixed, two
+
+
+def _cycle_walk(zero_based):
     _check_word(zero_based)
     n = zero_based.shape[0]
-    if n and (zero_based.min() < 0 or zero_based.max() >= n):
-        raise ValueError("cycle_scan needs images in [0, n)")
+    if n and zero_based.view(np.uint64).max() >= n:  # as uint64 a negative letter is past n
+        raise ValueError("the cycle walk needs images in [0, n)")
     lib = _library()
     if lib is None:
-        return _cycle_scan_py(zero_based)
+        return np.array(_cycle_lengths_py(zero_based), dtype=np.int64)
     v = np.ascontiguousarray(zero_based)
-    # the three counts, then n seen bytes
-    scratch = np.zeros(3 + (n + 7) // 8, dtype=np.int64)
-    lib.ps_cycle_scan(v.ctypes.data, n, scratch.ctypes.data)
-    num_cycles, fixed, two = scratch[:3].tolist()
-    return num_cycles, fixed, two
+    # the lengths, then n seen bytes: only those are zeroed
+    scratch = np.empty(n + (n + 7) // 8, dtype=np.int64)
+    scratch[n:] = 0
+    return scratch[:lib.ps_cycle_scan(v.ctypes.data, n, _address(scratch))]
 
 
 def greene_invariants(values: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:

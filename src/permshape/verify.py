@@ -192,7 +192,8 @@ def regime_chi_square(spec: RegimeSpec, n: int, draws: int, rng: np.random.Gener
     from scipy.special import gammaincinv
 
     draws_type = ENSEMBLES[spec.ensemble][2]
-    support = [w for w in itertools.permutations(range(n))
+    words = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    support = [tuple(w.tolist()) for w in words
                if draws_type(spec, n, tuple(sorted(cycle_lengths(w), reverse=True)))]
     drawn = Counter(tuple(sample_regime(spec, n, rng).zero_based.tolist()) for _ in range(draws))
     observed = np.array([drawn[w] for w in support], dtype=np.float64)

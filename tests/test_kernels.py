@@ -20,10 +20,11 @@ from permshape import _kernels, experiments, rsk
 from permshape._kernels import (
     ALL_ROWS,
     BACKEND,
-    _cycle_scan_py,
+    _cycle_lengths_py,
     _greene_py,
     _shape_py,
     concat_words,
+    cycle_lengths,
     cycle_scan,
     greene_invariants,
     greene_invariants_batch,
@@ -149,7 +150,7 @@ class TestCompiledMatchesReference:
         # the package hands the kernels the 0-based array: same relative order
         assert lis_lds_lengths(perm) == lis_lds_lengths(word)
         assert insertion_shape(perm).tolist() == shape.tolist()
-        assert cycle_scan(perm) == _cycle_scan_py(perm)
+        _assert_walk(perm)
 
     @given(st.lists(st.integers(-4, 4) | st.sampled_from([INT64_MIN, INT64_MAX])
                     | st.integers(INT64_MIN, INT64_MAX), max_size=60))
@@ -598,6 +599,75 @@ def test_cycle_scan_closed_forms(n, k):
     assert cycle_scan(points) == (n, n, 0)
 
 
+def _assert_walk(word):
+    # the backend's cycle lengths are the reference walk's, and the counts
+    # are read off them
+    lengths = _cycle_lengths_py(word.tolist())
+    assert cycle_lengths(word) == lengths
+    assert cycle_scan(word) == (len(lengths), lengths.count(1), lengths.count(2))
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_cycle_walk_on_every_small_permutation(backend):
+    # each S_n for n <= 7 as the rows of one array; over all of S_n a
+    # k-cycle, k <= n, occurs n! / k times, so the n! words hold n! H_n
+    # cycles, n! fixed points and n! / 2 2-cycles
+    with running(backend):
+        for n in range(8):
+            totals = np.zeros(3, dtype=np.int64)
+            for word in np.array(list(itertools.permutations(range(n))), dtype=np.int64):
+                _assert_walk(word)
+                totals += cycle_scan(word)
+            f = math.factorial(n)
+            assert totals.tolist() == [sum(f // k for k in range(1, n + 1)),
+                                       f * (n >= 1), f // 2 * (n >= 2)]
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 1000).flatmap(lambda n: st.permutations(range(n))))
+@example([])
+@example([0])
+@example(list(range(1, 1000)) + [0])
+def test_cycle_walk_on_permutations(backend, xs):
+    with running(backend):
+        _assert_walk(np.asarray(xs, dtype=np.int64))
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 60).flatmap(
+    lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+@example([0, 0])
+@example([1, 1, 0])
+@example([0] * 1025)
+def test_cycle_walk_on_words_that_are_not_bijections(backend, xs):
+    # the range check lets them through, and each walk stops at the first
+    # letter seen before, as the reference's does
+    with running(backend):
+        _assert_walk(np.asarray(xs, dtype=np.int64))
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_cycle_walk_on_long_random_words(backend):
+    rng = np.random.default_rng(10**5)
+    with running(backend):
+        for _ in range(2):
+            _assert_walk(rng.permutation(10**5))
+        _assert_walk(rng.integers(0, 10**5, 10**5))
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+@pytest.mark.parametrize("xs", [[-1, 0], [0, 5], [0, 2], [-1], [1], [INT64_MIN, 0],
+                                [1, 0, INT64_MAX]])
+def test_cycle_walk_refuses_a_letter_out_of_range(backend, xs):
+    # a negative letter must not index from the end, nor one past n fault
+    with running(backend):
+        for walk in (cycle_lengths, cycle_scan):
+            with pytest.raises(ValueError, match=r"images in \[0, n\)"):
+                walk(np.array(xs, dtype=np.int64))
+
+
 def cycle_runs(n):
     """Run layouts of ``lay_out_cycles`` at size n, flat (length, count)
     pairs: the n-cycle, matchings (a fixed point last at odd n), n // 3 pairs
@@ -764,18 +834,22 @@ def test_empty_word(monkeypatch, backend):
                                   np.array([True, False]),
                                   np.array([2**63, 1], dtype=np.uint64),
                                   np.array([2, 0, 1], dtype=np.uint64),
-                                  np.array([2, 0, 1], dtype=np.int32)],
+                                  np.array([2, 0, 1], dtype=np.int32), [2, 0, 1], (2, 0, 1),
+                                  np.array([[1, 0], [0, 1]]), np.int64(0)],
                          ids=["float", "float-cycle", "bool", "uint64-past-int64", "uint64",
-                              "int32"])
+                              "int32", "list", "tuple", "2-d", "scalar"])
 def test_kernels_reject_words_an_int64_view_would_change(monkeypatch, backend, word):
     # cast to int64, the first four would read as other words on the compiled
     # backend; the kernels read int64 words only, so both backends refuse
-    # every other dtype, even one whose values an int64 view would keep
+    # every other dtype, even one whose values an int64 view would keep, a
+    # list or tuple of ints, and an int64 array of two axes (once read as
+    # the word of its first row) or none
     if backend == "python":
         monkeypatch.setattr(_kernels, "_library", lambda: None)
     elif BACKEND != "c":
         pytest.skip("compiled kernels unavailable")
-    for kernel in (lis_lds_lengths, insertion_shape, cycle_scan, greene_invariants):
+    for kernel in (lis_lds_lengths, insertion_shape, cycle_scan, cycle_lengths,
+                   greene_invariants):
         with pytest.raises(ValueError, match="kernels read int64 words"):
             kernel(word)
 
@@ -897,8 +971,9 @@ INVOLUTION_EDGE_WORDS = [
 
 # run in a child process on a library built with a sanitizer: each compiled
 # kernel on the join's edge words, against the pure-Python references, the
-# shape batch on the involution peel's edge words, and the cycle layout
-# against numpy's shuffle; a fault aborts the child
+# shape batch on the involution peel's edge words, the cycle walk on words
+# that are not bijections, and the cycle layout against numpy's shuffle; a
+# fault aborts the child
 SANITIZER_SCRIPT = """
 import ctypes, json, sys
 import numpy as np
@@ -915,9 +990,14 @@ for xs in words:
     assert _kernels.lis_lds_lengths(word) == (first_row(xs), first_row(xs[::-1])), xs
     assert _kernels.insertion_shape(word).tolist() == _kernels._shape_py(xs).tolist(), xs
     if sorted(xs) == list(range(len(xs))):
-        assert _kernels.cycle_scan(word) == _kernels._cycle_scan_py(xs), xs
+        assert _kernels.cycle_lengths(word) == _kernels._cycle_lengths_py(xs), xs
     if len(set(xs)) == len(xs) and len(xs) <= 5:
         assert _kernels.greene_invariants(word) == _kernels._greene_py(xs), xs
+# the cycle walk on in-range words that are not bijections: each walk
+# marks its start, a new letter, so the kernel writes at most n lengths
+for xs in ([0, 0], [1, 1, 0], [0] * 1025, [1024] * 1025, [2, 0, 0, 2]):
+    word = np.asarray(xs, dtype=np.int64)
+    assert _kernels.cycle_lengths(word) == _kernels._cycle_lengths_py(xs), xs
 # both batch entry points, on the words as one ragged batch with an empty
 # word after each, and the shape batch on the involution edge words so
 ragged = [w for xs in words for w in (xs, [])]

@@ -62,7 +62,7 @@ def structure_failures(label: str) -> list[str]:
     failures = []
     for k in range(STRUCTURE_DRAWS):
         p = sample_regime(spec, n, rng)
-        parts = tuple(sorted(cycle_lengths(p.zero_based.tolist()), reverse=True))
+        parts = tuple(sorted(cycle_lengths(p.zero_based), reverse=True))
         if not ENSEMBLES[spec.ensemble][2](spec, n, parts):
             failures.append(f"draw {k}: cycle type {parts[:8]}... is not drawn")
         if p._counts is not None and p._counts != cycle_scan(p.zero_based):
