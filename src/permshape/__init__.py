@@ -39,6 +39,7 @@ from .perm import (
     Permutation,
     conjugate,
     cycle_stats,
+    cycle_type,
     plant_fixed_points,
     remove_fixed_points,
 )

@@ -17,8 +17,8 @@ flat int64 array is a ValueError on either backend. ``ALL_ROWS`` is the row
 limit that peels every row. Each wrapper allocates one int64 scratch array
 for everything its kernel writes and passes two raw addresses: that array's
 and the word's, which is read in place (a contiguous word is never copied).
-An address lookup (``arr.ctypes.data``) costs about 0.8 us on a 2-vCPU Xeon,
-and ctypes' own array checks would cost more.
+The scratch goes by ``_address`` (0.35 us on a 2-vCPU Xeon, ``arr.ctypes.data``
+0.8), the word by ``arr.ctypes.data``, as a ``Permutation``'s is read-only.
 
 The shape peel and the Greene scan also take a batch of words, their
 letters back to back and the offsets that cut them (``concat_words``):
@@ -57,8 +57,8 @@ _SOURCE = Path(__file__).with_name("_kernels.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 
 # Every buffer is passed as the address of a contiguous int64 array
-# (arr.ctypes.data). The caller keeps the array bound to a name until the
-# call returns: an address does not keep its array alive.
+# (``_address`` or arr.ctypes.data). The caller keeps the array bound to a
+# name until the call returns: an address does not keep its array alive.
 _ptr = ctypes.c_void_p
 _i64 = ctypes.c_int64
 _SIGNATURES = {
@@ -266,7 +266,7 @@ def lis_lds_lengths(values: np.ndarray) -> tuple[int, int]:
     v = np.ascontiguousarray(values)
     # the two lengths, then the piles of the four chains, ceil(n / 2) each
     scratch = np.empty(2 + 4 * ((n + 1) // 2), dtype=np.int64)
-    lib.ps_lis_lds(v.ctypes.data, n, scratch.ctypes.data)
+    lib.ps_lis_lds(v.ctypes.data, n, _address(scratch))
     ki, kd = scratch[:2].tolist()
     return ki, kd
 
@@ -345,25 +345,22 @@ def _peel(letters, offsets, longest, room, max_rows):
     scratch = np.empty(2 * count + 1 + room + 2 * longest
                        + sum(longest // r + pad for r in range(1, band + 1)), dtype=np.int64)
     scratch[:count + 1] = offsets
-    widest = lib.ps_shape_batch(v.ctypes.data, count, max_rows, room, scratch.ctypes.data)
+    widest = lib.ps_shape_batch(v.ctypes.data, count, max_rows, room, _address(scratch))
     return widest, scratch[count + 1:2 * count + 1], scratch[2 * count + 1:]
-
-
-def cycle_lengths(zero_based: np.ndarray) -> list[int]:
-    """The cycle lengths of a 0-based int64 word of letters in [0, n), in the
-    order of the cycles' smallest points; a walk ends at a letter already seen."""
-    return _cycle_walk(zero_based).tolist()
 
 
 def cycle_scan(zero_based: np.ndarray) -> tuple[int, int, int]:
     """(number of cycles, fixed points, 2-cycles), read off ``cycle_lengths``
-    binned at 1, 2 and 3 or more, so a long cycle takes no bin of its own."""
-    lengths = _cycle_walk(zero_based)
+    binned at 1, 2 and 3 or more, so a long cycle takes no bin of its own (the
+    package reads ``perm.cycle_type``; ``perfbench``'s tracer times this)."""
+    lengths = cycle_lengths(zero_based)
     _, fixed, two, _ = np.bincount(np.minimum(lengths, 3), minlength=4).tolist()
     return len(lengths), fixed, two
 
 
-def _cycle_walk(zero_based):
+def cycle_lengths(zero_based: np.ndarray) -> np.ndarray:
+    """The int64 cycle lengths of a 0-based int64 word of letters in [0, n), in
+    the order of the cycles' smallest points; a walk ends at a letter already seen."""
     _check_word(zero_based)
     n = zero_based.shape[0]
     if n and zero_based.view(np.uint64).max() >= n:  # as uint64 a negative letter is past n
@@ -430,7 +427,7 @@ def _greene_table(letters, offsets, longest):
         # from slot 0 to slot longest
         scratch = np.empty(count + 1 + 2 * count * (longest + 1), dtype=np.int64)
         scratch[:count + 1] = offsets
-        lib.ps_greene_batch(v.ctypes.data, count, longest, scratch.ctypes.data)
+        lib.ps_greene_batch(v.ctypes.data, count, longest, _address(scratch))
         table = scratch[count + 1:].reshape(count, 2, longest + 1)
     repeats = np.flatnonzero(table[:, 0, 0])
     if repeats.size:
@@ -565,4 +562,4 @@ def warm_up() -> None:
     w = np.array([2, 0, 1], dtype=np.int64)
     lis_lds_lengths(w)
     insertion_shape(w)
-    cycle_scan(w)
+    cycle_lengths(w)

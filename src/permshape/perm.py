@@ -13,18 +13,18 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import cycle_scan
+from ._kernels import cycle_lengths
 
 
 class Permutation:
     """A permutation of {1..n} in one-line notation; n = 0 is the empty one.
 
-    A sampler that lays out a cycle type states its (cycles, fixed points,
-    2-cycles) counts, which ``cycle_stats`` returns in place of a scan; a
-    permutation built from a word states none.
+    A sampler that lays out a cycle type states the (length, count) runs it
+    laid out, which ``cycle_type`` folds in place of a walk; a permutation
+    built from a word states none.
     """
 
-    __slots__ = ("_zero", "_counts")
+    __slots__ = ("_zero", "_runs")
 
     def __init__(self, word: Sequence[int] | np.ndarray):
         arr = np.asarray(word)
@@ -40,24 +40,24 @@ class Permutation:
             raise ValueError("word is not a bijection of {1..n}")
         zero.flags.writeable = False
         self._zero = zero
-        self._counts = None
+        self._runs = None
 
     @classmethod
     def from_zero_based(cls, arr: np.ndarray,
-                        counts: tuple[int, int, int] | None = None) -> "Permutation":
+                        runs: tuple[int, ...] | None = None) -> "Permutation":
         """Wrap a 0-based image array, without validation or a copy.
 
         The permutation takes ownership of ``arr`` and marks it read-only, so
         pass an array built for it that nothing else writes to. An array that
-        is not a contiguous int64 one is converted first. ``counts``, when
-        given, are the (cycles, fixed points, 2-cycles) of the array, which
-        the caller knows from how it laid the cycles out; they are not checked.
+        is not a contiguous int64 one is converted first. ``runs``, when given,
+        are the array's cycles as flat (length, count) pairs, which the caller
+        knows from how it laid the cycles out; they are not checked.
         """
         p = cls.__new__(cls)
         zero = np.ascontiguousarray(arr, dtype=np.int64)
         zero.flags.writeable = False
         p._zero = zero
-        p._counts = counts
+        p._runs = runs
         return p
 
     @classmethod
@@ -130,17 +130,24 @@ class CycleStats:
     fixed_points_of_square: int
 
 
+def cycle_type(p: Permutation) -> dict[int, int]:
+    """Cycle length -> number of cycles of that length, for the lengths p has:
+    its stated runs, folded, or else the lengths of an O(n) walk, counted."""
+    if p._runs is None:
+        lengths, counts = np.unique(cycle_lengths(p.zero_based), return_counts=True)
+        return dict(zip(lengths.tolist(), counts.tolist()))
+    ct: dict[int, int] = {}
+    for length, count in zip(p._runs[::2], p._runs[1::2]):
+        if count:
+            ct[length] = ct.get(length, 0) + count
+    return ct
+
+
 def cycle_stats(p: Permutation) -> CycleStats:
-    """Cycles, fixed points, 2-cycles, and fixed points of the square: the
-    counts the sampler stated, or else from an O(n) scan of the word."""
-    num_cycles, fixed, two = cycle_scan(p.zero_based) if p._counts is None else p._counts
-    return CycleStats(
-        n=p.n,
-        num_cycles=num_cycles,
-        fixed_points=fixed,
-        two_cycles=two,
-        fixed_points_of_square=fixed + 2 * two,
-    )
+    """Cycles, fixed points, 2-cycles and fixed points of the square, by ``cycle_type``."""
+    ct = cycle_type(p)
+    fixed, two = ct.get(1, 0), ct.get(2, 0)
+    return CycleStats(p.n, sum(ct.values()), fixed, two, fixed + 2 * two)
 
 
 def conjugate(p: Permutation, r: Permutation) -> Permutation:
@@ -171,7 +178,7 @@ def plant_fixed_points(fixed: np.ndarray, core: Permutation) -> Permutation:
     0-based points ``fixed``, in any order, and acts as ``core`` on the
     other points, relabeled order-preservingly; the inverse of
     ``remove_fixed_points``. A point outside 0..n-1, or given twice, is an
-    error. When the core states its cycle counts, so does the result."""
+    error. The result states the core's runs, if it states any, and (1, m)."""
     n = fixed.shape[0] + core.n
     if fixed.shape[0] and (fixed.min() < 0 or fixed.max() >= n):
         raise ValueError(f"fixed points outside 0..{n - 1}")
@@ -183,9 +190,5 @@ def plant_fixed_points(fixed: np.ndarray, core: Permutation) -> Permutation:
     out = np.empty(n, dtype=np.int64)
     out[fixed] = fixed
     out[rest] = rest[core.zero_based]
-    counts = None
-    if core._counts is not None:
-        cycles, fixed_points, two = core._counts
-        m = fixed.shape[0]
-        counts = (cycles + m, fixed_points + m, two)
-    return Permutation.from_zero_based(out, counts)
+    runs = None if core._runs is None else (*core._runs, 1, fixed.shape[0])
+    return Permutation.from_zero_based(out, runs)

@@ -8,11 +8,11 @@ drawn first (or is deterministic) and the class is filled exchangeably.
 
 A draw that lays out a cycle type (n-cycles, matchings, involutions, the
 ``uniform_in_cycle_type`` regime and ``sample_in_cycle_type``) gives its
-cycles as (length, count) runs to
-``_kernels.lay_out_cycles``, which shuffles and lays them out in one
-compiled call that reads the PCG64 stream exactly as ``rng.permutation(n)``
-does, so every seeded draw is numpy's; other bit generators and the
-pure-Python backend take numpy's shuffle itself.
+cycles as (length, count) runs to ``_kernels.lay_out_cycles``, which
+shuffles and lays them out in one compiled call that reads the PCG64 stream
+exactly as ``rng.permutation(n)`` does, so every seeded draw is numpy's;
+other bit generators and the pure-Python backend take numpy's shuffle
+itself. A regime's draw states its runs, which ``perm.cycle_type`` folds.
 """
 
 from __future__ import annotations
@@ -145,15 +145,10 @@ class RegimeSpec:
                 raise ValueError(f"fix_rule {self.fix_rule} needs a whole number {key}, "
                                  f"got {getattr(self, key)}")
         if self.cycle_type is not None:
-            # the class's (length, count) runs, size and (cycles, 1s, 2s),
-            # worked out once, not on every draw; cycle_type is weakly
-            # decreasing, so its runs lay its cycles out in the same order
-            # as one run a part
-            counts = Counter(self.cycle_type)
-            runs = tuple(v for run in counts.items() for v in run)
-            size = sum(length * count for length, count in counts.items())
-            object.__setattr__(self, "_cycle_runs", (runs, size, (len(self.cycle_type),
-                                                                   counts[1], counts[2])))
+            # the class's runs and size, worked out once, not every draw; the parts
+            # weakly decrease, so the runs lay cycles out in the order parts would
+            runs = tuple(v for run in Counter(self.cycle_type).items() for v in run)
+            object.__setattr__(self, "_cycle_runs", (runs, sum(self.cycle_type)))
 
     def fix_count(self, n: int) -> int:
         """The fixed points a draw at size n plants: the rule's target clamped
@@ -209,26 +204,22 @@ def sample_in_cycle_type(lengths: Sequence[int], rng: np.random.Generator) -> Pe
     Draws a uniform arrangement of 0..n-1 and fills cycles of the given
     lengths left to right, in the order given; every class member arises from
     the same number of arrangements, so the result is exactly uniform in the class.
-    The draw states its cycle counts, read off the lengths.
+    It states no runs, as folding one run a part costs more than a walk.
     """
     lengths = np.asarray(lengths)
     if lengths.ndim != 1 or lengths.size and (lengths.dtype.kind not in "iu" or lengths.min() < 1):
         raise ValueError(f"cycle lengths must be positive integers, got {lengths.tolist()}")
-    lengths = lengths.astype(np.int64, copy=False)
-    ones, twos = int(np.count_nonzero(lengths == 1)), int(np.count_nonzero(lengths == 2))
     # each length a run of one cycle: a run-length code would cost more
     # than the draw at small n
     runs = np.ones(2 * lengths.size, dtype=np.int64)
     runs[0::2] = lengths
-    return _lay_out_cycles(runs, int(lengths.sum()), (lengths.size, ones, twos), rng)
+    return Permutation.from_zero_based(lay_out_cycles(runs, int(lengths.sum()), rng))
 
 
-def _lay_out_cycles(runs, n: int, counts: tuple[int, int, int],
-                    rng: np.random.Generator) -> Permutation:
-    """The draw of ``sample_in_cycle_type`` for the cycles of ``runs``, a flat
-    sequence of (length, count) pairs of positive lengths whose lengths times
-    counts sum to n, stating ``counts``, the (cycles, 1s, 2s) of those cycles."""
-    return Permutation.from_zero_based(lay_out_cycles(runs, n, rng), counts)
+def _lay_out_cycles(runs: tuple[int, ...], n: int, rng: np.random.Generator) -> Permutation:
+    """``sample_in_cycle_type``'s draw of the cycles of ``runs``, flat (length,
+    count) pairs of positive lengths tiling n, stating those runs."""
+    return Permutation.from_zero_based(lay_out_cycles(runs, n, rng), runs)
 
 
 # bounded, as an entry holds n/2 + 1 floats (4 MB at n = 1e6)
@@ -252,24 +243,22 @@ def sample_uniform_involution(n: int, rng: np.random.Generator) -> Permutation:
 
     The number k of 2-cycles is drawn with weight n! / (k! 2^k (n-2k)!),
     computed as log-weights and normalized exactly by summation; the draw
-    is an inverse-CDF lookup, no rejection. The draw states its cycle
-    counts: n - k cycles, n - 2k fixed points and k 2-cycles.
+    is an inverse-CDF lookup, no rejection.
     """
     cdf = _involution_cdf(n)
     k = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-    return _lay_out_cycles((2, k, 1, n - 2 * k), n, (n - k, n - 2 * k, k), rng)
+    return _lay_out_cycles((2, k, 1, n - 2 * k), n, rng)
 
 
 def sample_fpf_involution(n: int, rng: np.random.Generator) -> Permutation:
     """Uniform fixed-point-free involution (uniform perfect matching).
 
     A uniform arrangement paired off consecutively is exactly uniform over
-    matchings: each matching has (n/2)! 2^(n/2) preimages. The draw states
-    its cycle counts: n/2 cycles, all of them 2-cycles.
+    matchings: each matching has (n/2)! 2^(n/2) preimages.
     """
     if n % 2 != 0:
         raise ValueError(f"parity: fixed-point-free involutions need even n, got {n}")
-    return _lay_out_cycles((2, n // 2), n, (n // 2, 0, n // 2), rng)
+    return _lay_out_cycles((2, n // 2), n, rng)
 
 
 def _sample_derangement(n: int, rng: np.random.Generator) -> Permutation:
@@ -288,14 +277,14 @@ def _sample_derangement(n: int, rng: np.random.Generator) -> Permutation:
 
 def _sample_n_cycle(n: int, rng: np.random.Generator) -> Permutation:
     """Uniform over the n-cycles (the empty permutation at n = 0)."""
-    return _lay_out_cycles((n, 1) if n else (), n, (int(n > 0), int(n == 1), int(n == 2)), rng)
+    return _lay_out_cycles((n, 1) if n else (), n, rng)
 
 
 def _sample_given_cycle_type(spec: RegimeSpec, n: int, rng: np.random.Generator) -> Permutation:
-    runs, size, counts = spec._cycle_runs
+    runs, size = spec._cycle_runs
     if size != n:
         raise ValueError(f"cycle_type sums to {size}, expected n={n}")
-    return _lay_out_cycles(runs, n, counts, rng)
+    return _lay_out_cycles(runs, n, rng)
 
 
 def _sample_composite(spec: RegimeSpec, n: int, rng: np.random.Generator) -> Permutation:
@@ -307,40 +296,40 @@ def _sample_composite(spec: RegimeSpec, n: int, rng: np.random.Generator) -> Per
     return plant_fixed_points(fixed, CORES[spec.core][1](n - m, rng))
 
 
-def _composite_draws(spec: RegimeSpec, n: int, parts: tuple[int, ...]) -> bool:
-    """Exactly ``spec.fix_count(n)`` parts are 1, and the core draws the others."""
-    m = spec.fix_count(n)
-    return parts.count(1) == m and CORES[spec.core][3](parts[:len(parts) - m])
+def _composite_draws(spec: RegimeSpec, n: int, ct: dict[int, int]) -> bool:
+    """Exactly ``spec.fix_count(n)`` fixed points, and the core draws the rest."""
+    return ct.get(1, 0) == spec.fix_count(n) and CORES[spec.core][3](
+        {length: count for length, count in ct.items() if length != 1})
 
 
-# n-cycles, matchings and uniform involutions know their runs and counts in
-# closed form, and a uniform_in_cycle_type spec holds its own, so every
-# cycle-type regime lays its cycles out through _lay_out_cycles; the public
-# sample_in_cycle_type, for lengths in any order, is in no table. Every
+# n-cycles, matchings and uniform involutions know their runs in closed
+# form and a uniform_in_cycle_type spec holds its own, so every cycle-type
+# regime lays them out through _lay_out_cycles, and its draws state them; the
+# public sample_in_cycle_type, for lengths in any order, is in no table. Every
 # regime is uniform on the permutations of the cycle types it draws, each
-# given as its weakly decreasing parts.
+# given as ``perm.cycle_type``'s dict, cycle length -> count.
 # core -> (the keys it reads, its sampler on k elements, whether it can live
 # on k elements, whether it draws a cycle type of k)
 CORES = {
     # a lone leftover element would be a fixed point, not a core
-    "n_cycle": ((), _sample_n_cycle, lambda k: k != 1, lambda parts: len(parts) <= 1),
+    "n_cycle": ((), _sample_n_cycle, lambda k: k != 1, lambda ct: sum(ct.values()) <= 1),
     "fpf_involution": ((), sample_fpf_involution, lambda k: k % 2 == 0,
-                       lambda parts: set(parts) <= {2}),
+                       lambda ct: ct.keys() <= {2}),
     "uniform_derangement": ((), _sample_derangement, lambda k: k != 1,
-                            lambda parts: 1 not in parts),
+                            lambda ct: 1 not in ct),
 }
 # ensemble -> (the keys it reads besides ensemble, its sampler (spec, n, rng),
-# whether it draws a cycle type at n (spec, n, parts))
+# whether it draws a cycle type at n (spec, n, ct))
 ENSEMBLES = {
-    "uniform": ((), lambda spec, n, rng: sample_uniform(n, rng), lambda spec, n, parts: True),
+    "uniform": ((), lambda spec, n, rng: sample_uniform(n, rng), lambda spec, n, ct: True),
     "uniform_involution": ((), lambda spec, n, rng: sample_uniform_involution(n, rng),
-                           lambda spec, n, parts: set(parts) <= {1, 2}),
+                           lambda spec, n, ct: ct.keys() <= {1, 2}),
     "fpf_involution": ((), lambda spec, n, rng: sample_fpf_involution(n, rng),
-                       lambda spec, n, parts: set(parts) <= {2}),
+                       lambda spec, n, ct: ct.keys() <= {2}),
     "n_cycle": ((), lambda spec, n, rng: _sample_n_cycle(n, rng),
-                lambda spec, n, parts: len(parts) <= 1),
+                lambda spec, n, ct: sum(ct.values()) <= 1),
     "uniform_in_cycle_type": (("cycle_type",), _sample_given_cycle_type,
-                              lambda spec, n, parts: parts == spec.cycle_type),
+                              lambda spec, n, ct: ct == Counter(spec.cycle_type)),
     "composite": (("core", "fix_rule"), _sample_composite, _composite_draws),
 }
 # regime key -> the table whose entries are the values it may take

@@ -176,6 +176,19 @@ def suite_convention(seed: int = 0) -> dict:
 SAMPLERS_ALPHA = 1e-3
 
 
+def _support(spec: RegimeSpec, n: int) -> np.ndarray:
+    """The words of S_n, in lexicographic order, of the cycle types spec draws:
+    one walk of all of S_n, word k on the points from k * n; each type tested once."""
+    words = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    lengths = cycle_lengths((words + n * np.arange(len(words))[:, None]).ravel())
+    cells = (np.cumsum(lengths) - lengths) // max(n, 1) * (n + 1) + lengths
+    types, which = np.unique(np.bincount(cells, minlength=words.size + len(words))
+                             .reshape(len(words), n + 1), axis=0, return_inverse=True)
+    row_test = ENSEMBLES[spec.ensemble][2]
+    tested = [row_test(spec, n, {k: c for k, c in enumerate(row) if c}) for row in types.tolist()]
+    return words[np.array(tested)[which.ravel()]]
+
+
 def regime_chi_square(spec: RegimeSpec, n: int, draws: int, rng: np.random.Generator) -> dict:
     """``draws`` draws of spec at size n against its exact law, uniform on the
     permutations of S_n whose cycle type its regime-table row says it draws,
@@ -191,10 +204,7 @@ def regime_chi_square(spec: RegimeSpec, n: int, draws: int, rng: np.random.Gener
     # this module.
     from scipy.special import gammaincinv
 
-    draws_type = ENSEMBLES[spec.ensemble][2]
-    words = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    support = [tuple(w.tolist()) for w in words
-               if draws_type(spec, n, tuple(sorted(cycle_lengths(w), reverse=True)))]
+    support = [tuple(w) for w in _support(spec, n).tolist()]
     drawn = Counter(tuple(sample_regime(spec, n, rng).zero_based.tolist()) for _ in range(draws))
     observed = np.array([drawn[w] for w in support], dtype=np.float64)
     expected = draws / len(support)

@@ -33,43 +33,42 @@ def _patch_row(table: dict, key: str, sampler) -> AbstractContextManager:
 
 def leaky_matching_core(rate: float = 0.02) -> AbstractContextManager:
     """The matching core opens one pair in ``rate`` of its draws, stating
-    the true counts of what it drew."""
+    the true runs of what it drew."""
     sample = samplers.CORES["fpf_involution"][1]
 
     def leaky(k, rng):
         p = sample(k, rng)
         if k == 0 or rng.random() >= rate:
             return p
-        cycles, _, two = p._counts
-        return Permutation.from_zero_based(_open_a_pair(p, rng), (cycles + 1, 2, two - 1))
+        return Permutation.from_zero_based(_open_a_pair(p, rng), (2, k // 2 - 1, 1, 2))
 
     return _patch_row(samplers.CORES, "fpf_involution", leaky)
 
 
 def matchings_open_a_pair(rate: float = 0.02) -> AbstractContextManager:
     """The matching ensemble opens one pair in ``rate`` of its draws, stating
-    the counts of the matching it opened."""
+    the runs of the matching it opened."""
     sample = samplers.ENSEMBLES["fpf_involution"][1]
 
     def opened(spec, n, rng):
         p = sample(spec, n, rng)
         if n == 0 or rng.random() >= rate:
             return p
-        return Permutation.from_zero_based(_open_a_pair(p, rng), p._counts)
+        return Permutation.from_zero_based(_open_a_pair(p, rng), p._runs)
 
     return _patch_row(samplers.ENSEMBLES, "fpf_involution", opened)
 
 
 def split_n_cycles(rate: float = 0.05) -> AbstractContextManager:
     """The n-cycle ensemble draws an (n - n // 2, n // 2) class in ``rate``
-    of its draws at n >= 2, stating the counts of one n-cycle."""
+    of its draws at n >= 2, stating the runs of one n-cycle."""
     sample = samplers.ENSEMBLES["n_cycle"][1]
 
     def split(spec, n, rng):
         if n < 2 or rng.random() >= rate:
             return sample(spec, n, rng)
         p = samplers.sample_in_cycle_type((n - n // 2, n // 2), rng)
-        return Permutation.from_zero_based(p.zero_based, (1, 0, int(n == 2)))
+        return Permutation.from_zero_based(p.zero_based, (n, 1))
 
     return _patch_row(samplers.ENSEMBLES, "n_cycle", split)
 

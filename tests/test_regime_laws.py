@@ -9,16 +9,23 @@ alpha = 1e-3. A healthy build fails a seed with probability
 1 - (1 - 1e-3)^30, about 3%; the seeds here are fixed.
 
 The structure test takes 50 draws of every golden regime at n = 1000 and
-checks each by a scan of its word: its cycle type is one its row says it
-draws, and the counts it states, when it states any, are the scanned ones.
+checks each by a walk of its word: its cycle type is one its row says it
+draws, and the type it states, when it states runs, is the walked one.
+
+The law test's support, every word of S_n whose cycle type the row says
+it draws, comes from one walk of all of S_n; it is checked against the
+support built word by word at every n up to 6 where the regime draws.
 """
 
+import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 from test_golden import CASES, FIX_RULE_PARAMS
 
-from permshape._kernels import cycle_lengths, cycle_scan
+from permshape import verify
+from permshape.perm import Permutation, cycle_type
 from permshape.samplers import CORES, ENSEMBLES, RegimeSpec, derive_rng, sample_regime
 from permshape.verify import regime_chi_square
 
@@ -62,11 +69,11 @@ def structure_failures(label: str) -> list[str]:
     failures = []
     for k in range(STRUCTURE_DRAWS):
         p = sample_regime(spec, n, rng)
-        parts = tuple(sorted(cycle_lengths(p.zero_based), reverse=True))
-        if not ENSEMBLES[spec.ensemble][2](spec, n, parts):
-            failures.append(f"draw {k}: cycle type {parts[:8]}... is not drawn")
-        if p._counts is not None and p._counts != cycle_scan(p.zero_based):
-            failures.append(f"draw {k}: states {p._counts}, scans {cycle_scan(p.zero_based)}")
+        walked = cycle_type(Permutation.from_zero_based(p.zero_based))
+        if not ENSEMBLES[spec.ensemble][2](spec, n, walked):
+            failures.append(f"draw {k}: cycle type {walked} is not drawn")
+        if p._runs is not None and cycle_type(p) != walked:
+            failures.append(f"draw {k}: states {cycle_type(p)}, walks {walked}")
     return failures
 
 
@@ -87,3 +94,18 @@ def test_every_regime_draws_its_law(label):
 @pytest.mark.parametrize("label", STRUCTURE_CASES)
 def test_every_regime_draws_its_structure_at_scale(label):
     assert structure_failures(label) == []
+
+
+@pytest.mark.parametrize("label", LAW_CASES)
+def test_the_one_walk_support_is_the_word_by_word_one(label):
+    spec, _ = LAW_CASES[label]
+    row_test = ENSEMBLES[spec.ensemble][2]
+    for n in range(7):
+        try:
+            sample_regime(spec, n, derive_rng(47, n))
+        except ValueError:  # the regime does not draw at n
+            continue
+        words = [np.array(w, dtype=np.int64) for w in itertools.permutations(range(n))]
+        want = [w.tolist() for w in words
+                if row_test(spec, n, cycle_type(Permutation.from_zero_based(w)))]
+        assert verify._support(spec, n).tolist() == want, n

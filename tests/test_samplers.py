@@ -8,7 +8,7 @@ from scipy.stats import chi2
 from test_golden import CASES, TRIALS
 
 from permshape._kernels import cycle_scan
-from permshape.perm import Permutation, cycle_stats
+from permshape.perm import Permutation, cycle_stats, cycle_type
 from permshape.samplers import (
     CORES,
     ENSEMBLES,
@@ -57,9 +57,15 @@ FIX_RULE_PARAMS = {
 }
 
 
+def walked_type(p):
+    """The cycle type of p's word by a walk, whatever runs p states."""
+    return cycle_type(Permutation.from_zero_based(p.zero_based))
+
+
 def scanned_stats(p):
     """cycle_stats(p), checked against a scan of the word: a draw may state
-    its counts, and then they must be the ones its word has."""
+    its runs, and then its whole cycle type must be the one its word has."""
+    assert cycle_type(p) == walked_type(p)
     cs = cycle_stats(p)
     assert (cs.num_cycles, cs.fixed_points, cs.two_cycles) == cycle_scan(p.zero_based)
     return cs
@@ -377,19 +383,21 @@ def test_any_order_of_cycle_lengths_is_numpys_shuffle(lengths, pending):
                                         (1,) * 7, (3,) * 5000 + (1,) * 15000])
 def test_class_regime_draws_as_its_parts_do(cycle_type, pending):
     # the spec lays out its (length, count) runs, worked out once, as
-    # sample_in_cycle_type lays out the parts one by one, and states the
-    # same counts
+    # sample_in_cycle_type lays out the parts one by one; the spec's draw
+    # states its runs, the other is walked, and their statistics agree
     spec = RegimeSpec(ensemble="uniform_in_cycle_type", cycle_type=cycle_type)
     for seed in range(5):
         assert_draws_match(lambda n, rng: sample_regime(spec, n, rng),
                            lambda n, rng: sample_in_cycle_type(cycle_type, rng).zero_based,
                            sum(cycle_type), seed, pending)
         p = sample_regime(spec, sum(cycle_type), derive_rng(seed))
-        assert p._counts == sample_in_cycle_type(cycle_type, derive_rng(seed))._counts
+        q = sample_in_cycle_type(cycle_type, derive_rng(seed))
+        assert p._runs is not None and q._runs is None
+        assert cycle_stats(p) == cycle_stats(q)
 
 
 # the ensembles, and the cores of composite ones, whose draws lay out a cycle
-# type and so state its counts
+# type and so state its runs
 STATING_ENSEMBLES = {"uniform_involution", "fpf_involution", "n_cycle", "uniform_in_cycle_type"}
 STATING_CORES = {"n_cycle", "fpf_involution"}
 
@@ -405,7 +413,7 @@ def test_stated_counts_match_the_scan(label):
                 p = sample_regime(spec, n, derive_rng(7, n, trial))
             except ValueError:
                 continue
-            assert (p._counts is not None) == states
+            assert (p._runs is not None) == states
             scanned_stats(p)
 
 

@@ -194,6 +194,8 @@ class CountingLibrary:
     ("greene", [{"seed": 0}, {"seed": 1}], {"ps_shape_batch": 1, "ps_greene_batch": 1}),
     ("fixpoint", [{"draws": 20}, {"draws": 200}], {"ps_shape_batch": 2}),
     ("profile-bound", [{"pairs": 20}, {"pairs": 200}], {"ps_shape_batch": 1}),
+    # one walk of all of S_n a case, whatever the draws
+    ("samplers", [{"draws": 10}, {"draws": 100}], {"ps_cycle_scan": 6}),
 ])
 def test_exact_suites_make_the_same_kernel_calls_at_any_size(monkeypatch, suite, sizes, calls):
     # each suite peels and scans its words as one batch, so a kernel call
