@@ -24,13 +24,7 @@ import numpy as np
 from ._kernels import greene_invariants, insertion_shape_batch
 from .diagram import YoungDiagram, widen
 from .perm import Permutation
-from .shape_geom import (
-    bound_dominates_distance_batch,
-    profile_distance_bound,
-    profile_distance_bound_batch,
-    sup_profile_distance,
-    sup_profile_distance_batch,
-)
+from .shape_geom import profile_pairs_batch
 
 @dataclass(frozen=True)
 class GreeneReport:
@@ -213,17 +207,16 @@ class ProfileBoundCheck(BatchCheck):
 def check_profile_distance_bound_batch(a_parts: np.ndarray,
                                        b_parts: np.ndarray) -> ProfileBoundCheck:
     """``check_profile_distance_bound`` of each pair of a batch of
-    zero-padded part tables. A passing pair's witness is its slack; a failing
-    pair's names both diagrams, with the distance and the bound."""
-    slack = (profile_distance_bound_batch(a_parts, b_parts)
-             - sup_profile_distance_batch(a_parts, b_parts))
-    ok = bound_dominates_distance_batch(a_parts, b_parts)
+    zero-padded part tables, all read off one ``profile_pairs_batch`` pass. A
+    passing pair's witness is its slack; a failing pair's names both
+    diagrams, with the distance and the bound."""
+    distance, bound, ok = profile_pairs_batch(a_parts, b_parts)
+    slack = bound - distance
 
     def witness(k: int) -> dict:
         if ok[k]:
             return {"slack": float(slack[k])}
-        a, b = _diagram(a_parts[k]), _diagram(b_parts[k])
-        return {"a": a.to_text(), "b": b.to_text(), "distance": sup_profile_distance(a, b),
-                "bound": profile_distance_bound(a, b)}
+        return {"a": _diagram(a_parts[k]).to_text(), "b": _diagram(b_parts[k]).to_text(),
+                "distance": float(distance[k]), "bound": float(bound[k])}
 
     return ProfileBoundCheck(ok, witness, slack)

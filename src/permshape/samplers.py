@@ -17,10 +17,10 @@ itself. A regime's draw states its runs, which ``perm.cycle_type`` folds.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
@@ -146,9 +146,13 @@ class RegimeSpec:
                                  f"got {getattr(self, key)}")
         if self.cycle_type is not None:
             # the class's runs and size, worked out once, not every draw; the parts
-            # weakly decrease, so the runs lay cycles out in the order parts would
-            runs = tuple(v for run in Counter(self.cycle_type).items() for v in run)
-            object.__setattr__(self, "_cycle_runs", (runs, sum(self.cycle_type)))
+            # weakly decrease, so a bisection finds where each part's run ends
+            parts, runs, start = self.cycle_type, [], 0
+            while start < len(parts):
+                end = bisect.bisect_right(parts, -parts[start], start, key=operator.neg)
+                runs += (parts[start], end - start)
+                start = end
+            object.__setattr__(self, "_cycle_runs", (tuple(runs), sum(parts)))
 
     def fix_count(self, n: int) -> int:
         """The fixed points a draw at size n plants: the rule's target clamped
@@ -329,7 +333,8 @@ ENSEMBLES = {
     "n_cycle": ((), lambda spec, n, rng: _sample_n_cycle(n, rng),
                 lambda spec, n, ct: sum(ct.values()) <= 1),
     "uniform_in_cycle_type": (("cycle_type",), _sample_given_cycle_type,
-                              lambda spec, n, ct: ct == Counter(spec.cycle_type)),
+                              lambda spec, n, ct: ct == dict(zip(spec._cycle_runs[0][::2],
+                                                                 spec._cycle_runs[0][1::2]))),
     "composite": (("core", "fix_rule"), _sample_composite, _composite_draws),
 }
 # regime key -> the table whose entries are the values it may take

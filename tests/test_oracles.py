@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from permshape import oracles
+from permshape import oracles, shape_geom
 from permshape._kernels import ALL_ROWS, concat_words, insertion_shape_batch
 from permshape.diagram import YoungDiagram
 from permshape.oracles import (
@@ -169,6 +169,12 @@ class TestFixedPointBounds:
         assert failures == (18 if shapes is drop_last_rows else 0)
 
 
+def every_verdict_fails(a_parts, b_parts):
+    """``profile_pairs_batch`` with every verdict False; distance and bound kept."""
+    distance, bound, dominates = shape_geom.profile_pairs_batch(a_parts, b_parts)
+    return distance, bound, np.zeros_like(dominates)
+
+
 class TestProfileDistanceBoundCheck:
     def test_identical(self):
         d = YoungDiagram((3, 2, 2))
@@ -181,14 +187,30 @@ class TestProfileDistanceBoundCheck:
         assert res.witness["slack"] == pytest.approx(0.0, abs=1e-12)
 
     def test_failure_reports_both_sides(self, monkeypatch):
-        monkeypatch.setattr(oracles, "bound_dominates_distance_batch",
-                            lambda a, b: np.zeros(len(a), dtype=bool))
+        monkeypatch.setattr(oracles, "profile_pairs_batch", every_verdict_fails)
         a, b = YoungDiagram((3, 1)), YoungDiagram((2, 2))
         res = check_profile_distance_bound(a, b)
         assert not res.ok
         assert res.witness == {"a": "3,1", "b": "2,2",
-                               "distance": oracles.sup_profile_distance(a, b),
-                               "bound": oracles.profile_distance_bound(a, b)}
+                               "distance": shape_geom.sup_profile_distance(a, b),
+                               "bound": shape_geom.profile_distance_bound(a, b)}
+
+    def test_a_failing_pair_of_a_batch_reports_its_own_values(self, monkeypatch):
+        # the two tables have their own widths and the pairs their own row
+        # counts; each witness holds its pair's one-pair values, bit for bit
+        monkeypatch.setattr(oracles, "profile_pairs_batch", every_verdict_fails)
+        rng = derive_rng(44)
+        tables = [insertion_shape_batch(*concat_words(
+            [sample_uniform(int(rng.integers(0, 301)), rng).zero_based for _ in range(1000)]))
+            for _ in range(2)]
+        assert tables[0].shape[1] != tables[1].shape[1]
+        check = oracles.check_profile_distance_bound_batch(*tables)
+        assert not check.ok.any()
+        for k in range(1000):
+            a, b = (YoungDiagram.from_parts(table[k][table[k] > 0]) for table in tables)
+            assert check.witness(k) == {"a": a.to_text(), "b": b.to_text(),
+                                        "distance": shape_geom.sup_profile_distance(a, b),
+                                        "bound": shape_geom.profile_distance_bound(a, b)}, k
 
     def test_random_fuzz(self):
         rng = derive_rng(43)

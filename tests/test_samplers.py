@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 from test_golden import CASES, TRIALS
@@ -458,6 +458,17 @@ class TestRegimeSpec:
         assert RegimeSpec.from_text(spec.to_text()) == spec
         with pytest.raises(ValueError, match="cycle_type"):
             RegimeSpec(ensemble="uniform_in_cycle_type", cycle_type=[2.5, 1])
+
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=60).map(
+        lambda parts: tuple(sorted(parts, reverse=True))))
+    @example((5,))
+    @example(tuple(range(40, 0, -1)))
+    @example((3,) * 5000 + (2,) + (1,) * 15000)
+    def test_runs_are_the_parts_counted_in_order(self, parts):
+        # the runs found by bisection on the weakly decreasing parts
+        spec = RegimeSpec(ensemble="uniform_in_cycle_type", cycle_type=parts)
+        counted = tuple(v for run in Counter(parts).items() for v in run)
+        assert spec._cycle_runs == (counted, sum(parts))
 
     @given(regime_kwargs())
     def test_constructor_and_text_accept_the_same_regimes(self, kwargs):

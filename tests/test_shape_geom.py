@@ -12,19 +12,17 @@ from permshape.samplers import derive_rng, sample_uniform
 from permshape.shape_geom import (
     SQRT2,
     bound_dominates_distance,
-    bound_dominates_distance_batch,
     height_profile,
     height_unit_cells,
     limit_curve,
     omega,
     profile_distance_bound,
-    profile_distance_bound_batch,
+    profile_pairs_batch,
     profile_rows,
     scaled_height_unit,
     scaled_kinks,
     scaled_sup_distance,
     sup_profile_distance,
-    sup_profile_distance_batch,
 )
 
 partitions = st.lists(st.integers(1, 15), max_size=12).map(
@@ -275,9 +273,7 @@ class TestPairwiseBatches:
         # the two tables have their own widths; every pair gets the exact
         # values of the one-pair functions and of a brute-force route
         a_parts, b_parts = _table([a for a, _ in pairs]), _table([b for _, b in pairs])
-        distance = sup_profile_distance_batch(a_parts, b_parts)
-        bound = profile_distance_bound_batch(a_parts, b_parts)
-        dominates = bound_dominates_distance_batch(a_parts, b_parts)
+        distance, bound, dominates = profile_pairs_batch(a_parts, b_parts)
         assert distance.shape == bound.shape == dominates.shape == (len(pairs),)
         for k, (a, b) in enumerate(pairs):
             gap, brute_bound, brute_dominates = _brute_gap_and_bound(a, b)

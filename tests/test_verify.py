@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from permshape import _kernels, samplers, shape_geom, verify
+from permshape import _kernels, oracles, samplers, shape_geom, verify
 from permshape.experiments import json_text
 from permshape.oracles import BatchCheck, ProfileBoundCheck
 from permshape.perm import Permutation
@@ -211,3 +211,18 @@ def test_exact_suites_make_the_same_kernel_calls_at_any_size(monkeypatch, suite,
                   if name not in ("ps_cycle_layout", "ps_pcg64_peek")}
         assert checks == calls, size
 
+
+@pytest.mark.parametrize("pairs, passes", [(20, 1), (200, 1), (verify.BATCH + 1, 2)])
+def test_profile_bound_makes_one_pair_pass_a_batch(monkeypatch, pairs, passes):
+    # the distance, the bound, the verdict and a witness all come off one
+    # profile_pairs_batch call a batch, so a pass made per pair, or twice a
+    # batch, shows as a count that grows
+    calls = []
+
+    def counted(a_parts, b_parts):
+        calls.append(len(a_parts))
+        return shape_geom.profile_pairs_batch(a_parts, b_parts)
+
+    monkeypatch.setattr(oracles, "profile_pairs_batch", counted)
+    assert run_suite("profile-bound", pairs=pairs)["ok"]
+    assert len(calls) == passes and sum(calls) == pairs
