@@ -2,10 +2,8 @@
  * for the LIS and LDS, banded row-peeling Schensted shape, the cycle walk,
  * and the Greene subset scan. Each keeps the integer semantics of the
  * pure-Python reference next to it (strict increase, i.e. bisect_left). The
- * caller allocates one scratch array per call for everything a kernel
- * writes, so no function here can fail, but for ps_cycle_layout, which
- * allocates its own arrangement when it is too long for the stack. The
- * shape and the Greene scan are
+ * caller allocates the arrays a kernel writes, so no function here
+ * allocates or can run out of memory. The shape and the Greene scan are
  * entered by batch: one call loops the kernel over many words, given as
  * their letters back to back and count + 1 offsets, and a single word is a
  * batch of one.
@@ -80,13 +78,13 @@
  * first and the high one buffered in the state. ps_cycle_layout does the
  * same on numpy's own state struct, in place, so nothing is copied in or
  * out; its loop takes one half a step, and a rejected candidate swaps a
- * slot with itself, so the draw costs no branch. The arrangement is held
- * as uint32_t, half the bytes numpy's int64 one takes. The cycles are laid
- * out in a second loop of the same call, which prefetches the word slot
- * it writes 16 elements on. On that Xeon writing the word inside the
- * shuffle loop took 18.2 ms at n = 1e6 against 7.4 ms for the two loops,
- * and drawing 32 indices ahead of the swaps with their slots prefetched
- * took the shuffle alone at 1e5 from 0.44 to 0.81 ms.
+ * slot with itself, so the draw costs no branch. The arrangement is the
+ * caller's n-slot uint32_t array, half the bytes numpy's int64 one takes.
+ * The cycles are laid out in a second loop of the same call, which
+ * prefetches the word slot it writes 16 elements on. On that Xeon writing
+ * the word inside the shuffle loop took 18.2 ms at n = 1e6 against 7.4 ms
+ * for the two loops, and drawing 32 indices ahead of the swaps with their
+ * slots prefetched took the shuffle alone at 1e5 from 0.44 to 0.81 ms.
  *
  * Why the shuffle takes its mask once a power of two: with the mask
  * ~0 >> clz(i) worked out every step, the clz, the mask, the compare and
@@ -107,7 +105,6 @@
  * its second inner loop while no gated workload draws above 1e5.
  */
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 /* First index i in [0, k) with tops[i] >= x, or k when there is none. The
@@ -536,8 +533,6 @@ __extension__ typedef unsigned __int128 u128;
 /* Slots of the arrangement ahead of the one laid out whose word slot is
  * prefetched. */
 #define LAYOUT_AHEAD 16
-/* The longest arrangement kept on the stack; a longer one is allocated. */
-#define LAYOUT_ON_STACK 1024
 
 /* One step of PCG64 XSL-RR: the LCG step, then the xor of the state's two
  * halves rotated right by its top six bits. */
@@ -556,13 +551,12 @@ static inline uint64_t pcg64_next(u128 *state, u128 inc)
  * arrangement left to right in the order given, and word[arr[k]] =
  * arr[k + 1] inside a cycle, its last element mapping to its first.
  * n <= 2^32, so every index is drawn from one 32-bit half and fits a
- * uint32_t. The caller holds the bit generator's lock. The arrangement is
- * the kernel's own, on the stack or allocated and freed here. Returns 0;
- * or, with the bit generator untouched, -2 when the runs do not tile n
- * (a length below 1, a count below 0, or lengths times counts that do not
- * sum to n) and -1 when the arrangement cannot be allocated. */
+ * uint32_t. The caller holds the bit generator's lock. arr: n slots, the
+ * arrangement. Returns 0; or, with the bit generator untouched, -2 when
+ * the runs do not tile n (a length below 1, a count below 0, or lengths
+ * times counts that do not sum to n). */
 int64_t ps_cycle_layout(void *bitgen, const int64_t *runs, int64_t nruns, int64_t n,
-                        int64_t *word)
+                        int64_t *word, uint32_t *arr)
 {
     int64_t total = 0;
     for (int64_t r = 0; r < nruns; r++) {
@@ -574,17 +568,13 @@ int64_t ps_cycle_layout(void *bitgen, const int64_t *runs, int64_t nruns, int64_
     }
     if (total != n)
         return -2;
-    uint32_t local[LAYOUT_ON_STACK + LAYOUT_AHEAD];
-    uint32_t *arr = n <= LAYOUT_ON_STACK ? local : malloc((size_t)(n + LAYOUT_AHEAD) * sizeof *arr);
-    if (arr == NULL)
-        return -1;
     struct np_pcg64_state *st = ((struct np_bitgen *)bitgen)->state;
     u128 pcg[2];
     memcpy(pcg, st->pcg, sizeof pcg);
     uint32_t upper = st->uinteger;
     int has_upper = st->has_uint32 != 0;
-    for (int64_t k = 0; k < n + LAYOUT_AHEAD; k++)
-        arr[k] = (uint32_t)(k < n ? k : 0);
+    for (int64_t k = 0; k < n; k++)
+        arr[k] = (uint32_t)k;
     /* Durstenfeld's shuffle, i = n-1 down to 1, each index drawn by numpy's
      * random_interval(i): a 32-bit half (the buffered upper one first, as
      * next_uint32 reads them) masked to the smallest 2^k - 1 >= i, redrawn
@@ -617,20 +607,20 @@ int64_t ps_cycle_layout(void *bitgen, const int64_t *runs, int64_t nruns, int64_
     memcpy(st->pcg, pcg, sizeof pcg[0]);
     st->has_uint32 = has_upper;
     st->uinteger = upper;
-    /* the word slots LAYOUT_AHEAD elements on are prefetched for writing;
-     * the pad past n names slot 0 */
-    int64_t start = 0;
+    /* the word slots LAYOUT_AHEAD elements on are prefetched for writing,
+     * up to the arrangement's last; a branch skips the rest (an index
+     * clamped to n - 1 ran about 1% slower at n = 1e6) */
+    int64_t start = 0, stop = n - LAYOUT_AHEAD;
     for (int64_t r = 0; r < nruns; r++) {
         int64_t len = runs[2 * r];
         for (int64_t c = runs[2 * r + 1]; c > 0; c--, start += len) {
             for (int64_t k = start; k < start + len; k++) {
-                __builtin_prefetch(word + arr[k + LAYOUT_AHEAD], 1);
+                if (k < stop)
+                    __builtin_prefetch(word + arr[k + LAYOUT_AHEAD], 1);
                 word[arr[k]] = arr[k + 1 < start + len ? k + 1 : start];
             }
         }
     }
-    if (arr != local)
-        free(arr);
     return 0;
 }
 

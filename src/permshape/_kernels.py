@@ -14,11 +14,11 @@ against. ``BACKEND`` names the one in use: ``"c"`` or ``"python"``, and
 All kernels read the permutation's own int64 array (``zero_based``), a plain
 numpy array, so they stay picklable across worker processes; any word but a
 flat int64 array is a ValueError on either backend. ``ALL_ROWS`` is the row
-limit that peels every row. Each wrapper allocates one int64 scratch array
-for everything its kernel writes and passes two raw addresses: that array's
-and the word's, which is read in place (a contiguous word is never copied).
-The scratch goes by ``_address`` (0.35 us on a 2-vCPU Xeon, ``arr.ctypes.data``
-0.8), the word by ``arr.ctypes.data``, as a ``Permutation``'s is read-only.
+limit that peels every row. No kernel allocates: a wrapper allocates what its
+kernel writes (one int64 scratch array, or the layout's word and uint32
+arrangement) and passes the addresses by ``_address`` (0.35 us on a 2-vCPU Xeon,
+``arr.ctypes.data`` 0.8); the word, read in place if contiguous, goes by
+``arr.ctypes.data``, as a ``Permutation``'s is read-only.
 
 The shape peel and the Greene scan also take a batch of words, their
 letters back to back and the offsets that cut them (``concat_words``):
@@ -56,7 +56,7 @@ import numpy as np
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 
-# Every buffer is passed as the address of a contiguous int64 array
+# Every buffer is passed as the address of a contiguous array
 # (``_address`` or arr.ctypes.data). The caller keeps the array bound to a
 # name until the call returns: an address does not keep its array alive.
 _ptr = ctypes.c_void_p
@@ -66,7 +66,7 @@ _SIGNATURES = {
     "ps_shape_batch": ([_ptr, _i64, _i64, _i64, _ptr], _i64),
     "ps_cycle_scan": ([_ptr, _i64, _ptr], _i64),
     "ps_greene_batch": ([_ptr, _i64, _i64, _ptr], None),
-    "ps_cycle_layout": ([_ptr, _ptr, _i64, _i64, _ptr], _i64),
+    "ps_cycle_layout": ([_ptr, _ptr, _i64, _i64, _ptr, _ptr], _i64),
     "ps_pcg64_peek": ([_ptr, _ptr], None),
 }
 # the letters the Greene scan's fixed pile arrays hold (GREENE_MAX_N in _kernels.c)
@@ -510,12 +510,11 @@ def lay_out_cycles(runs, n: int, rng: np.random.Generator) -> np.ndarray:
     last to its first.
 
     With a PCG64 generator (exactly ``np.random.PCG64``) the compiled kernel
-    shuffles and lays out in one call, reading and advancing the generator's
-    state in place under its lock: word and state are numpy's. Its
-    arrangement is its own, freed before it returns, so the word is the one
-    n-slot array left. Other bit generators, n above 2**32 and the
-    pure-Python backend take numpy's shuffle (``_lay_out_cycles_py``), the
-    reference.
+    shuffles into an n-slot uint32 arrangement made here and lays out in one
+    call, reading and advancing the generator's state in place under its
+    lock: word and state are numpy's. Other bit generators, n above 2**32
+    and the pure-Python backend take numpy's shuffle (``_lay_out_cycles_py``),
+    the reference.
     """
     lib = _library()
     bit_generator = rng.bit_generator
@@ -525,13 +524,12 @@ def lay_out_cycles(runs, n: int, rng: np.random.Generator) -> np.ndarray:
     packed = (np.ascontiguousarray(runs, dtype=np.int64).tobytes() if isinstance(runs, np.ndarray)
               else _int64_packer(len(runs))(*runs))
     word = np.empty(n, dtype=np.int64)
+    arr = np.empty(n, dtype=np.uint32)  # the arrangement, let go on return
     with bit_generator.lock:
         failed = lib.ps_cycle_layout(_bitgen_pointer(bit_generator.capsule, b"BitGenerator"),
-                                     packed, len(packed) // 16, n, _address(word))
-    if failed == -2:
-        _check_runs(runs, n)  # raises the ValueError that names the runs
+                                     packed, len(packed) // 16, n, _address(word), _address(arr))
     if failed:
-        raise MemoryError(f"no room for the arrangement of {n} elements")
+        _check_runs(runs, n)  # raises the ValueError that names the runs
     return word
 
 

@@ -308,6 +308,8 @@ def _edge(v: float, k: int, n: int, theta: float) -> float:
 RESCALINGS = {
     "tw2": ("ell", lambda n, m: n - m, _edge),
     "tw1": ("ell", lambda n, m: n, _edge),
+    # matchings read -2.76 at n = 2000, -3.00 at 1e5 and -3.22 at 1e6: tw4
+    # nears F4's second normalisation, mean sqrt(2) * -2.3069 = -3.2624
     "tw4": ("lambda1", lambda n, m: n, _edge),
     "lln": ("ell", lambda n, m: n - m, lambda v, k, n, theta: v / math.sqrt(k)),
     "theta_log_l1": ("lambda1", lambda n, m: n,

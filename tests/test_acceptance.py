@@ -22,7 +22,7 @@ from permshape.experiments import (
     run_experiment,
     write_outputs,
 )
-from permshape.rsk import lis, schensted_shape
+from permshape.rsk import lis_lds, schensted_shape
 from permshape.samplers import RegimeSpec, derive_rng, sample_uniform
 from permshape.verify import (
     suite_convention,
@@ -146,7 +146,7 @@ def test_criterion_8_performance():
 
     p6 = sample_uniform(1_000_000, rng)
     t0 = time.perf_counter()
-    length = lis(p6)
+    length = lis_lds(p6)[0]
     lis_time = time.perf_counter() - t0
     assert 1500 < length < 2500  # sanity: about 2 sqrt(n)
 

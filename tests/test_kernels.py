@@ -3,9 +3,11 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from bisect import bisect_left
 from collections import Counter
 from pathlib import Path
@@ -725,6 +727,25 @@ def test_cycle_layout_is_numpys_shuffle(runs, n, pending):
         assert_layout_is_numpys(runs, n, seed, pending)
 
 
+@compiled
+def test_a_compiled_layout_leaves_only_its_word():
+    # the word is n int64 slots; the arrangement, n uint32 slots with no
+    # pad, is let go when the call returns
+    n = 10**6
+    rng = np.random.default_rng(6)
+    _kernels.lay_out_cycles((4, 1), 4, rng)  # loads the library, checks the state
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        word = _kernels.lay_out_cycles((n, 1), n, rng)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert word.shape == (n,)
+    assert 0 <= current - start - 8 * n <= 4096
+    assert peak - start <= 12 * n + 65536
+
+
 class PCG64Subclass(np.random.PCG64):
     pass
 
@@ -950,10 +971,20 @@ def test_failed_build_warns_with_the_compiler_errors(tmp_path, monkeypatch):
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
-def test_kernel_source_compiles_without_warnings():
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    # an object is built, as only code generation sizes the stack frames:
+    # the caller passes every array a kernel writes, so no frame is large
     done = subprocess.run(["cc", "-std=c11", "-Wall", "-Wextra", "-pedantic", "-Werror",
-                           "-fsyntax-only", str(_kernels._SOURCE)], capture_output=True, text=True)
+                           "-Wvla", "-Wframe-larger-than=1024", "-O2", "-c", "-o",
+                           str(tmp_path / "kernels.o"), str(_kernels._SOURCE)],
+                          capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_no_kernel_allocates():
+    # so no kernel can fail for want of memory
+    source = _kernels._SOURCE.read_text()
+    assert re.findall(r"\b(?:malloc|calloc|realloc|free|alloca)\s*\(", source) == []
 
 
 # the involution peel's edge words: involutions of n = 0, 1 and 2, the
@@ -1035,8 +1066,8 @@ print("ok")
 """
 
 # the layouts the sanitized children run: n = 0 to 3, the edges of the
-# shuffle's first mask buckets on the stack arrangement, and both sides of
-# the longest arrangement the kernel keeps on its stack
+# shuffle's first mask buckets, and n = 1000 and both sides of 1024, the
+# edge of a later one; each prefetches up to the arrangement's last slot
 SANITIZER_LAYOUTS = [(runs, n) for n in (0, 1, 2, 3, 4, 5, 7, 8, 9, 1000, 1023, 1024, 1025)
                      for runs in cycle_runs(n)] + OUT_OF_ORDER
 
