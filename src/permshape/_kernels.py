@@ -521,8 +521,13 @@ def lay_out_cycles(runs, n: int, rng: np.random.Generator) -> np.ndarray:
     if lib is None or type(bit_generator) is not np.random.PCG64 or n > 2**32 \
             or not _reads_pcg64(lib):
         return _lay_out_cycles_py(runs, n, rng)
-    packed = (np.ascontiguousarray(runs, dtype=np.int64).tobytes() if isinstance(runs, np.ndarray)
-              else _int64_packer(len(runs))(*runs))
+    if len(runs) % 2 or isinstance(runs, np.ndarray) and runs.dtype.kind not in "iu":
+        _check_runs(runs, n)  # raises: an odd count or a float is no runs
+    try:
+        packed = (np.ascontiguousarray(runs, dtype=np.int64).tobytes()
+                  if isinstance(runs, np.ndarray) else _int64_packer(len(runs))(*runs))
+    except struct.error:  # a value that is no int64
+        _check_runs(runs, n)  # raises
     word = np.empty(n, dtype=np.int64)
     arr = np.empty(n, dtype=np.uint32)  # the arrangement, let go on return
     with bit_generator.lock:
@@ -534,10 +539,13 @@ def lay_out_cycles(runs, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _check_runs(runs, n: int) -> np.ndarray:
-    """The runs as (length, count) rows; runs that do not tile n, with a
-    length below 1, a count below 0 or a sum other than n, are a ValueError."""
-    rows = np.asarray(runs, dtype=np.int64).reshape(-1, 2)
-    if (rows[:, 0] < 1).any() or (rows[:, 1] < 0).any() \
+    """The runs as (length, count) rows; runs that do not tile n, an odd
+    number of values, a value that is not an int, a length below 1, a count
+    below 0 or a sum other than n, are a ValueError."""
+    values = np.asarray(runs)
+    pairs = values.size % 2 == 0 and (values.dtype.kind in "iu" or values.size == 0)
+    rows = values.astype(np.int64).reshape(-1, 2) if pairs else values
+    if not pairs or (rows[:, 0] < 1).any() or (rows[:, 1] < 0).any() \
             or sum(length * count for length, count in rows.tolist()) != n:
         raise ValueError(f"cycle runs {np.ravel(runs).tolist()} do not tile n={n}")
     return rows

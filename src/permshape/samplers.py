@@ -226,18 +226,104 @@ def _lay_out_cycles(runs: tuple[int, ...], n: int, rng: np.random.Generator) -> 
     return Permutation.from_zero_based(lay_out_cycles(runs, n, rng), runs)
 
 
+# Stirling's series for log Γ(x) - the Stirling term, in powers of 1/x^2,
+# and log(2π)/2, as cephes lgam (S. L. Moshier) gives them
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LS2PI = 0.91893853320467274178
+# log Γ(x) = log (x - 1)! below 13, where cephes takes the log of the product
+_LGAM_SMALL = np.array([math.log(math.factorial(k)) for k in range(12)])
+
+
+def _log_gamma(start: int, stop: int) -> np.ndarray:
+    """log Γ(x) at the integers x = start..stop-1 (start >= 1), bit for bit as
+    scipy.special.gammaln gives it: the branch of cephes lgam that an integer
+    takes, with every log from math.log (math.lgamma, and np.log in its
+    place, differ in the last digit at many x)."""
+    x = np.arange(start, stop, dtype=np.float64)
+    # the ends of the branches x < 13, 13 <= x < 1000, 1000 <= x <= 1e8, x > 1e8
+    small, mid, big = (min(max(bound - start, 0), x.size) for bound in (13, 1000, 10**8 + 1))
+    q = np.empty_like(x)
+    q[:small] = _LGAM_SMALL[start - 1:start - 1 + small]
+    xs = x[small:]
+    logs = np.fromiter(map(math.log, xs.tolist()), np.float64, xs.size)
+    q[small:] = (xs - 0.5) * logs - xs + _LS2PI
+    p = 1.0 / (x * x)
+    series = _LGAM_A[0]
+    for a in _LGAM_A[1:]:
+        series = series * p[small:mid] + a
+    q[small:mid] += series / x[small:mid]
+    p = p[mid:big]
+    q[mid:big] += ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                   + 0.0833333333333333333333) / x[mid:big]
+    return q
+
+
+# log k! for k = 0, 1, ...: one table, grown by doubling as a CDF reaches past
+# its end and read by every CDF; write-protected, as they all share it
+_log_factorials = np.zeros(0)
+
+
+def _log_factorial_table(stop: int) -> np.ndarray:
+    """The table of log k!, grown to hold at least k = 0..stop-1."""
+    global _log_factorials
+    table = _log_factorials
+    if table.size < stop:
+        table = np.concatenate([table, _log_gamma(table.size + 1, max(stop, 2 * table.size) + 1)])
+        table.flags.writeable = False
+        _log_factorials = table
+    return table
+
+
+def _heavy_two_cycle_counts(n: int) -> tuple[int, int]:
+    """The range [lo, hi) of the 2-cycle counts k whose weight in
+    ``_involution_cdf(n)`` can be nonzero: e^x is 0 in double precision
+    below x = -745.2, so those within 800 of the heaviest in log, found by
+    bisection with math.lgamma on each side of the mode, as the weights are
+    log-concave in k."""
+    def logw(k: int) -> float:
+        return -math.lgamma(k + 1) - k * math.log(2.0) - math.lgamma(n - 2 * k + 1)
+
+    # the weight grows from k to k + 1 while (n - 2k)^2 >= n + 2
+    mode = (n - math.isqrt(n)) // 2
+    floor = logw(mode) - 800.0
+    lo = bisect.bisect_left(range(mode), True, key=lambda k: logw(k) >= floor)
+    hi = bisect.bisect_left(range(mode, n // 2 + 1), True, key=lambda k: logw(k) < floor)
+    return lo, mode + hi
+
+
+# Below this n a CDF weighs every k and reads every log factorial from the
+# table, which then holds n (32 KB here, built once in under 1 ms). From it
+# on, only the heavy k are weighed and the table holds log (n - 2k)! alone:
+# a table to n would cost 0.1 µs or more a log factorial, 0.2 s at n = 1e6
+# (2-vCPU Xeon).
+_WHOLE_TABLE_BELOW = 4096
+
+
 # bounded, as an entry holds n/2 + 1 floats (4 MB at n = 1e6)
 @functools.lru_cache(maxsize=64)
 def _involution_cdf(n: int) -> np.ndarray:
     """Unnormalized CDF, over k = 0..n/2, of the 2-cycle count of a uniform
-    involution of size n; read-only, as every caller shares it."""
-    # imported here, not at the top: scipy.special takes about 0.3 s to load,
-    # and only uniform-involution draws need it
-    from scipy.special import gammaln
+    involution of size n; read-only, as every caller shares it.
 
-    ks = np.arange(n // 2 + 1)
-    logw = gammaln(n + 1) - gammaln(ks + 1) - ks * math.log(2.0) - gammaln(n - 2 * ks + 1)
-    cdf = np.cumsum(np.exp(logw - logw.max()))
+    The log-weights are log n! - log k! - k log 2 - log (n - 2k)!, each log
+    factorial as ``_log_gamma`` gives it, so the CDF is bit for bit the one
+    scipy.special.gammaln gives. From n = ``_WHOLE_TABLE_BELOW`` on, only
+    the k of ``_heavy_two_cycle_counts`` are weighed and the rest weigh 0:
+    at n = 1e6 that is 1,201 of 500,001. Each log (n - 2k)! is read from the
+    shared table; log k! and log n! are too while the table holds n, and are
+    computed otherwise."""
+    lo, hi = _heavy_two_cycle_counts(n) if n >= _WHOLE_TABLE_BELOW else (0, n // 2 + 1)
+    table = _log_factorial_table(n - 2 * lo + 1)
+    ks = np.arange(lo, hi)
+    if n < table.size:
+        top, factorials = table[n], table[lo:hi]
+    else:
+        top, factorials = _log_gamma(n + 1, n + 2)[0], _log_gamma(lo + 1, hi + 1)
+    logw = top - factorials - ks * math.log(2.0) - table[n - 2 * lo::-2][:hi - lo]
+    weights = np.zeros(n // 2 + 1)
+    weights[lo:hi] = np.exp(logw - logw.max())
+    cdf = np.cumsum(weights)
     cdf.flags.writeable = False
     return cdf
 

@@ -189,6 +189,35 @@ def _support(spec: RegimeSpec, n: int) -> np.ndarray:
     return words[np.array(tested)[which.ravel()]]
 
 
+def _chi_square_tail(x: float, dof: int) -> float:
+    """P(X > x) for X chi-square with dof >= 1 degrees of freedom, in closed
+    form: e^(-x/2) times the sum of (x/2)^a / a! over a = 0, 1, .., dof/2 - 1
+    at even dof; erfc(sqrt(x/2)) plus that sum over a = 1/2, 3/2, .. at odd."""
+    half, a = x / 2, dof % 2 / 2
+    tail = math.erfc(math.sqrt(half)) if dof % 2 else 0.0
+    term = math.exp(-half) * half**a / math.gamma(a + 1)
+    for _ in range(dof // 2):
+        tail += term
+        a += 1
+        term *= half / a
+    return tail
+
+
+def chi_square_quantile(dof: int, alpha: float) -> float:
+    """The least double x whose chi-square tail at dof degrees of freedom is
+    at most alpha (0 < alpha < 1), by bisection on the closed-form tail:
+    within 1e-13 relative of scipy.stats.chi2.ppf(1 - alpha, dof)."""
+    lo, hi = 0.0, float(dof)
+    while _chi_square_tail(hi, dof) > alpha:
+        lo, hi = hi, 2 * hi
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        if _chi_square_tail(mid, dof) > alpha:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def regime_chi_square(spec: RegimeSpec, n: int, draws: int, rng: np.random.Generator) -> dict:
     """``draws`` draws of spec at size n against its exact law, uniform on the
     permutations of S_n whose cycle type its regime-table row says it draws,
@@ -196,14 +225,6 @@ def regime_chi_square(spec: RegimeSpec, n: int, draws: int, rng: np.random.Gener
     A draw outside the support makes the statistic infinite. A support of one
     permutation leaves no degree of freedom: the critical value is 0, so the
     test passes exactly when every draw is that permutation."""
-    # 2 * gammaincinv(dof / 2, 1 - alpha) is the expression scipy.stats.chi2.ppf
-    # evaluates (chi2_gen._ppf in scipy 1.17), so each critical value is
-    # bit-identical to chi2.ppf's; scipy.special.chdtri differs in the last
-    # digit. Loading scipy.stats for it would add about 47 MB and 0.75 s to
-    # the process. Imported here, not at the top, as every CLI call imports
-    # this module.
-    from scipy.special import gammaincinv
-
     support = [tuple(w) for w in _support(spec, n).tolist()]
     drawn = Counter(tuple(sample_regime(spec, n, rng).zero_based.tolist()) for _ in range(draws))
     observed = np.array([drawn[w] for w in support], dtype=np.float64)
@@ -212,7 +233,7 @@ def regime_chi_square(spec: RegimeSpec, n: int, draws: int, rng: np.random.Gener
     if observed.sum() < draws:  # a draw fell outside the support
         stat = math.inf
     dof = len(support) - 1
-    crit = float(2.0 * gammaincinv(dof / 2, 1.0 - SAMPLERS_ALPHA)) if dof else 0.0
+    crit = chi_square_quantile(dof, SAMPLERS_ALPHA) if dof else 0.0
     return {"family": spec.ensemble, "n": n, "ok": stat <= crit, "stat": stat, "crit": crit}
 
 

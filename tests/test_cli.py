@@ -346,22 +346,21 @@ def fresh_python(code, **env):
     return done.stdout.strip()
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.special takes about 0.3 s to import; only the samplers suite and
-    # uniform-involution draws need it. scipy.stats is never loaded.
-    code = ("import sys, permshape.cli; "
-            "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
-    assert fresh_python(code) == "False False"
-
-
-def test_samplers_suite_loads_scipy_special_but_not_scipy_stats():
-    # the chi-square critical values come from scipy.special.gammaincinv;
-    # scipy.stats would add about 47 MB and 0.75 s to the process
+def test_no_cli_call_loads_scipy(tmp_path):
+    # importing scipy.special, for log-gamma and chi-square quantiles, cost
+    # a process about 0.3 s and 20 MB; every suite, and uniform-involution
+    # draws on both sides of the CDF's whole-table bound, run without scipy
     code = ("import contextlib, io, sys, permshape.cli as cli\n"
+            "calls = [['verify', '--suite', 'greene'], ['verify', '--suite', 'convention'],\n"
+            "         ['verify', '--suite', 'fixpoint', '--draws', '20'],\n"
+            "         ['verify', '--suite', 'profile-bound', '--pairs', '20'],\n"
+            "         ['verify', '--suite', 'samplers', '--draws', '10', '--seed', '2'],\n"
+            "         ['experiment', '--ensemble', 'uniform_involution', '--n', '30,5000',\n"
+            f"          '--trials', '2', '--measurements', 'ell', '--out', {str(tmp_path)!r}]]\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = cli.main(['verify', '--suite', 'samplers', '--draws', '10', '--seed', '2'])\n"
-            "print(code, 'scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
-    assert fresh_python(code) == "0 False True"
+            "    codes = [cli.main(argv) for argv in calls]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert fresh_python(code) == "[0, 0, 0, 0, 0, 0] []"
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():

@@ -798,6 +798,23 @@ def test_runs_that_do_not_tile_n_are_refused(monkeypatch, backend, runs, n):
     assert rng.bit_generator.state == before
 
 
+@pytest.mark.parametrize("backend", ["c", "python"])
+@pytest.mark.parametrize("runs, n", [((3, 1, 5), 3), ((2.5, 2), 4), ((2.0, 2), 4)])
+def test_runs_of_odd_count_or_floats_are_refused(monkeypatch, backend, runs, n):
+    # the kernel would read (3, 1) and drop the 5, and an int64 cast would
+    # read 2.5 as 2: both tile n, so both are refused before any draw
+    if backend == "python":
+        monkeypatch.setattr(_kernels, "_library", lambda: None)
+    elif BACKEND != "c":
+        pytest.skip("compiled kernels unavailable")
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    for given in (runs, np.asarray(runs)):
+        with pytest.raises(ValueError, match="do not tile"):
+            _kernels.lay_out_cycles(given, n, rng)
+    assert rng.bit_generator.state == before
+
+
 @compiled
 def test_a_pcg64_state_read_wrong_takes_numpys_shuffle(monkeypatch):
     # as if numpy kept each 128-bit value high half first (its emulated

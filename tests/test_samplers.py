@@ -1,9 +1,11 @@
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 from scipy.stats import chi2
 from test_golden import CASES, TRIALS
 
@@ -24,6 +26,8 @@ from permshape.samplers import (
     sample_uniform,
     sample_uniform_involution,
     _involution_cdf,
+    _log_gamma,
+    _WHOLE_TABLE_BELOW,
 )
 
 
@@ -196,6 +200,29 @@ class TestSampleUniformInvolution:
             p = sample_uniform_involution(n, rng)
             z = p.zero_based
             assert z[z].tolist() == list(range(n))
+
+    # scipy.special.gammaln is the reference here alone: the package draws
+    # without scipy, and its port of cephes lgam must agree bit for bit
+    def test_log_gamma_is_gammaln_bit_for_bit(self):
+        assert np.array_equal(_log_gamma(1, 200_001), gammaln(np.arange(1.0, 200_001.0)))
+        # both sides of each bound of cephes lgam's branches
+        for bound in (13, 1000, 10**8):
+            start = max(bound - 50, 1)
+            got = _log_gamma(start, bound + 51)
+            assert np.array_equal(got, gammaln(np.arange(start, bound + 51.0))), bound
+
+    def test_cdf_is_the_gammaln_expression_bit_for_bit(self):
+        # every k weighed by gammaln, as the CDF was made before; n on both
+        # sides of the size from which only the heavy 2-cycle counts are
+        def reference(n):
+            ks = np.arange(n // 2 + 1)
+            logw = (gammaln(n + 1) - gammaln(ks + 1) - ks * math.log(2.0)
+                    - gammaln(n - 2 * ks + 1))
+            return np.cumsum(np.exp(logw - logw.max()))
+
+        edge = _WHOLE_TABLE_BELOW
+        for n in [*range(3001), edge - 1, edge, edge + 1, 10**5]:
+            assert np.array_equal(_involution_cdf(n), reference(n)), n
 
 
 class TestSampleFpfInvolution:

@@ -57,6 +57,22 @@ class TestSuites:
             expected = float(chi2.ppf(1.0 - verify.SAMPLERS_ALPHA, dof[family["family"]]))
             assert math.isclose(family["crit"], expected, rel_tol=1e-12), family
 
+    def test_chi_square_quantile_is_chi2_ppf(self):
+        from scipy.stats import chi2
+
+        dofs = np.arange(1, 720)
+        expected = chi2.ppf(1.0 - verify.SAMPLERS_ALPHA, dofs)
+        for dof, want in zip(dofs.tolist(), expected.tolist()):
+            got = verify.chi_square_quantile(dof, verify.SAMPLERS_ALPHA)
+            assert math.isclose(got, want, rel_tol=1e-13), dof
+
+    @pytest.mark.parametrize("dof", [1, 2, 5, 9, 23, 100])
+    @pytest.mark.parametrize("alpha", [0.5, 1e-3, 1e-12])
+    def test_chi_square_quantile_is_the_least_double_past_alpha(self, dof, alpha):
+        x = verify.chi_square_quantile(dof, alpha)
+        tail = verify._chi_square_tail
+        assert tail(x, dof) <= alpha < tail(math.nextafter(x, 0.0), dof)
+
     def test_run_suite_dispatch(self):
         assert run_suite("convention", seed=3)["suite"] == "convention"
         with pytest.raises(ValueError):
