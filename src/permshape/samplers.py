@@ -235,16 +235,15 @@ _LS2PI = 0.91893853320467274178
 _LGAM_SMALL = np.array([math.log(math.factorial(k)) for k in range(12)])
 
 
-def _log_gamma(start: int, stop: int) -> np.ndarray:
-    """log Γ(x) at the integers x = start..stop-1 (start >= 1), bit for bit as
-    scipy.special.gammaln gives it: the branch of cephes lgam that an integer
-    takes, with every log from math.log (math.lgamma, and np.log in its
-    place, differ in the last digit at many x)."""
-    x = np.arange(start, stop, dtype=np.float64)
+def _log_gamma(x: np.ndarray) -> np.ndarray:
+    """log Γ(x) at the ascending positive integers x (float64), bit for bit
+    as scipy.special.gammaln gives it: the branch of cephes lgam that an
+    integer takes, with every log from math.log (math.lgamma, and np.log in
+    its place, differ in the last digit at many x)."""
     # the ends of the branches x < 13, 13 <= x < 1000, 1000 <= x <= 1e8, x > 1e8
-    small, mid, big = (min(max(bound - start, 0), x.size) for bound in (13, 1000, 10**8 + 1))
+    small, mid, big = np.searchsorted(x, (13, 1000, 10**8 + 1)).tolist()
     q = np.empty_like(x)
-    q[:small] = _LGAM_SMALL[start - 1:start - 1 + small]
+    q[:small] = _LGAM_SMALL[x[:small].astype(np.intp) - 1]
     xs = x[small:]
     logs = np.fromiter(map(math.log, xs.tolist()), np.float64, xs.size)
     q[small:] = (xs - 0.5) * logs - xs + _LS2PI
@@ -269,7 +268,8 @@ def _log_factorial_table(stop: int) -> np.ndarray:
     global _log_factorials
     table = _log_factorials
     if table.size < stop:
-        table = np.concatenate([table, _log_gamma(table.size + 1, max(stop, 2 * table.size) + 1)])
+        grown = np.arange(table.size + 1, max(stop, 2 * table.size) + 1, dtype=np.float64)
+        table = np.concatenate([table, _log_gamma(grown)])
         table.flags.writeable = False
         _log_factorials = table
     return table
@@ -292,14 +292,6 @@ def _heavy_two_cycle_counts(n: int) -> tuple[int, int]:
     return lo, mode + hi
 
 
-# Below this n a CDF weighs every k and reads every log factorial from the
-# table, which then holds n (32 KB here, built once in under 1 ms). From it
-# on, only the heavy k are weighed and the table holds log (n - 2k)! alone:
-# a table to n would cost 0.1 µs or more a log factorial, 0.2 s at n = 1e6
-# (2-vCPU Xeon).
-_WHOLE_TABLE_BELOW = 4096
-
-
 # bounded, as an entry holds n/2 + 1 floats (4 MB at n = 1e6)
 @functools.lru_cache(maxsize=64)
 def _involution_cdf(n: int) -> np.ndarray:
@@ -308,18 +300,21 @@ def _involution_cdf(n: int) -> np.ndarray:
 
     The log-weights are log n! - log k! - k log 2 - log (n - 2k)!, each log
     factorial as ``_log_gamma`` gives it, so the CDF is bit for bit the one
-    scipy.special.gammaln gives. From n = ``_WHOLE_TABLE_BELOW`` on, only
-    the k of ``_heavy_two_cycle_counts`` are weighed and the rest weigh 0:
-    at n = 1e6 that is 1,201 of 500,001. Each log (n - 2k)! is read from the
-    shared table; log k! and log n! are too while the table holds n, and are
-    computed otherwise."""
-    lo, hi = _heavy_two_cycle_counts(n) if n >= _WHOLE_TABLE_BELOW else (0, n // 2 + 1)
+    scipy.special.gammaln gives. Only the k of ``_heavy_two_cycle_counts``
+    are weighed, and the rest weigh 0, as they would in double precision:
+    every k up to n = 327, 1,201 of 500,001 at n = 1e6. Each log
+    (n - 2k)! is read from the shared table; log k! and log n! are too while
+    the table holds n, and are computed otherwise."""
+    lo, hi = _heavy_two_cycle_counts(n)
     table = _log_factorial_table(n - 2 * lo + 1)
     ks = np.arange(lo, hi)
     if n < table.size:
         top, factorials = table[n], table[lo:hi]
     else:
-        top, factorials = _log_gamma(n + 1, n + 2)[0], _log_gamma(lo + 1, hi + 1)
+        x = np.arange(lo + 1, hi + 2, dtype=np.float64)
+        x[-1] = n + 1
+        logs = _log_gamma(x)
+        top, factorials = logs[-1], logs[:-1]
     logw = top - factorials - ks * math.log(2.0) - table[n - 2 * lo::-2][:hi - lo]
     weights = np.zeros(n // 2 + 1)
     weights[lo:hi] = np.exp(logw - logw.max())

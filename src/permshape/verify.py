@@ -190,16 +190,17 @@ def _support(spec: RegimeSpec, n: int) -> np.ndarray:
 
 
 def _chi_square_tail(x: float, dof: int) -> float:
-    """P(X > x) for X chi-square with dof >= 1 degrees of freedom, in closed
-    form: e^(-x/2) times the sum of (x/2)^a / a! over a = 0, 1, .., dof/2 - 1
-    at even dof; erfc(sqrt(x/2)) plus that sum over a = 1/2, 3/2, .. at odd."""
+    """P(X > x) for X chi-square with dof >= 1 degrees of freedom and x > 0,
+    in closed form: the sum of e^(-x/2) (x/2)^a / a! over a = 0, 1, ..,
+    dof/2 - 1 at even dof; erfc(sqrt(x/2)) plus that sum over a = 1/2, 3/2,
+    .. at odd. Each term is taken whole from its log, as e^(-x/2) alone is 0
+    in double precision past x = 1490 while the sum is not."""
     half, a = x / 2, dof % 2 / 2
     tail = math.erfc(math.sqrt(half)) if dof % 2 else 0.0
-    term = math.exp(-half) * half**a / math.gamma(a + 1)
+    log_half = math.log(half)
     for _ in range(dof // 2):
-        tail += term
+        tail += math.exp(a * log_half - half - math.lgamma(a + 1))
         a += 1
-        term *= half / a
     return tail
 
 

@@ -349,7 +349,8 @@ def fresh_python(code, **env):
 def test_no_cli_call_loads_scipy(tmp_path):
     # importing scipy.special, for log-gamma and chi-square quantiles, cost
     # a process about 0.3 s and 20 MB; every suite, and uniform-involution
-    # draws on both sides of the CDF's whole-table bound, run without scipy
+    # draws at a size whose CDF weighs every 2-cycle count and at one where
+    # it weighs only the heavy ones, run without scipy
     code = ("import contextlib, io, sys, permshape.cli as cli\n"
             "calls = [['verify', '--suite', 'greene'], ['verify', '--suite', 'convention'],\n"
             "         ['verify', '--suite', 'fixpoint', '--draws', '20'],\n"

@@ -60,13 +60,15 @@ class TestSuites:
     def test_chi_square_quantile_is_chi2_ppf(self):
         from scipy.stats import chi2
 
-        dofs = np.arange(1, 720)
+        # past x = 1490, e^(-x/2) is 0 in double precision; 5039 is the
+        # uniform law's degrees of freedom at n = 7
+        dofs = np.array([*range(1, 720), 1329, 1331, 2000, 5039])
         expected = chi2.ppf(1.0 - verify.SAMPLERS_ALPHA, dofs)
         for dof, want in zip(dofs.tolist(), expected.tolist()):
             got = verify.chi_square_quantile(dof, verify.SAMPLERS_ALPHA)
             assert math.isclose(got, want, rel_tol=1e-13), dof
 
-    @pytest.mark.parametrize("dof", [1, 2, 5, 9, 23, 100])
+    @pytest.mark.parametrize("dof", [1, 2, 5, 9, 23, 100, 5039])
     @pytest.mark.parametrize("alpha", [0.5, 1e-3, 1e-12])
     def test_chi_square_quantile_is_the_least_double_past_alpha(self, dof, alpha):
         x = verify.chi_square_quantile(dof, alpha)
